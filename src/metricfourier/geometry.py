@@ -3,13 +3,23 @@
 Compact sets are modelled as finite point clouds in R^d.  Continua (discs,
 segments) enter as epsilon-nets built by the fixture layer; every assertion
 about such sets carries a tolerance of the order of the net parameter.
+
+Nearest-point queries (`dist_point_set`, `project`, `min_dists` and so
+`hausdorff`) against a set of more than KDTREE_MIN points go through a
+`scipy.spatial.cKDTree` in the l1, l2 or linf norm.  `PointSet.tree` builds
+it on first use and keeps it with the frozen set, so a net that is projected
+onto many times builds one tree.  Smaller sets take a brute-force `cdist`
+row, which is faster there.  Both paths give the same distances and the
+same witnesses, in index order.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 # Projection witnesses: everything within TIE_TOL of the minimum distance
@@ -19,7 +29,12 @@ TIE_TOL = 1e-9
 DEDUP_TOL = 1e-12
 # Exact chain enumeration refuses beyond this many chains.
 CHAIN_LIMIT = 10 ** 6
-# Block size (matrix entries) for chunked distance computations.
+# Sets of more points than this are queried through a KD-tree, smaller ones
+# by brute force.  Measured cost of one `dist_point_set` call (2 shared
+# cores, scipy 1.17): with the cached tree 31-37 us at any size; by brute
+# force 18 us at 5 points, 32 us at 2,048, 41 us at 3,072, 65 us at 8,201.
+KDTREE_MIN = 2048
+# Block size (matrix entries) for chunked brute-force distance computations.
 _BLOCK = 1 << 22
 
 _CDIST_METRIC = {"l1": "cityblock", "l2": "euclidean", "linf": "chebyshev"}
@@ -96,20 +111,30 @@ class PointSet:
             raise ValueError("set is not a singleton")
         return self.points[0]
 
+    @cached_property
+    def tree(self) -> cKDTree:
+        """KD-tree of the points, built on first use and kept with the set."""
+        return cKDTree(self.points)
+
 
 def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
+    """Drop every row within tol (linf) of an earlier kept row."""
     if arr.shape[0] <= 1:
         return arr
-    if arr.shape[0] <= 4096:
+    if arr.shape[0] <= KDTREE_MIN:
         keep: list[np.ndarray] = []
         for row in arr:
             if not keep or np.min(np.max(np.abs(np.array(keep) - row), axis=1)) > tol:
                 keep.append(row)
         return np.array(keep)
-    # Large clouds (epsilon-nets): grid-snap dedup, adequate for generated nets.
-    snapped = np.round(arr / max(tol, 1e-15))
-    _, idx = np.unique(snapped, axis=0, return_index=True)
-    return arr[np.sort(idx)]
+    # Same rule on the candidate pairs (i < j) only, taken in order of j, so
+    # kept[i] is final before it decides about j.
+    pairs = cKDTree(arr).query_pairs(tol, p=np.inf, output_type="ndarray")
+    kept = np.ones(arr.shape[0], dtype=bool)
+    for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
+        if kept[i]:
+            kept[j] = False
+    return arr[kept]
 
 
 def _check_dims(A: PointSet, B: PointSet) -> None:
@@ -122,7 +147,10 @@ def _dists_to(p: np.ndarray, B: PointSet, norm: str) -> np.ndarray:
 
 
 def min_dists(P: np.ndarray, Q: np.ndarray, norm: str = "l2") -> np.ndarray:
-    """Distance from each row of P to the set Q, block-wise to bound memory."""
+    """Distance from each row of P to the set Q: one bulk KD-tree query when
+    Q is large, block-wise brute force (bounded memory) otherwise."""
+    if Q.shape[0] > KDTREE_MIN:
+        return cKDTree(Q).query(P, p=_NORM_ORD[norm])[0]
     m = P.shape[0]
     out = np.full(m, np.inf)
     pb = max(1, min(m, _BLOCK // max(1, Q.shape[0])))
@@ -144,9 +172,20 @@ def dist_point_set(p, B: PointSet, norm: str = "l2",
     p = as_point(p)
     if p.size != B.dim:
         raise DimensionMismatch(f"dimension {p.size} vs {B.dim}")
-    d = _dists_to(p, B, norm)
-    value = float(d.min())
-    witnesses = B.points[d <= value + tie_tol]
+    if len(B) > KDTREE_MIN:
+        # The two nearest points settle the usual untied case in one query.
+        order = _NORM_ORD[norm]
+        (value, second), (i, _) = B.tree.query(p, k=2, p=order)
+        value = float(value)
+        if second > value + tie_tol:
+            witnesses = B.points[i:i + 1]
+        else:
+            witnesses = B.points[B.tree.query_ball_point(
+                p, value + tie_tol, p=order, return_sorted=True)]
+    else:
+        d = _dists_to(p, B, norm)
+        value = float(d.min())
+        witnesses = B.points[d <= value + tie_tol]
     return value, PointSet.of(witnesses, dedup_tol=0)
 
 

@@ -7,11 +7,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .geometry import PointSet
 from .svf import Partition, SetValuedFunction
 
 _TIE = 1e-9
+_METRIC = {"l1": "cityblock", "l2": "euclidean", "linf": "chebyshev"}
+
+
+def oracle_min_dists(P: np.ndarray, Q: np.ndarray, norm: str = "l2") -> np.ndarray:
+    """Distance from each row of P to the set Q, from the full cdist matrix."""
+    return cdist(P, Q, metric=_METRIC[norm]).min(axis=1)
+
+
+def oracle_dist_point_set(p, Q: np.ndarray, norm: str = "l2",
+                          tie_tol: float = _TIE) -> tuple[float, np.ndarray]:
+    """Distance from p to Q and the indices of every row of Q within
+    tie_tol of it, from one brute-force cdist row."""
+    d = cdist(np.atleast_2d(np.asarray(p, dtype=float)), Q,
+              metric=_METRIC[norm])[0]
+    value = float(d.min())
+    return value, np.nonzero(d <= value + tie_tol)[0]
 
 
 def _argmins(p: np.ndarray, pts: np.ndarray) -> list[int]:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (DEDUP_TOL, TIE_TOL, PointSet, as_point,
-                       enumerate_metric_chains, hausdorff, project, vec_norm)
+                       dist_point_set, enumerate_metric_chains, hausdorff,
+                       project, vec_norm)
 
 # A greedy chain certifies convergence when the last refinement moved
 # nothing on the probe grid by more than STOL.
@@ -137,7 +138,7 @@ def greedy_chain(F: SetValuedFunction, chi: Partition, seed,
     i0 = int(np.argmin(np.abs(nodes - x_hat)))
     if abs(nodes[i0] - x_hat) > 1e-9:
         raise ValueError("seed abscissa must be a partition node")
-    d, w = _dist_project(y_hat, F(nodes[i0]), norm, tie_tol)
+    d, w = dist_point_set(y_hat, F(nodes[i0]), norm, tie_tol)
     if d > SEED_TOL:
         raise GreedySeedError(f"seed value is {d:.3g} away from F(x_hat)")
     values: list = [None] * len(nodes)
@@ -147,15 +148,6 @@ def greedy_chain(F: SetValuedFunction, chi: Partition, seed,
     for i in range(i0 - 1, -1, -1):
         values[i] = _pick_witness(project(values[i + 1], F(nodes[i]), norm, tie_tol))
     return MetricChain(chi, tuple(values))
-
-
-def _dist_project(p, B, norm, tie_tol):
-    from .geometry import dist_point_set
-    return dist_point_set(p, B, norm, tie_tol)
-
-
-def evaluate_chain_function(c: ChainFunction, x: float):
-    return c(x)
 
 
 @dataclass

@@ -1,0 +1,138 @@
+"""Differential tests of the nearest-point paths of the geometry layer.
+
+Sets of more than `geometry.KDTREE_MIN` points are queried through a
+KD-tree, smaller ones by brute force.  Patching the constant forces either
+path on small sets; the brute-force references live in `oracle.py`.
+"""
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import directed_hausdorff
+
+from metricfourier import geometry
+from metricfourier.geometry import (PointSet, dist_point_set, hausdorff,
+                                    min_dists)
+from metricfourier.oracle import oracle_dist_point_set, oracle_min_dists
+
+ATOL = 1e-12
+NORMS = ("l1", "l2", "linf")
+# KDTREE_MIN values that force the tree path and the brute-force path.
+FORCE = {"tree": 0, "brute": 10 ** 9}
+
+
+@st.composite
+def tied_instance(draw, dim):
+    """A query point and a set of distinct grid points holding planted ties:
+    sign flips and rotations of one offset around the query lie at the same
+    distance from it in every norm."""
+    scale = draw(st.sampled_from([1.0, 0.1, 0.37]))
+    cell = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)
+    q = np.array(draw(cell), dtype=float)
+    off = np.array(draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim)))
+    signs = [[1] * dim, [-1] * dim, [(-1) ** k for k in range(dim)]]
+    planted = {tuple(q + np.array(s) * np.roll(off, r))
+               for s in signs for r in range(dim)}
+    rest = {tuple(r) for r in draw(st.lists(cell, max_size=40))}
+    order = draw(st.permutations(sorted(planted | rest)))
+    return scale * q, scale * np.array(order, dtype=float)
+
+
+dims = st.integers(1, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims.flatmap(tied_instance), st.sampled_from(NORMS),
+       st.sampled_from(sorted(FORCE)))
+def test_dist_point_set_matches_oracle(inst, norm, path):
+    q, Q = inst
+    ref_d, ref_idx = oracle_dist_point_set(q, Q, norm)
+    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+        d, w = dist_point_set(q, PointSet.of(Q, dedup_tol=0), norm)
+    assert abs(d - ref_d) <= ATOL
+    index = {tuple(r): i for i, r in enumerate(Q)}
+    assert [index[tuple(r)] for r in w.points] == ref_idx.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims.flatmap(lambda d: st.tuples(tied_instance(d), tied_instance(d))),
+       st.sampled_from(NORMS), st.sampled_from(sorted(FORCE)))
+def test_min_dists_matches_oracle(pair, norm, path):
+    P, Q = pair[0][1], pair[1][1]
+    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+        got = min_dists(P, Q, norm)
+    assert np.allclose(got, oracle_min_dists(P, Q, norm), rtol=0, atol=ATOL)
+
+
+coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+cloud2 = st.lists(st.tuples(coords, coords), min_size=1, max_size=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cloud2, cloud2, st.sampled_from(sorted(FORCE)))
+def test_hausdorff_matches_scipy_directed_hausdorff(a, b, path):
+    A, B = np.array(a), np.array(b)
+    ref = max(directed_hausdorff(A, B)[0], directed_hausdorff(B, A)[0])
+    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+        got = hausdorff(PointSet.of(A, dedup_tol=0), PointSet.of(B, dedup_tol=0))
+    assert abs(got - ref) <= ATOL
+
+
+def test_paths_agree_at_the_cutoff():
+    """Sizes on both sides of the real constant, with four points tied at
+    distance 1 from the query in every norm and all others farther."""
+    rng = np.random.default_rng(7)
+    q = np.array([0.25, -0.5])
+    ring = q + np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    for m in (geometry.KDTREE_MIN, geometry.KDTREE_MIN + 1):
+        far = rng.uniform(-5.0, 5.0, (2 * m, 2))
+        far = far[np.abs(far - q).max(axis=1) > 1.5][:m - len(ring)]
+        Q = np.vstack([far[:m // 2], ring, far[m // 2:]])
+        B = PointSet.of(Q, dedup_tol=0)
+        P = rng.uniform(-6.0, 6.0, (50, 2))
+        for norm in NORMS:
+            ref_d, ref_idx = oracle_dist_point_set(q, Q, norm)
+            d, w = dist_point_set(q, B, norm)
+            assert abs(d - ref_d) <= ATOL
+            assert len(ref_idx) == len(ring)
+            assert np.array_equal(w.points, Q[ref_idx])
+            assert np.allclose(min_dists(P, Q, norm),
+                               oracle_min_dists(P, Q, norm), rtol=0, atol=ATOL)
+        A = PointSet.of(rng.uniform(-5.0, 5.0, (m, 2)), dedup_tol=0)
+        ref = max(directed_hausdorff(A.points, Q)[0],
+                  directed_hausdorff(Q, A.points)[0])
+        assert abs(hausdorff(A, B) - ref) <= ATOL
+
+
+def test_tree_is_built_once_per_set():
+    B = PointSet.of(np.arange(12.0).reshape(6, 2))
+    assert B.tree is B.tree
+
+
+# ---------------------------------------------------------------------------
+# PointSet.of dedup: one keep-first rule at every size
+
+def test_dedup_independent_of_set_size():
+    tol = geometry.DEDUP_TOL
+    near_zero = 0.6 * tol
+    assert len(PointSet.of([0.0, near_zero])) == 1
+    big = PointSet.of(list(range(5000)) + [near_zero])
+    assert len(big) == 5000
+    assert np.array_equal(big.points[:, 0], np.arange(5000.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3),
+                          st.integers(0, 1)), min_size=1, max_size=40))
+@example([(0, 0, 0), (0, 1, 0), (0, 2, 0)])
+def test_dedup_tree_path_matches_loop(cells):
+    """Near-duplicate chains: a row within tol of a dropped row only is kept,
+    so the rule is keep-first, not the connected components."""
+    tol = 1e-3
+    arr = np.array([[x + k * 0.8 * tol, y] for x, k, y in cells])
+    with mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
+        loop = PointSet.of(arr, dedup_tol=tol).points
+    with mock.patch.object(geometry, "KDTREE_MIN", FORCE["tree"]):
+        tree = PointSet.of(arr, dedup_tol=tol).points
+    assert np.array_equal(loop, tree)
