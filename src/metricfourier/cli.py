@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,36 +143,21 @@ def run_convergence(cfg: ExperimentConfig) -> list[tuple]:
     F = cfg.build_svf()
     xs = cfg.grid(F)
     jumps = set(float(j) for j in F.jump_points)
-    orders = sorted(int(n) for n in cfg.orders)
     families = {}
-
-    def family_for(n):
+    rows = []
+    for n in sorted(int(n) for n in cfg.orders):
         d = selection_depth(n, cfg.depth)
         if d not in families:
             families[d] = selection_family(F, cfg.x_seeds, cfg.y_seeds, d,
                                            cfg.norm)
-        return families[d]
-
-    cells = [(n, x) for n in orders for x in xs]
-
-    def cell(args):
-        n, x = args
-        fam = family_for(n)
-        approx = metric_fourier(F, n, x, fam).value_set
-        if any(abs(x - j) < 1e-12 for j in jumps):
-            target, kind = limit_set_AF(F, x, fam), "A_F"
-        else:
-            target, kind = F(x), "F"
-        return (n, float(x), hausdorff(approx, target, cfg.norm), kind)
-
-    # Families are built eagerly (shared, cached); cells are independent.
-    for n in orders:
-        family_for(n)
-    if cfg.tolerances.get("threads", 1) and int(cfg.tolerances.get("threads", 1)) > 1:
-        with ThreadPoolExecutor(int(cfg.tolerances["threads"])) as pool:
-            rows = list(pool.map(cell, cells))
-    else:
-        rows = [cell(c) for c in cells]
+        fam = families[d]
+        for x in xs:
+            approx = metric_fourier(F, n, x, fam).value_set
+            if any(abs(x - j) < 1e-12 for j in jumps):
+                target, kind = limit_set_AF(F, x, fam), "A_F"
+            else:
+                target, kind = F(x), "F"
+            rows.append((n, float(x), hausdorff(approx, target, cfg.norm), kind))
     return rows
 
 
@@ -291,11 +275,8 @@ def run_selections(cfg: ExperimentConfig) -> list[tuple]:
     F = cfg.build_svf()
     fam = selection_family(F, cfg.x_seeds, cfg.y_seeds, cfg.depth, cfg.norm)
     xs = cfg.grid(F)
-    rows = []
-    for i, s in enumerate(fam.selections):
-        for x in xs:
-            rows.append((i, float(x)) + tuple(map(float, np.atleast_1d(s(x)))))
-    return rows
+    return [(i, float(x)) + tuple(map(float, v))
+            for i, s in enumerate(fam.selections) for x, v in zip(xs, s(xs))]
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -331,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--norm", choices=["l1", "l2", "linf"])
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int,
+                       help="accepted for old configs; has no effect")
         p.add_argument("--seed-grid", dest="seed_grid", metavar="X,Y")
         p.add_argument("--depth", type=int)
 

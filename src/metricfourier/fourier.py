@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from .geometry import PointSet, as_point
 from .svf import (ChainFunction, MetricSelection, SelectionFamily,
-                  SetValuedFunction, local_moduli)
+                  SetValuedFunction, one_sided_moduli)
 
 QTOL = 1e-10
 # Kernel-integral constant in the refined Dirichlet-Jordan bound.
@@ -130,8 +130,7 @@ def partial_sum_of_chain(c: ChainFunction, n: int, x: float) -> np.ndarray:
     phi = dirichlet_antiderivative(n, x - t)
     weights = phi[:-1] - phi[1:]
     # The value at the last node only holds on a measure-zero set.
-    vals = np.array([as_point(v) for v in c.values[:-1]])
-    return (weights @ vals) / math.pi
+    return (weights @ c.values[:-1]) / math.pi
 
 
 def _smooth_partial_sum(s: MetricSelection, n: int, x: float,
@@ -236,18 +235,18 @@ def svf_bound_rhs(V: float, n: int, delta: float, omega, K: float) -> float:
 def quasi_moduli(vf, x: float, delta: float, lo: float, hi: float,
                  norm: str = "l2") -> tuple[float, float]:
     """(left_quasi, right_quasi) of a variation function at x."""
-    m = local_moduli(vf, x, delta, lo, hi, norm=norm)
-    return m.left_quasi, m.right_quasi
+    return (one_sided_moduli(vf, x, delta, lo, hi, "-", norm=norm)[1],
+            one_sided_moduli(vf, x, delta, lo, hi, "+", norm=norm)[1])
 
 
 def svf_jump_omega(vf, x: float, lo: float, hi: float, norm: str = "l2"):
     """The modulus entering the set-valued jump bound, as a function of delta."""
 
     def omega(delta: float) -> float:
-        left = local_moduli(vf, x, min(2.0 * delta, x - lo), lo, hi,
-                            norm=norm).left_quasi if x > lo else 0.0
-        right = local_moduli(vf, x, min(delta, hi - x), lo, hi,
-                             norm=norm).right_quasi if x < hi else 0.0
+        left = one_sided_moduli(vf, x, min(2.0 * delta, x - lo), lo, hi, "-",
+                                norm=norm)[1] if x > lo else 0.0
+        right = one_sided_moduli(vf, x, min(delta, hi - x), lo, hi, "+",
+                                 norm=norm)[1] if x < hi else 0.0
         return max(left, right)
 
     return omega

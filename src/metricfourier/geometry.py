@@ -186,7 +186,9 @@ def dist_point_set(p, B: PointSet, norm: str = "l2",
         d = _dists_to(p, B, norm)
         value = float(d.min())
         witnesses = B.points[d <= value + tie_tol]
-    return value, PointSet.of(witnesses, dedup_tol=0)
+    # Rows of a validated set: mark them read-only instead of re-validating.
+    witnesses.setflags(write=False)
+    return value, PointSet(witnesses)
 
 
 def project(p, B: PointSet, norm: str = "l2", tie_tol: float = TIE_TOL) -> PointSet:
@@ -202,9 +204,14 @@ def hausdorff(A: PointSet, B: PointSet, norm: str = "l2") -> float:
     return max(fwd, bwd)
 
 
+def row_norms(P: np.ndarray, norm: str = "l2") -> np.ndarray:
+    """Norm of each row of an (m, d) array."""
+    return np.linalg.norm(P, ord=_NORM_ORD[norm], axis=1)
+
+
 def set_norm(A: PointSet, norm: str = "l2") -> float:
     """Hausdorff distance from A to the origin, i.e. max |a|."""
-    return float(np.linalg.norm(A.points, ord=_NORM_ORD[norm], axis=1).max())
+    return float(row_norms(A.points, norm).max())
 
 
 @dataclass(frozen=True)
@@ -227,18 +234,8 @@ def metric_pairs(A: PointSet, B: PointSet, norm: str = "l2",
     if len(A) * len(B) > 4 * 10 ** 6:
         raise ChainExplosion(
             "pair enumeration too large; query membership with is_metric_pair")
-    D = cdist(A.points, B.points, metric=_CDIST_METRIC[norm])
-    idx: set[tuple[int, int]] = set()
-    mins_b = D.min(axis=1)
-    for i in range(len(A)):
-        for j in np.nonzero(D[i] <= mins_b[i] + tie_tol)[0]:
-            idx.add((i, int(j)))
-    mins_a = D.min(axis=0)
-    for j in range(len(B)):
-        for i in np.nonzero(D[:, j] <= mins_a[j] + tie_tol)[0]:
-            idx.add((int(i), j))
-    pairs = tuple((A.points[i], B.points[j]) for i, j in sorted(idx))
-    return MetricPairList(pairs)
+    return MetricPairList(tuple((A.points[i], B.points[j])
+                                for i, j in _pair_indices(A, B, norm, tie_tol)))
 
 
 def is_metric_pair(a, b, A: PointSet, B: PointSet, norm: str = "l2",
@@ -252,58 +249,43 @@ def is_metric_pair(a, b, A: PointSet, B: PointSet, norm: str = "l2",
     return gap <= da + tie_tol or gap <= db + tie_tol
 
 
-def _pair_indices(A: PointSet, B: PointSet, norm: str, tie_tol: float):
+def _pair_indices(A: PointSet, B: PointSet, norm: str,
+                  tie_tol: float) -> np.ndarray:
+    """Index pairs (i, j) of the metric pairs of (A, B), one per row, sorted:
+    b_j is a near-nearest point of a_i in B, or a_i one of b_j in A."""
     D = cdist(A.points, B.points, metric=_CDIST_METRIC[norm])
-    idx: set[tuple[int, int]] = set()
-    mins_b = D.min(axis=1)
-    mins_a = D.min(axis=0)
-    for i in range(len(A)):
-        for j in np.nonzero(D[i] <= mins_b[i] + tie_tol)[0]:
-            idx.add((i, int(j)))
-    for j in range(len(B)):
-        for i in np.nonzero(D[:, j] <= mins_a[j] + tie_tol)[0]:
-            idx.add((int(i), j))
-    return idx
+    near = ((D <= D.min(axis=1, keepdims=True) + tie_tol)
+            | (D <= D.min(axis=0, keepdims=True) + tie_tol))
+    return np.argwhere(near)
 
 
 def enumerate_metric_chains(sets: list[PointSet], norm: str = "l2",
                             tie_tol: float = TIE_TOL,
-                            limit: int = CHAIN_LIMIT) -> list[tuple]:
-    """All metric chains (a_0, ..., a_n) of an ordered list of sets."""
+                            limit: int = CHAIN_LIMIT) -> np.ndarray:
+    """All metric chains (a_0, ..., a_n) of an ordered list of sets, as one
+    (chains, n+1, d) array in lexicographic order of the point indices."""
     if len(sets) < 2:
         raise ValueError("need at least two sets")
     for A, B in zip(sets, sets[1:]):
         _check_dims(A, B)
-    adjacency = []
-    for A, B in zip(sets, sets[1:]):
-        idx = _pair_indices(A, B, norm, tie_tol)
-        nxt: dict[int, list[int]] = {}
-        for i, j in sorted(idx):
-            nxt.setdefault(i, []).append(j)
-        adjacency.append(nxt)
+    links = [_pair_indices(A, B, norm, tie_tol) for A, B in zip(sets, sets[1:])]
     # Count before materializing to catch explosions cheaply.
-    counts = {j: 1 for j in range(len(sets[-1]))}
-    for A, nxt in zip(reversed(sets[:-1]), reversed(adjacency)):
-        counts = {i: sum(counts.get(j, 0) for j in js) for i, js in nxt.items()}
-    total = sum(counts.values())
+    counts = np.ones(len(sets[-1]))
+    for A, ij in zip(reversed(sets[:-1]), reversed(links)):
+        counts = np.bincount(ij[:, 0], counts[ij[:, 1]], minlength=len(A))
+    total = counts.sum()
     if total > limit:
         raise ChainExplosion(
-            f"{total} chains exceed limit {limit}; use greedy selections instead")
-    chains: list[tuple] = []
-    stack: list[int] = []
-
-    def walk(level: int, i: int) -> None:
-        stack.append(i)
-        if level == len(adjacency):
-            chains.append(tuple(sets[k].points[s] for k, s in enumerate(stack)))
-        else:
-            for j in adjacency[level].get(i, []):
-                walk(level + 1, j)
-        stack.pop()
-
-    for i in range(len(sets[0])):
-        walk(0, i)
-    return chains
+            f"{total:.0f} chains exceed limit {limit}; use greedy selections instead")
+    # Extend every chain by each partner of its last point, in order.
+    idx = np.arange(len(sets[0]))[:, None]
+    for ij in links:
+        lo = np.searchsorted(ij[:, 0], idx[:, -1], side="left")
+        fan = np.searchsorted(ij[:, 0], idx[:, -1], side="right") - lo
+        start = np.repeat(lo - np.cumsum(fan) + fan, fan)
+        picks = start + np.arange(start.size)
+        idx = np.column_stack([np.repeat(idx, fan, axis=0), ij[picks, 1]])
+    return np.stack([S.points[idx[:, k]] for k, S in enumerate(sets)], axis=1)
 
 
 def metric_linear_combination(lambdas, sets: list[PointSet], norm: str = "l2",
@@ -316,8 +298,7 @@ def metric_linear_combination(lambdas, sets: list[PointSet], norm: str = "l2",
     if len(sets) == 1:
         return PointSet.of(lambdas[0] * sets[0].points)
     chains = enumerate_metric_chains(sets, norm, tie_tol, limit)
-    sums = [sum(l * a for l, a in zip(lambdas, ch)) for ch in chains]
-    return PointSet.of(sums)
+    return PointSet.of(sum(l * chains[:, i] for i, l in enumerate(lambdas)))
 
 
 def minkowski_combination(lambdas, sets: list[PointSet],

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .geometry import (CHAIN_LIMIT, PointSet, as_point, convex_hull,
-                       enumerate_metric_chains, hull_contains, min_dists)
+from .geometry import (CHAIN_LIMIT, PointSet, convex_hull, hull_contains,
+                       metric_linear_combination, min_dists)
 from .svf import Partition, SelectionFamily, SetValuedFunction
 
 QTOL = 1e-10
@@ -64,29 +64,26 @@ def weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
                                 chi: Partition, mode: str = "exact",
                                 family: SelectionFamily | None = None,
                                 norm: str = "l2",
-                                limit: int = CHAIN_LIMIT) -> PointSet:
-    """Left-endpoint sums {sum (x_{i+1}-x_i) k(x_i) y_i}.
+                                limit: int = CHAIN_LIMIT,
+                                side: str = "left") -> PointSet:
+    """Weighted metric Riemann sums {sum (x_{i+1}-x_i) k(t_i) y_i} with
+    tags t_i = x_i (side="left") or t_i = x_{i+1} (side="right").
 
-    exact: over all metric chains of (F(x_0), ..., F(x_{n-1}));
-    family: along each selection's chain restricted to chi.
+    exact: the metric linear combination of (F(t_0), ..., F(t_{n-1}));
+    family: along each selection's chain restricted to the tags.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}")
     nodes = chi.nodes
-    dx = np.diff(nodes)
-    weights = dx * np.array([k(x) for x in nodes[:-1]])
+    tags = nodes[:-1] if side == "left" else nodes[1:]
+    weights = np.diff(nodes) * np.array([k(x) for x in tags])
     if mode == "exact":
-        sets = [F(x) for x in nodes[:-1]]
-        if len(sets) == 1:
-            sums = [weights[0] * p for p in sets[0].points]
-        else:
-            chains = enumerate_metric_chains(sets, norm=norm, limit=limit)
-            sums = [sum(w * y for w, y in zip(weights, ch)) for ch in chains]
-        return PointSet.of(sums)
+        return metric_linear_combination(weights, [F(x) for x in tags], norm,
+                                         limit=limit)
     if mode == "family":
         if family is None:
             raise ValueError("family mode requires a SelectionFamily")
-        sums = [sum(w * as_point(s(x)) for w, x in zip(weights, nodes[:-1]))
-                for s in family.selections]
-        return PointSet.of(sums)
+        return PointSet.of([weights @ s(tags) for s in family.selections])
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -95,25 +92,9 @@ def right_weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
                                       family: SelectionFamily | None = None,
                                       norm: str = "l2",
                                       limit: int = CHAIN_LIMIT) -> PointSet:
-    """Right-endpoint analogue {sum (x_{i+1}-x_i) k(x_{i+1}) y_{i+1}}."""
-    nodes = chi.nodes
-    dx = np.diff(nodes)
-    weights = dx * np.array([k(x) for x in nodes[1:]])
-    if mode == "exact":
-        sets = [F(x) for x in nodes[1:]]
-        if len(sets) == 1:
-            sums = [weights[0] * p for p in sets[0].points]
-        else:
-            chains = enumerate_metric_chains(sets, norm=norm, limit=limit)
-            sums = [sum(w * y for w, y in zip(weights, ch)) for ch in chains]
-        return PointSet.of(sums)
-    if mode == "family":
-        if family is None:
-            raise ValueError("family mode requires a SelectionFamily")
-        sums = [sum(w * as_point(s(x)) for w, x in zip(weights, nodes[1:]))
-                for s in family.selections]
-        return PointSet.of(sums)
-    raise ValueError(f"unknown mode {mode!r}")
+    """Right-endpoint sums {sum (x_{i+1}-x_i) k(x_{i+1}) y_{i+1}}."""
+    return weighted_metric_riemann_sum(F, k, chi, mode, family, norm, limit,
+                                       side="right")
 
 
 def weighted_metric_integral(F: SetValuedFunction, k: WeightFunction,
@@ -128,11 +109,9 @@ def weighted_metric_integral(F: SetValuedFunction, k: WeightFunction,
     for s in family.selections:
         nodes = s.base.nodes
         pnorm = max(pnorm, float(np.diff(nodes).max()))
-        acc = np.zeros(as_point(s.values[0]).size)
-        for i in range(len(nodes) - 1):
-            acc = acc + as_point(s.values[i]) * integrate_weight(
-                k, float(nodes[i]), float(nodes[i + 1]), qtol)
-        sums.append(acc)
+        cells = np.array([integrate_weight(k, float(u), float(v), qtol)
+                          for u, v in zip(nodes[:-1], nodes[1:])])
+        sums.append(cells @ s.values[:-1])
     return IntegralResult(PointSet.of(sums), "selection_family", pnorm)
 
 

@@ -93,11 +93,13 @@ class TinyInstance:
         return Partition.of(self.nodes)
 
 
-def oracle_riemann_set(inst: TinyInstance) -> np.ndarray:
-    """Left-endpoint weighted sums over every metric chain, exhaustively."""
-    sets = [np.asarray(s, dtype=float) for s in inst.sets[:-1]]
+def oracle_riemann_set(inst: TinyInstance, side: str = "left") -> np.ndarray:
+    """Left- or right-endpoint weighted sums over every metric chain,
+    exhaustively."""
+    tags = slice(None, -1) if side == "left" else slice(1, None)
+    sets = [np.asarray(s, dtype=float) for s in inst.sets[tags]]
     dx = np.diff(inst.nodes)
-    w = dx * inst.weights[:-1]
+    w = dx * inst.weights[tags]
     if len(sets) == 1:
         sums = [w[0] * p for p in sets[0]]
     else:

@@ -7,13 +7,14 @@ last refinement step (convergence diagnostic, not a proof).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (DEDUP_TOL, TIE_TOL, PointSet, as_point,
                        dist_point_set, enumerate_metric_chains, hausdorff,
-                       project, vec_norm)
+                       project, row_norms, vec_norm)
 
 # A greedy chain certifies convergence when the last refinement moved
 # nothing on the probe grid by more than STOL.
@@ -94,10 +95,26 @@ class SetValuedFunction:
 
 @dataclass(frozen=True)
 class MetricChain:
-    """Point values over a partition with consecutive metric pairs."""
+    """Point values over a partition with consecutive metric pairs.
+
+    `values` is one read-only (N, d) array, row i the value at node i;
+    sequences of points (or of scalars, for d = 1) are copied into it.
+    """
 
     partition: Partition
-    values: tuple
+    values: np.ndarray
+
+    def __post_init__(self):
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        if vals.ndim != 2 or vals.shape[1] == 0:
+            raise ValueError("chain values must be points of one dimension")
+        if vals.shape[0] != len(self.partition):
+            raise ValueError(f"{vals.shape[0]} values for "
+                             f"{len(self.partition)} partition nodes")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -111,16 +128,17 @@ class ChainFunction:
         return self.chain.partition.nodes
 
     @property
-    def values(self) -> tuple:
+    def values(self) -> np.ndarray:
         return self.chain.values
 
-    def __call__(self, x: float):
+    def __call__(self, x):
+        """The value at x, or the (m, d) values at an array of m points."""
         nodes = self.nodes
-        if not (nodes[0] - 1e-12 <= x <= nodes[-1] + 1e-12):
+        x = np.asarray(x, dtype=float)
+        if np.any((x < nodes[0] - 1e-12) | (x > nodes[-1] + 1e-12)):
             raise ValueError(f"{x} outside [{nodes[0]}, {nodes[-1]}]")
-        i = int(np.searchsorted(nodes, x, side="right")) - 1
-        i = min(max(i, 0), len(self.values) - 1)
-        return self.values[i]
+        i = np.searchsorted(nodes, x, side="right") - 1
+        return self.values[np.clip(i, 0, len(nodes) - 1)]
 
 
 def _pick_witness(witnesses: PointSet) -> np.ndarray:
@@ -141,13 +159,13 @@ def greedy_chain(F: SetValuedFunction, chi: Partition, seed,
     d, w = dist_point_set(y_hat, F(nodes[i0]), norm, tie_tol)
     if d > SEED_TOL:
         raise GreedySeedError(f"seed value is {d:.3g} away from F(x_hat)")
-    values: list = [None] * len(nodes)
+    values = np.empty((len(nodes), y_hat.size))
     values[i0] = _pick_witness(w)
     for i in range(i0 + 1, len(nodes)):
         values[i] = _pick_witness(project(values[i - 1], F(nodes[i]), norm, tie_tol))
     for i in range(i0 - 1, -1, -1):
         values[i] = _pick_witness(project(values[i + 1], F(nodes[i]), norm, tie_tol))
-    return MetricChain(chi, tuple(values))
+    return MetricChain(chi, values)
 
 
 @dataclass
@@ -169,7 +187,7 @@ class MetricSelection:
         return self.base.nodes
 
     @property
-    def values(self) -> tuple:
+    def values(self) -> np.ndarray:
         return self.base.values
 
     def one_sided_limit(self, x: float, side: str):
@@ -181,43 +199,41 @@ class MetricSelection:
         if side == "-":
             idx = np.nonzero(nodes < x - 1e-12)[0]
             if idx.size == 0:
-                return as_point(self.base(x))
-            picks = idx[-2:] if idx.size >= 2 else idx[-1:]
+                return self.base(x)
+            picks = idx[-2:]
         elif side == "+":
             idx = np.nonzero(nodes > x + 1e-12)[0]
             if idx.size == 0:
-                return as_point(self.base(x))
-            picks = idx[:2] if idx.size >= 2 else idx[:1]
+                return self.base(x)
+            picks = idx[:2]
         else:
             raise ValueError("side must be '-' or '+'")
         if picks.size == 1:
-            return as_point(vals[int(picks[0])])
-        i, j = int(picks[0]), int(picks[1])
-        t_i, t_j = nodes[i], nodes[j]
-        v_i, v_j = as_point(vals[i]), as_point(vals[j])
-        return v_i + (v_j - v_i) * ((x - t_i) / (t_j - t_i))
+            return vals[picks[0]]
+        i, j = picks
+        v_i, v_j = vals[i], vals[j]
+        return v_i + (v_j - v_i) * ((x - nodes[i]) / (nodes[j] - nodes[i]))
 
 
 def approximate_selection(F: SetValuedFunction, seed, depth: int,
                           probe: Partition | None = None,
                           norm: str = "l2") -> MetricSelection:
-    """Greedy chains on refining dyadic partitions; keep the deepest."""
+    """Greedy chain on the dyadic partition of the given depth; the chain one
+    level coarser only feeds `cauchy_defect`."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     x_hat = float(seed[0])
     forced = (x_hat,) + tuple(F.jump_points)
     if probe is None:
         probe = Partition.dyadic(F.a, F.b, min(depth, 6), forced)
-    prev = None
-    last = None
-    for k in range(1, depth + 1):
-        chi = Partition.dyadic(F.a, F.b, k, forced)
-        prev = last
-        last = ChainFunction(greedy_chain(F, chi, seed, norm))
+    last = ChainFunction(greedy_chain(
+        F, Partition.dyadic(F.a, F.b, depth, forced), seed, norm))
     defect = 0.0
-    if prev is not None:
-        for x in probe.nodes:
-            defect = max(defect, vec_norm(as_point(last(x)) - as_point(prev(x)), norm))
+    if depth > 1:
+        prev = ChainFunction(greedy_chain(
+            F, Partition.dyadic(F.a, F.b, depth - 1, forced), seed, norm))
+        defect = float(row_norms(last(probe.nodes) - prev(probe.nodes),
+                                 norm).max())
     smooth = _singleton_evaluator(F, last)
     return MetricSelection(last, (x_hat, as_point(seed[1])), depth, defect, smooth)
 
@@ -266,7 +282,7 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
             picks = pts[np.linspace(0, len(pts) - 1, y_seeds).round().astype(int)]
         for y_hat in picks:
             s = approximate_selection(F, (x_hat, y_hat), depth, probe, norm)
-            sig = np.concatenate([as_point(s(x)) for x in probe.nodes])
+            sig = s(probe.nodes).ravel()
             if any(np.max(np.abs(sig - old)) <= DEDUP_TOL for old in signatures):
                 continue
             signatures.append(sig)
@@ -285,10 +301,8 @@ def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
     """
     sets = [F(x) for x in chi.nodes]
     chains = enumerate_metric_chains(sets, norm=norm, limit=limit)
-    selections = []
-    for ch in chains:
-        cf = ChainFunction(MetricChain(chi, tuple(ch)))
-        selections.append(MetricSelection(cf, (chi.a, as_point(ch[0])), 0, 0.0))
+    selections = [MetricSelection(ChainFunction(MetricChain(chi, ch)),
+                                  (chi.a, ch[0]), 0, 0.0) for ch in chains]
     return SelectionFamily(tuple(selections), "exhaustive chains")
 
 
@@ -315,9 +329,7 @@ def total_variation(g, a: float | None = None, b: float | None = None,
     exact once the refinement stabilizes (piecewise-monotone fixtures)."""
     if isinstance(g, (ChainFunction, MetricSelection)):
         # Exact for piecewise-constant data: jumps happen at the nodes.
-        vals = [as_point(v) for v in g.values]
-        v = float(sum(vec_norm(u2 - u1, norm) for u1, u2 in zip(vals, vals[1:])))
-        return v, True
+        return float(row_norms(np.diff(g.values, axis=0), norm).sum()), True
     if isinstance(g, SetValuedFunction):
         a = g.a if a is None else a
         b = g.b if b is None else b
@@ -365,52 +377,63 @@ class LocalModuli:
     right_quasi: float
 
 
+def _probe_grid(x_star: float, u: float, v: float, probes: int) -> np.ndarray:
+    """Uniform probes on [u, v], clustered geometrically near x* so that
+    one-sided behaviour is resolved."""
+    lin = np.linspace(u, v, probes)
+    geo_l = x_star - (x_star - u) * 2.0 ** -np.arange(1, 12)
+    geo_r = x_star + (v - x_star) * 2.0 ** -np.arange(1, 12)
+    return np.unique(np.clip(np.concatenate([lin, geo_l, geo_r]), u, v))
+
+
+def one_sided_moduli(g, x_star: float, delta: float, lo: float, hi: float,
+                     side: str, probes: int = 48,
+                     norm: str = "l2") -> tuple[float, float]:
+    """(plain, quasi) modulus of g at x* on one side ('-' or '+').
+
+    plain: sup rho(g(x), g(x*)) over [x*-delta, x*] or [x*, x*+delta];
+    quasi: sup rho(g(x*-0), g(x)) or rho(g(x*+0), g(x)) over the same
+    probes without x*.  Both are 0 when x* sits at that end of [lo, hi].
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if side == "-":
+        if x_star <= lo:
+            return 0.0, 0.0
+        xs = _probe_grid(x_star, max(lo, x_star - delta), x_star, probes)
+        inner = xs < x_star - 1e-13
+    elif side == "+":
+        if x_star >= hi:
+            return 0.0, 0.0
+        xs = _probe_grid(x_star, x_star, min(hi, x_star + delta), probes)
+        inner = xs > x_star + 1e-13
+    else:
+        raise ValueError("side must be '-' or '+'")
+    vals = [g(x) for x in xs]
+    g_star = g(x_star)
+    plain = max((_rho(v, g_star, norm) for v in vals), default=0.0)
+    g_lim = one_sided_value(g, x_star, side, lo=lo, hi=hi)
+    quasi = max((_rho(g_lim, v, norm) for v, keep in zip(vals, inner) if keep),
+                default=0.0)
+    return plain, quasi
+
+
 def local_moduli(g, x_star: float, delta: float, lo: float, hi: float,
                  probes: int = 48, norm: str = "l2") -> LocalModuli:
     """Suprema of the defining expressions over probe grids.
 
-    left/right: sup rho(g(x), g(x*)) over [x*-delta, x*] / [x*, x*+delta];
-    two_sided over the window [x*-delta/2, x*+delta/2]; the quasi variants
-    measure from the one-sided limits g(x*-0)/g(x*+0) and exclude x*.
+    left/right and their quasi variants come from `one_sided_moduli`;
+    two_sided is sup rho(g(x), g(x')) over the window [x*-delta/2, x*+delta/2].
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-
-    def grid(u, v):
-        # Cluster geometrically near x* so one-sided behaviour is resolved.
-        lin = np.linspace(u, v, probes)
-        geo_l = x_star - (x_star - u) * 2.0 ** -np.arange(1, 12)
-        geo_r = x_star + (v - x_star) * 2.0 ** -np.arange(1, 12)
-        g_all = np.concatenate([lin, geo_l, geo_r])
-        return np.unique(np.clip(g_all, u, v))
-
-    u_l, v_r = max(lo, x_star - delta), min(hi, x_star + delta)
-    g_star = g(x_star)
-    left = 0.0
-    if x_star > lo:
-        left = max((_rho(g(x), g_star, norm) for x in grid(u_l, x_star)), default=0.0)
-    right = 0.0
-    if x_star < hi:
-        right = max((_rho(g(x), g_star, norm)
-                     for x in grid(x_star, v_r)), default=0.0)
-    half_l = max(lo, x_star - delta / 2.0)
-    half_r = min(hi, x_star + delta / 2.0)
-    window = grid(half_l, half_r)
+    left, left_quasi = one_sided_moduli(g, x_star, delta, lo, hi, "-",
+                                        probes, norm)
+    right, right_quasi = one_sided_moduli(g, x_star, delta, lo, hi, "+",
+                                          probes, norm)
+    window = _probe_grid(x_star, max(lo, x_star - delta / 2.0),
+                         min(hi, x_star + delta / 2.0), probes)
     w_vals = [g(x) for x in window]
-    two_sided = 0.0
-    for i in range(len(w_vals)):
-        for j in range(i + 1, len(w_vals)):
-            two_sided = max(two_sided, _rho(w_vals[i], w_vals[j], norm))
-    left_quasi = 0.0
-    if x_star > lo:
-        g_minus = one_sided_value(g, x_star, "-", lo=lo, hi=hi)
-        xs = [x for x in grid(u_l, x_star) if x < x_star - 1e-13]
-        left_quasi = max((_rho(g_minus, g(x), norm) for x in xs), default=0.0)
-    right_quasi = 0.0
-    if x_star < hi:
-        g_plus = one_sided_value(g, x_star, "+", lo=lo, hi=hi)
-        xs = [x for x in grid(x_star, v_r) if x > x_star + 1e-13]
-        right_quasi = max((_rho(g_plus, g(x), norm) for x in xs), default=0.0)
+    two_sided = max((_rho(u, v, norm)
+                     for u, v in itertools.combinations(w_vals, 2)), default=0.0)
     return LocalModuli(two_sided, left, right, left_quasi, right_quasi)
 
 

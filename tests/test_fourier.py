@@ -21,8 +21,10 @@ from metricfourier.fourier import (BoundParams, class_membership,
                                    svf_bound_rhs, svf_jump_omega, trig_eval)
 from metricfourier.geometry import PointSet, hausdorff
 from metricfourier.oracle import oracle_fourier
+from metricfourier.fixtures import step_svf
 from metricfourier.svf import (ChainFunction, MetricChain, Partition,
-                               approximate_selection, selection_family)
+                               approximate_selection, local_moduli,
+                               selection_family)
 
 PI = math.pi
 
@@ -335,3 +337,27 @@ def test_fit_K():
 def test_scalar_fixture_registry():
     assert set(SCALAR_FIXTURES) == {"square-wave", "sawtooth", "step",
                                     "trig-poly"}
+
+
+def local_moduli_jump_omega(vf, x, lo, hi):
+    """The jump modulus composed from the full `local_moduli` report."""
+    def omega(delta):
+        left = local_moduli(vf, x, min(2.0 * delta, x - lo), lo, hi
+                            ).left_quasi if x > lo else 0.0
+        right = local_moduli(vf, x, min(delta, hi - x), lo, hi
+                             ).right_quasi if x < hi else 0.0
+        return max(left, right)
+    return omega
+
+
+@pytest.mark.parametrize("make", [step_svf, lines_fixture])
+def test_svf_jump_omega_matches_local_moduli(make):
+    F = make()
+    x = float(F.jump_points[0])
+    vf = F.variation_function
+    got = svf_jump_omega(vf, x, F.a, F.b)
+    want = local_moduli_jump_omega(vf, x, F.a, F.b)
+    for d in delta_grid():
+        assert got(d) == want(d)
+    m = local_moduli(vf, x, 0.1, F.a, F.b)
+    assert quasi_moduli(vf, x, 0.1, F.a, F.b) == (m.left_quasi, m.right_quasi)

@@ -248,3 +248,25 @@ def test_singleton_sine_integral_value():
     res = weighted_metric_integral(F, WeightFunction.constant(1.0), fam)
     # Riemann sum of sin over [0, pi] at depth 8: within one-cell error of 2.
     assert abs(float(res.value_set.points[0, 0]) - 2.0) < 0.05
+
+
+def test_riemann_sum_rejects_unknown_side():
+    F = constant_set_fixture([1.0], 0.0, 1.0)
+    chi = Partition.uniform(0.0, 1.0, 4)
+    with pytest.raises(ValueError):
+        weighted_metric_riemann_sum(F, WeightFunction.constant(1.0), chi,
+                                    side="middle")
+
+
+def test_right_sum_is_the_right_side():
+    F = lines_fixture()
+    chi = Partition.dyadic(F.a, F.b, 3, forced=(0.5,))
+    k = WeightFunction(math.cos, 4.0, 1.0, antiderivative=math.sin)
+    fam = exhaustive_chain_family(F, chi)
+    for mode in ("exact", "family"):
+        right = right_weighted_metric_riemann_sum(F, k, chi, mode, fam)
+        sided = weighted_metric_riemann_sum(F, k, chi, mode, fam, side="right")
+        assert np.array_equal(right.points, sided.points)
+    assert hausdorff(right_weighted_metric_riemann_sum(F, k, chi),
+                     right_weighted_metric_riemann_sum(F, k, chi, "family",
+                                                       fam)) < 1e-9

@@ -105,6 +105,16 @@ def test_paths_agree_at_the_cutoff():
         assert abs(hausdorff(A, B) - ref) <= ATOL
 
 
+def test_witnesses_are_read_only():
+    """Witness sets share no writeable buffer, on either path, tied or not."""
+    Q = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [3.0, 3.0]])
+    for path in sorted(FORCE):
+        with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+            for q in ([0.0, 0.0], [0.0, 5.0]):
+                _, w = dist_point_set(q, PointSet.of(Q, dedup_tol=0))
+                assert not w.points.flags.writeable
+
+
 def test_tree_is_built_once_per_set():
     B = PointSet.of(np.arange(12.0).reshape(6, 2))
     assert B.tree is B.tree

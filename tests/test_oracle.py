@@ -5,11 +5,12 @@ import math
 import numpy as np
 
 from metricfourier.fixtures import lines_fixture, step_svf, two_branch_sine
-from metricfourier.geometry import PointSet, hausdorff
+from metricfourier.geometry import PointSet, enumerate_metric_chains, hausdorff
 from metricfourier.metric_integral import (WeightFunction,
+                                           right_weighted_metric_riemann_sum,
                                            weighted_metric_riemann_sum)
-from metricfourier.oracle import (TinyInstance, oracle_AF, oracle_fourier,
-                                  oracle_riemann_set)
+from metricfourier.oracle import (TinyInstance, _all_chains, oracle_AF,
+                                  oracle_fourier, oracle_riemann_set)
 
 PI = math.pi
 
@@ -93,3 +94,27 @@ def test_tiny_instance_shapes():
         assert np.all(np.diff(inst.nodes) >= 1e-3)
         F = inst.svf()
         assert len(F(float(inst.nodes[0]))) == len(inst.sets[0])
+
+
+def test_oracle_riemann_right_matches_exact_mode():
+    rng = np.random.default_rng(43)
+    for dim in (1, 2):
+        for _ in range(10):
+            inst = TinyInstance.random(rng, dim)
+            ref = PointSet.of(oracle_riemann_set(inst, side="right"))
+            got = right_weighted_metric_riemann_sum(
+                inst.svf(), step_weight(inst), inst.partition())
+            assert hausdorff(ref, got) < 1e-9
+
+
+def test_chain_enumeration_matches_oracle_order():
+    rng = np.random.default_rng(44)
+    for dim in (1, 2):
+        for _ in range(10):
+            inst = TinyInstance.random(rng, dim)
+            sets = [np.asarray(s, dtype=float) for s in inst.sets]
+            want = np.array([[S[i] for S, i in zip(sets, ch)]
+                             for ch in _all_chains(sets)])
+            got = enumerate_metric_chains([PointSet.of(s, dedup_tol=0)
+                                           for s in sets])
+            assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
 """Unit tests for partitions, chain functions, greedy selections, variation
 and moduli analyzers."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from metricfourier.fixtures import (constant_set_fixture, lines_fixture,
                                     singleton_fixture, step_svf,
                                     two_branch_sine)
 from metricfourier.geometry import PointSet
+from metricfourier import svf
 from metricfourier.svf import (ChainFunction, GreedySeedError, MetricChain,
                                Partition, approximate_selection, greedy_chain,
-                               local_moduli, one_sided_value,
+                               local_moduli, one_sided_moduli, one_sided_value,
                                selection_family, total_variation,
                                variation_function_samples,
                                variation_on_partition)
@@ -290,3 +292,84 @@ def test_svf_domain_check():
     with pytest.raises(ValueError):
         F(4.0)
     assert isinstance(F(0.5), PointSet)
+
+
+# ---------------------------------------------------------------------------
+# chain storage: one read-only (N, d) array
+
+def test_metric_chain_coerces_values_to_read_only_array():
+    chi = Partition.of([0.0, 0.5, 1.0])
+    for values in (((1.0,), (2.0,), (3.0,)), (1.0, 2.0, 3.0),
+                   tuple(np.array([v]) for v in (1.0, 2.0, 3.0))):
+        ch = MetricChain(chi, values)
+        assert isinstance(ch.values, np.ndarray)
+        assert ch.values.shape == (3, 1)
+        assert np.array_equal(ch.values[:, 0], [1.0, 2.0, 3.0])
+        assert not ch.values.flags.writeable
+        with pytest.raises(ValueError):
+            ch.values[0, 0] = 5.0
+
+
+def test_metric_chain_copies_its_input():
+    src = np.zeros((3, 2))
+    ch = MetricChain(Partition.of([0.0, 0.5, 1.0]), src)
+    src[0, 0] = 1.0
+    assert ch.values[0, 0] == 0.0
+
+
+def test_metric_chain_rejects_length_mismatch():
+    chi = Partition.of([0.0, 1.0])
+    with pytest.raises(ValueError):
+        MetricChain(chi, ((1.0,), (2.0,), (3.0,)))
+    with pytest.raises(ValueError):
+        MetricChain(chi, ((1.0,),))
+
+
+def test_chain_function_evaluates_arrays_like_scalars():
+    c = chain_on([0.0, 1.0, 2.0], [10.0, 20.0, 30.0])
+    xs = [0.0, 0.5, 1.0, 1.99, 2.0]
+    got = c(xs)
+    assert got.shape == (5, 1)
+    assert np.array_equal(got, np.array([c(x) for x in xs]))
+    with pytest.raises(ValueError):
+        c([0.5, 2.5])
+
+
+def test_greedy_chain_values_are_one_array():
+    F = lines_fixture()
+    chi = Partition.dyadic(F.a, F.b, 4, forced=(0.5,))
+    ch = greedy_chain(F, chi, (0.5, 0.0))
+    assert ch.values.shape == (len(chi), 1)
+    assert not ch.values.flags.writeable
+
+
+def test_approximate_selection_builds_two_depths():
+    F = lines_fixture()
+    seed = (0.5, 0.0)
+    with mock.patch.object(svf, "greedy_chain", wraps=greedy_chain) as spy:
+        s = approximate_selection(F, seed, 5)
+    assert spy.call_count == 2
+    ref = greedy_chain(F, Partition.dyadic(F.a, F.b, 5, (0.5, 0.5)), seed)
+    assert np.array_equal(s.values, ref.values)
+    coarse = ChainFunction(greedy_chain(
+        F, Partition.dyadic(F.a, F.b, 4, (0.5, 0.5)), seed))
+    probe = Partition.dyadic(F.a, F.b, 5, (0.5, 0.5)).nodes
+    assert s.cauchy_defect == max(abs(float(s(x)[0] - coarse(x)[0]))
+                                  for x in probe)
+
+
+def test_one_sided_moduli_match_local_moduli():
+    cases = [(lambda t: t ** 3, 0.5, 0.25, -1.0, 1.0),
+             (lambda t: 0.0 if t < 0.5 else 1.0 + t, 0.5, 0.7, 0.0, 1.0),
+             (lines_fixture(), 0.5, 0.4, -PI, PI),
+             (lambda t: abs(t), -1.0, 0.3, -1.0, 1.0)]
+    for g, x, delta, lo, hi in cases:
+        m = local_moduli(g, x, delta, lo, hi)
+        assert one_sided_moduli(g, x, delta, lo, hi, "-") == (m.left,
+                                                              m.left_quasi)
+        assert one_sided_moduli(g, x, delta, lo, hi, "+") == (m.right,
+                                                              m.right_quasi)
+    with pytest.raises(ValueError):
+        one_sided_moduli(abs, 0.0, 0.0, -1.0, 1.0, "-")
+    with pytest.raises(ValueError):
+        one_sided_moduli(abs, 0.0, 0.5, -1.0, 1.0, "both")
