@@ -19,12 +19,14 @@ from .metric_integral import (InclusionReport, IntegralResult, WeightFunction,
                               weighted_metric_integral,
                               weighted_metric_riemann_sum)
 from .fourier import (BoundParams, ClassReport, FourierApproximant,
-                      class_membership, classical_partial_sum, delta_grid,
-                      dirichlet, dirichlet_antiderivative, dirichlet_cos_sum,
-                      djordan_bound_rhs, fit_K, fourier_coefficients,
-                      limit_set_AF, metric_fourier, min_djordan_bound,
-                      modified_dirichlet, modified_dirichlet_antiderivative,
-                      partial_sum_of_chain, partial_sum_of_selection,
+                      chain_coefficients, class_membership,
+                      classical_partial_sum, delta_grid, dirichlet,
+                      dirichlet_antiderivative, dirichlet_cos_sum,
+                      djordan_bound_rhs, family_coefficients, fit_K,
+                      fourier_coefficients, limit_set_AF, metric_fourier,
+                      min_djordan_bound, modified_dirichlet,
+                      modified_dirichlet_antiderivative, partial_sum_of_chain,
+                      partial_sum_of_selection, selection_coefficients,
                       svf_bound_rhs, svf_jump_omega, trig_eval)
 
 __version__ = "0.1.0"

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixtures as fx
-from .fourier import (delta_grid, fit_K, limit_set_AF, metric_fourier,
-                      min_djordan_bound, svf_bound_rhs, svf_jump_omega,
-                      trig_eval)
+from .fourier import (delta_grid, family_coefficients, fit_K, limit_set_AF,
+                      metric_fourier, min_djordan_bound, quasi_moduli,
+                      svf_bound_rhs, svf_jump_omega, trig_eval)
 from .geometry import PointSet, dist_point_set, hausdorff, is_metric_pair, metric_average
 from .metric_integral import (WeightFunction, aumann_integral_convex,
                               inclusion_check, weighted_metric_integral)
@@ -143,16 +143,20 @@ def run_convergence(cfg: ExperimentConfig) -> list[tuple]:
     F = cfg.build_svf()
     xs = cfg.grid(F)
     jumps = set(float(j) for j in F.jump_points)
+    orders = sorted(int(n) for n in cfg.orders)
+    # Each family serves the orders of one depth; its coefficient matrix is
+    # built once, at the largest of them.
+    top = {selection_depth(n, cfg.depth): n for n in orders}
     families = {}
     rows = []
-    for n in sorted(int(n) for n in cfg.orders):
+    for n in orders:
         d = selection_depth(n, cfg.depth)
         if d not in families:
-            families[d] = selection_family(F, cfg.x_seeds, cfg.y_seeds, d,
-                                           cfg.norm)
-        fam = families[d]
+            fam = selection_family(F, cfg.x_seeds, cfg.y_seeds, d, cfg.norm)
+            families[d] = fam, family_coefficients(F, top[d], fam)
+        fam, coeffs = families[d]
         for x in xs:
-            approx = metric_fourier(F, n, x, fam).value_set
+            approx = metric_fourier(F, n, x, fam, coeffs).value_set
             if any(abs(x - j) < 1e-12 for j in jumps):
                 target, kind = limit_set_AF(F, x, fam), "A_F"
             else:
@@ -163,23 +167,15 @@ def run_convergence(cfg: ExperimentConfig) -> list[tuple]:
 
 def run_bound_check(cfg: ExperimentConfig) -> list[tuple]:
     orders = sorted(int(n) for n in cfg.orders)
+    deltas = delta_grid()
     if cfg.fixture in fx.SCALAR_FIXTURES:
         f = fx.SCALAR_FIXTURES[cfg.fixture]()
         if f.coeff is None:
             raise ConfigError("fixture lacks closed-form coefficients")
-        deltas = delta_grid()
-        moduli = {}
-
-        def omega(d):
-            if d not in moduli:
-                from .fourier import quasi_moduli
-                lq, rq = quasi_moduli(f.vf, f.jump, d, -PI, PI)
-                moduli[d] = max(lq, rq)
-            return moduli[d]
-
+        omega = {d: max(quasi_moduli(f.vf, f.jump, d, -PI, PI))
+                 for d in deltas}.__getitem__
         rows = []
-        nmax = max(orders)
-        a, b = f.coefficients(nmax)
+        a, b = f.coefficients(max(orders))
         for n in orders:
             observed = abs(trig_eval(a, b, f.jump, n) - f.midpoint)
             bound = min_djordan_bound(f.variation, omega, n, deltas=deltas)
@@ -192,7 +188,8 @@ def run_bound_check(cfg: ExperimentConfig) -> list[tuple]:
         raise ConfigError("set-valued bound check needs a jump fixture with "
                           "an exact variation function")
     x = float(F.jump_points[0])
-    omega = svf_jump_omega(F.variation_function, x, F.a, F.b)
+    jump_omega = svf_jump_omega(F.variation_function, x, F.a, F.b)
+    omega = {d: jump_omega(d) for d in deltas}.__getitem__
     V = F.variation_hint
     obs = []
     for n in orders:
@@ -201,7 +198,7 @@ def run_bound_check(cfg: ExperimentConfig) -> list[tuple]:
         approx = metric_fourier(F, n, x, fam).value_set
         target = limit_set_AF(F, x, fam)
         observed = hausdorff(approx, target, cfg.norm)
-        bracket = min(svf_bound_rhs(V, n, d, omega, 1.0) for d in delta_grid())
+        bracket = min(svf_bound_rhs(V, n, d, omega, 1.0) for d in deltas)
         obs.append((n, observed, bracket))
     K = max(fit_K([(o, br) for _, o, br in obs]), 1e-12)
     return [(n, o, K * br, int(o <= K * br + 1e-12)) for n, o, br in obs]

@@ -1,9 +1,10 @@
 """Dirichlet kernels, classical partial sums, the refined Dirichlet-Jordan
 bound, the metric Fourier approximant S_nF, and the limit set A_F(x).
 
-Partial sums of piecewise-constant selections are integrated exactly against
-the kernel antiderivative, so no quadrature error enters the set-valued
-approximants."""
+Every partial sum is `trig_eval` of Fourier coefficients.  A piecewise-
+constant selection has exact closed-form coefficients, so no quadrature
+error enters the set-valued approximants; a family's coefficients form one
+(n+1, S, d) matrix that serves every order up to n and every x."""
 from __future__ import annotations
 
 import math
@@ -59,29 +60,17 @@ def modified_dirichlet(n: int, x):
         lambda xs: dirichlet_cos_sum(n, xs) - 0.5 * np.cos(n * xs))
 
 
-def _sine_series(x, ks, coeffs):
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    block = max(1, (1 << 22) // max(1, ks.size))
-    for i in range(0, x.size, block):
-        out[i:i + block] = np.sin(np.multiply.outer(x[i:i + block], ks)) @ coeffs
-    return float(out[0]) if scalar else out
-
-
 def dirichlet_antiderivative(n: int, x):
     """Phi_n(x) = x/2 + sum_{k=1}^n sin(kx)/k, with Phi_n' = D_n."""
+    x = np.asarray(x, dtype=float)
     ks = np.arange(1, n + 1)
-    return np.asarray(x, dtype=float) / 2.0 + _sine_series(x, ks, 1.0 / ks)
+    return x / 2.0 + np.sin(np.multiply.outer(x, ks)) @ (1.0 / ks)
 
 
 def modified_dirichlet_antiderivative(n: int, x):
-    """Antiderivative of D*_n vanishing at 0 (top harmonic halved)."""
-    ks = np.arange(1, n + 1)
-    coeffs = 1.0 / ks
-    coeffs[-1] *= 0.5
-    return np.asarray(x, dtype=float) / 2.0 + _sine_series(x, ks, coeffs)
+    """Antiderivative of D*_n vanishing at 0: Phi_n(x) - sin(nx)/(2n)."""
+    return (dirichlet_antiderivative(n, x)
+            - np.sin(n * np.asarray(x, dtype=float)) / (2.0 * n))
 
 
 def fourier_coefficients(f, n: int, breakpoints=(), qtol: float = QTOL):
@@ -103,13 +92,17 @@ def fourier_coefficients(f, n: int, breakpoints=(), qtol: float = QTOL):
     return a, b
 
 
-def trig_eval(a, b, x, n: int | None = None) -> float:
-    """Evaluate the partial sum a_0/2 + sum (a_k cos kx + b_k sin kx)."""
+def trig_eval(a, b, x, n: int | None = None):
+    """a_0/2 + sum_{k=1}^n (a_k cos kx + b_k sin kx).  Axis 0 of a and b is
+    the harmonic k, so coefficients of any order >= n serve; (n+1,) ones give
+    a float, (n+1, ...) ones an array of the trailing shape."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if n is None:
-        n = len(a) - 1
+        n = a.shape[0] - 1
     ks = np.arange(1, n + 1)
-    return float(a[0] / 2.0 + a[1:n + 1] @ np.cos(ks * x)
-                 + b[1:n + 1] @ np.sin(ks * x))
+    out = (a[0] / 2.0 + (a[1:n + 1].T @ np.cos(ks * x)).T
+           + (b[1:n + 1].T @ np.sin(ks * x)).T)
+    return float(out) if a.ndim == 1 else out
 
 
 def classical_partial_sum(f, n: int, x: float, coeffs=None,
@@ -117,45 +110,56 @@ def classical_partial_sum(f, n: int, x: float, coeffs=None,
     """S_n f(x) via Fourier coefficients."""
     if coeffs is None:
         coeffs = fourier_coefficients(f, n, breakpoints)
-    a, b = coeffs
-    return trig_eval(a, b, x, n)
+    return trig_eval(*coeffs, x, n)
 
 
-def partial_sum_of_chain(c: ChainFunction, n: int, x: float) -> np.ndarray:
-    """Exact S_n c(x) for a piecewise-constant chain on [-pi, pi]:
-    (1/pi) sum_i y_i (Phi_n(x - t_i) - Phi_n(x - t_{i+1}))."""
+def chain_coefficients(c: ChainFunction, n: int):
+    """Exact (a, b), each (n+1, d), of a chain on [-pi, pi] with values y_i
+    on [t_i, t_{i+1}): a_k = (1/pi k) sum_i y_i (sin k t_{i+1} - sin k t_i),
+    b_k the same with -cos."""
     t = c.nodes
     if abs(t[0] + math.pi) > 1e-9 or abs(t[-1] - math.pi) > 1e-9:
         raise ValueError("chain must be defined on [-pi, pi]")
-    phi = dirichlet_antiderivative(n, x - t)
-    weights = phi[:-1] - phi[1:]
     # The value at the last node only holds on a measure-zero set.
-    return (weights @ c.values[:-1]) / math.pi
+    y = c.values[:-1]
+    ks = np.arange(1, n + 1)
+    kt, scale = np.multiply.outer(ks, t), (math.pi * ks)[:, None]
+    a0 = np.diff(t) @ y / math.pi
+    return (np.vstack([a0, np.diff(np.sin(kt), axis=1) @ y / scale]),
+            np.vstack([np.zeros_like(a0), -np.diff(np.cos(kt), axis=1) @ y / scale]))
 
 
-def _smooth_partial_sum(s: MetricSelection, n: int, x: float,
-                        breakpoints=()) -> np.ndarray:
-    dim = as_point(s.smooth_fn(0.0)).size
-    key = ("coeffs", dim)
-    cached = s._coeff_cache.get(key)
-    if cached is None or cached[0] < n:
-        coords = []
-        for i in range(dim):
-            coords.append(fourier_coefficients(
-                lambda t, i=i: as_point(s.smooth_fn(t))[i], n, breakpoints))
-        s._coeff_cache[key] = (n, coords)
-        cached = s._coeff_cache[key]
-    _, coords = cached
-    return np.array([trig_eval(a, b, x, n) for a, b in coords])
+def _stack(pairs):
+    """Stack (a, b) coefficient pairs along axis 1, after the harmonics."""
+    return tuple(np.stack(c, axis=1) for c in zip(*pairs))
+
+
+def selection_coefficients(s: MetricSelection, n: int, breakpoints=()):
+    """(a, b), each (n+1, d): the exact chain coefficients, or quadrature
+    coefficients of the selection's exact single-valued evaluator."""
+    if s.smooth_fn is None:
+        return chain_coefficients(s.base, n)
+    return _stack([fourier_coefficients(
+        lambda t, i=i: as_point(s.smooth_fn(t))[i], n, breakpoints)
+        for i in range(as_point(s.smooth_fn(0.0)).size)])
+
+
+def family_coefficients(F: SetValuedFunction, n: int,
+                        family: SelectionFamily):
+    """(a, b), each (n+1, S, d): the coefficients of every selection."""
+    return _stack([selection_coefficients(s, n, F.jump_points)
+                   for s in family.selections])
+
+
+def partial_sum_of_chain(c: ChainFunction, n: int, x: float) -> np.ndarray:
+    """Exact S_n c(x) for a piecewise-constant chain on [-pi, pi]."""
+    return trig_eval(*chain_coefficients(c, n), x)
 
 
 def partial_sum_of_selection(s: MetricSelection, n: int, x: float,
                              breakpoints=()) -> np.ndarray:
-    """S_n s(x): exact chain formula, or the coefficient path when the
-    selection carries an exact single-valued evaluator."""
-    if s.smooth_fn is not None:
-        return _smooth_partial_sum(s, n, x, breakpoints)
-    return partial_sum_of_chain(s.base, n, x)
+    """S_n s(x) from the selection's coefficients."""
+    return trig_eval(*selection_coefficients(s, n, breakpoints), x)
 
 
 @dataclass(frozen=True)
@@ -167,10 +171,12 @@ class FourierApproximant:
 
 
 def metric_fourier(F: SetValuedFunction, n: int, x: float,
-                   family: SelectionFamily) -> FourierApproximant:
-    """S_nF(x) = {S_n s(x) : s in the selection family}, deduplicated."""
-    vals = [partial_sum_of_selection(s, n, x, F.jump_points)
-            for s in family.selections]
+                   family: SelectionFamily, coeffs=None) -> FourierApproximant:
+    """S_nF(x) = {S_n s(x) : s in the selection family}, deduplicated.
+    `coeffs` is the family's `family_coefficients` at any order >= n."""
+    if coeffs is None:
+        coeffs = family_coefficients(F, n, family)
+    vals = trig_eval(*coeffs, x, n)
     return FourierApproximant(x, n, PointSet.of(vals), len(family))
 
 

@@ -74,23 +74,18 @@ class PointSet:
 
     @staticmethod
     def of(points, dedup_tol: float = DEDUP_TOL) -> "PointSet":
-        if isinstance(points, np.ndarray) and points.ndim == 2:
+        """The set of the given points (an (m, d) array, or a sequence of
+        points or scalars), rows within dedup_tol of a kept row dropped."""
+        try:
             arr = np.array(points, dtype=float)
-            if arr.shape[0] == 0 or arr.shape[1] == 0:
-                raise ValueError("a PointSet must be nonempty")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("point has non-finite coordinates")
-            if dedup_tol > 0:
-                arr = _dedup(arr, dedup_tol)
-            arr.setflags(write=False)
-            return PointSet(arr)
-        rows = [as_point(p) for p in points]
-        if not rows:
-            raise ValueError("a PointSet must be nonempty")
-        d = rows[0].size
-        if any(r.size != d for r in rows):
-            raise DimensionMismatch("points of mixed dimension")
-        arr = np.array(rows, dtype=float)
+        except ValueError as exc:
+            raise DimensionMismatch(f"not points of one dimension: {exc}") from exc
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError("a PointSet must be a nonempty (m, d) array")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("point has non-finite coordinates")
         if dedup_tol > 0:
             arr = _dedup(arr, dedup_tol)
         arr.setflags(write=False)
@@ -222,9 +217,6 @@ class MetricPairList:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def as_points(self):
-        return [(a.copy(), b.copy()) for a, b in self.pairs]
 
 
 def metric_pairs(A: PointSet, B: PointSet, norm: str = "l2",

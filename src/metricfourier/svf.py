@@ -8,7 +8,7 @@ last refinement step (convergence diagnostic, not a proof).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,7 +177,6 @@ class MetricSelection:
     refinement_depth: int
     cauchy_defect: float
     smooth_fn: object | None = None
-    _coeff_cache: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, x: float):
         return self.base(x)

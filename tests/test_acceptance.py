@@ -267,7 +267,7 @@ def test_criterion_11_singleton_reproduction(report):
     F = fx.singleton_fixture(f.fn)
     fam = selection_family(F, 3, 2, 6)
     worst = 0.0
-    for n in range(8, 2, -1):  # descending so the coefficient cache is reused
+    for n in range(8, 2, -1):
         for x in np.linspace(-2.9, 2.9, 9):
             approx = metric_fourier(F, n, float(x), fam).value_set
             worst = max(worst,

@@ -113,6 +113,21 @@ def test_bound_check_square_wave(tmp_path, capsys):
         assert float(observed) <= float(bound)
 
 
+def test_bound_check_evaluates_omega_once_per_delta(tmp_path, monkeypatch):
+    calls = []
+    jump_omega = cli.svf_jump_omega
+
+    def counting(*args):
+        omega = jump_omega(*args)
+        return lambda d: calls.append(d) or omega(d)
+
+    monkeypatch.setattr(cli, "svf_jump_omega", counting)
+    cfg = write_cfg(tmp_path, "b.json", {"fixture": "lines", "orders": [4, 16],
+                                         "depth": 1})
+    assert main(["bound-check", "--config", cfg]) == 0
+    assert len(calls) == len(cli.delta_grid()) == 32
+
+
 def test_integral_verb(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "i.json",
                     {"fixture": "constant-pm1", "x_seeds": 3, "y_seeds": 2,

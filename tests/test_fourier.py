@@ -13,12 +13,15 @@ from metricfourier.fourier import (BoundParams, class_membership,
                                    classical_partial_sum, delta_grid,
                                    dirichlet, dirichlet_antiderivative,
                                    dirichlet_cos_sum, djordan_bound_rhs,
-                                   fit_K, fourier_coefficients, limit_set_AF,
+                                   family_coefficients, fit_K,
+                                   fourier_coefficients, limit_set_AF,
                                    metric_fourier, min_djordan_bound,
                                    modified_dirichlet,
                                    modified_dirichlet_antiderivative,
-                                   partial_sum_of_chain, quasi_moduli,
-                                   svf_bound_rhs, svf_jump_omega, trig_eval)
+                                   partial_sum_of_chain,
+                                   partial_sum_of_selection, quasi_moduli,
+                                   selection_coefficients, svf_bound_rhs,
+                                   svf_jump_omega, trig_eval)
 from metricfourier.geometry import PointSet, hausdorff
 from metricfourier.oracle import oracle_fourier
 from metricfourier.fixtures import step_svf
@@ -184,6 +187,48 @@ def test_sampled_cos_chain_approaches_cos():
     assert errs[1] < errs[0]
 
 
+def phi_partial_sum(c, n, x):
+    """Reference S_n c(x) = (1/pi) sum_i y_i (Phi_n(x - t_i) - Phi_n(x - t_{i+1}))."""
+    phi = dirichlet_antiderivative(n, x - c.nodes)
+    return (phi[:-1] - phi[1:]) @ c.values[:-1] / PI
+
+
+def test_chain_partial_sum_matches_phi_formula():
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        inner = np.sort(rng.uniform(-PI, PI, int(rng.integers(1, 60))))
+        chi = Partition.of(np.concatenate([[-PI], inner, [PI]]))
+        c = ChainFunction(MetricChain(chi, rng.uniform(-2.0, 2.0,
+                                                       (len(chi), 2))))
+        for n in (1, 16, 256):
+            for x in rng.uniform(-PI, PI, 5):
+                got = partial_sum_of_chain(c, n, float(x))
+                assert np.max(np.abs(got - phi_partial_sum(c, n, x))) < 1e-12
+
+
+def test_trig_eval_matrix_matches_columns():
+    rng = np.random.default_rng(2)
+    a, b = rng.normal(size=(9, 3, 2)), rng.normal(size=(9, 3, 2))
+    got = trig_eval(a, b, 0.7, 5)
+    assert got.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            assert abs(got[i, j] - trig_eval(a[:, i, j], b[:, i, j], 0.7, 5)) < 1e-13
+
+
+def test_selection_quadrature_uses_the_given_breakpoints():
+    # Coefficients are recomputed per call, with the breakpoints passed.
+    f = step_fixture()
+    F = singleton_fixture(f.fn)
+    s = approximate_selection(F, (0.0, 0.0), 6)
+    for bp in ((), f.breakpoints):
+        a, b = fourier_coefficients(f.fn, 6, breakpoints=bp)
+        got_a, got_b = selection_coefficients(s, 6, breakpoints=bp)
+        assert np.array_equal(got_a[:, 0], a) and np.array_equal(got_b[:, 0], b)
+        got = partial_sum_of_selection(s, 6, 0.4, breakpoints=bp)
+        assert abs(got[0] - trig_eval(a, b, 0.4)) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # set-valued approximants
 
@@ -203,6 +248,18 @@ def test_metric_fourier_singleton_trig_poly():
     for x in (-2.0, 0.0, 1.3):
         approx = metric_fourier(F, 4, x, fam)
         assert hausdorff(approx.value_set, PointSet.of([f.fn(x)])) < 1e-8
+
+
+@pytest.mark.parametrize("F", [two_branch_sine(),
+                               singleton_fixture(trig_poly().fn)])
+def test_metric_fourier_reuses_higher_order_coefficients(F):
+    fam = selection_family(F, 3, 2, 6)
+    coeffs = family_coefficients(F, 64, fam)
+    for x in (-2.0, 0.0, 1.3):
+        got = metric_fourier(F, 16, x, fam, coeffs=coeffs).value_set.points
+        want = metric_fourier(F, 16, x, fam).value_set.points
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_limit_set_continuous_point():

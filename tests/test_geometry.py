@@ -323,6 +323,17 @@ def test_pointset_rejects_mixed_dims():
         PointSet.of([[0.0], [0.0, 1.0]])
 
 
+def test_pointset_of_list_and_array_agree():
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(40, 2))
+    pts[10] = pts[3] + 1e-14          # a near-duplicate to drop
+    for arr in (pts, pts[:, :1], pts[:, 0]):
+        want = PointSet.of(arr).points
+        assert np.array_equal(PointSet.of(arr.tolist()).points, want)
+    assert PointSet.of(pts).points.shape == (39, 2)
+    assert PointSet.of(pts[:, 0]).points.shape == (39, 1)
+
+
 def test_pointset_rejects_nan():
     with pytest.raises(ValueError):
         PointSet.of([float("nan")])
