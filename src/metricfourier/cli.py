@@ -53,20 +53,41 @@ class ExperimentConfig:
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         cfg = ExperimentConfig(**d)
-        if any(int(n) < 1 for n in cfg.orders):
+        if not isinstance(cfg.orders, list) or not all(map(_is_int, cfg.orders)):
+            raise ConfigError("orders must be a list of integers")
+        if any(n < 1 for n in cfg.orders):
             raise ConfigError("orders must be positive")
+        if not (_is_int(cfg.x_grid) or isinstance(cfg.x_grid, list)
+                and all(map(_is_number, cfg.x_grid))):
+            raise ConfigError("x_grid must be a count or a list of numbers")
         if cfg.norm not in ("l1", "l2", "linf"):
             raise ConfigError("norm must be one of l1, l2, linf")
+        if not all(map(_is_int, (cfg.x_seeds, cfg.y_seeds, cfg.depth))):
+            raise ConfigError("x_seeds, y_seeds and depth must be integers")
         if cfg.x_seeds < 1 or cfg.y_seeds < 1 or cfg.depth < 1:
             raise ConfigError("seed counts and depth must be positive")
+        for key, kind in (("fixture", str), ("svf", dict), ("out", str),
+                          ("weight", dict)):
+            val = getattr(cfg, key)
+            if val is not None and not isinstance(val, kind):
+                raise ConfigError(f"{key} must be a {kind.__name__}")
+        if not _is_number(cfg.eps):
+            raise ConfigError("eps must be a number")
+        if not isinstance(cfg.tolerances, dict) \
+                or not all(map(_is_number, cfg.tolerances.values())):
+            raise ConfigError("tolerances must map names to numbers")
         for key, val in cfg.tolerances.items():
             if float(val) <= 0:
                 raise ConfigError(f"tolerance {key} must be positive")
+        parse_weight(cfg.weight)
         return cfg
 
     def build_svf(self):
         if self.svf is not None:
-            return fx.parse_svf(self.svf)
+            try:
+                return fx.parse_svf(self.svf)
+            except (KeyError, IndexError, TypeError) as exc:
+                raise ConfigError(f"malformed svf description: {exc!r}") from exc
         if self.fixture is None:
             raise ConfigError("config needs 'fixture' or 'svf'")
         if self.fixture == "balls":
@@ -112,13 +133,31 @@ def _write_csv(header, rows, out_path):
         sys.stdout.write(text)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def parse_weight(spec: dict | None) -> WeightFunction:
     if spec is None:
         return WeightFunction.constant(1.0)
+    if not isinstance(spec, dict):
+        raise ConfigError("weight must be an object")
+    for key in ("value", "variation", "sup"):
+        if not _is_number(spec.get(key, 0.0)):
+            raise ConfigError(f"weight.{key} must be a number")
     kind = spec.get("kind")
     if kind == "constant":
         return WeightFunction.constant(float(spec.get("value", 1.0)))
     if kind == "poly":
+        if "coeffs" not in spec:
+            raise ConfigError("a poly weight needs weight.coeffs")
+        if not isinstance(spec["coeffs"], list) \
+                or not all(map(_is_number, spec["coeffs"])):
+            raise ConfigError("weight.coeffs must be a list of numbers")
         coeffs = [float(c) for c in spec["coeffs"]]
 
         def k(x, c=coeffs):
@@ -130,7 +169,9 @@ def parse_weight(spec: dict | None) -> WeightFunction:
         return WeightFunction(k, float(spec.get("variation", 0.0)) or 1.0,
                               float(spec.get("sup", 1.0)), antiderivative=K)
     if kind in ("cos", "sin"):
-        m = int(spec.get("k", 1))
+        m = spec.get("k", 1)
+        if not _is_int(m) or m == 0:
+            raise ConfigError("weight.k must be a nonzero integer")
         if kind == "cos":
             return WeightFunction(lambda x: math.cos(m * x), 4.0 * m, 1.0,
                                   antiderivative=lambda x: math.sin(m * x) / m)
@@ -333,9 +374,15 @@ def main(argv=None) -> int:
                 raise ConfigError("hausdorff needs --config with set_a/set_b")
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ConfigError("hausdorff config must be a JSON object")
             extra = set(data) - {"set_a", "set_b", "norm"}
             if extra:
                 raise ConfigError(f"unknown config keys: {sorted(extra)}")
+            if not {"set_a", "set_b"} <= set(data):
+                raise ConfigError("hausdorff config needs set_a and set_b")
+            if data.get("norm", "l2") not in ("l1", "l2", "linf"):
+                raise ConfigError("norm must be one of l1, l2, linf")
             A = PointSet.of(data["set_a"])
             B = PointSet.of(data["set_b"])
             sys.stdout.write(_fmt(hausdorff(A, B, data.get("norm", "l2"))) + "\n")
@@ -354,7 +401,7 @@ def main(argv=None) -> int:
                        run_selections(cfg), cfg.out)
         return 0
     except (ConfigError, fx.DescriptionError, OSError,
-            json.JSONDecodeError, KeyError, TypeError) as exc:
+            json.JSONDecodeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
 

@@ -4,13 +4,14 @@ Compact sets are modelled as finite point clouds in R^d.  Continua (discs,
 segments) enter as epsilon-nets built by the fixture layer; every assertion
 about such sets carries a tolerance of the order of the net parameter.
 
-Nearest-point queries (`dist_point_set`, `project`, `min_dists` and so
-`hausdorff`) against a set of more than KDTREE_MIN points go through a
-`scipy.spatial.cKDTree` in the l1, l2 or linf norm.  `PointSet.tree` builds
-it on first use and keeps it with the frozen set, so a net that is projected
-onto many times builds one tree.  Smaller sets take a brute-force `cdist`
-row, which is faster there.  Both paths give the same distances and the
-same witnesses, in index order.
+Nearest-point queries (`dist_point_set`, `project`, its batched form
+`project_rows`, `min_dists` and so `hausdorff`) against a set of more than
+KDTREE_MIN points go through a `scipy.spatial.cKDTree` in the l1, l2 or
+linf norm.  `PointSet.tree` builds it on first use and keeps it with the
+frozen set, so a net that is projected onto many times builds one tree.
+Smaller sets take a brute-force `cdist` row (a block, for `project_rows`),
+which is faster there.  Both paths give the same distances and the same
+witnesses, in index order.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def as_point(p) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a point must be a nonempty vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("point has non-finite coordinates")
     return arr
 
@@ -84,7 +85,7 @@ class PointSet:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("a PointSet must be a nonempty (m, d) array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("point has non-finite coordinates")
         if dedup_tol > 0:
             arr = _dedup(arr, dedup_tol)
@@ -189,6 +190,33 @@ def dist_point_set(p, B: PointSet, norm: str = "l2",
 def project(p, B: PointSet, norm: str = "l2", tie_tol: float = TIE_TOL) -> PointSet:
     """Nearest-point projection of p onto B (all tied witnesses)."""
     return dist_point_set(p, B, norm, tie_tol)[1]
+
+
+def project_rows(P: np.ndarray, B: PointSet, norm: str = "l2",
+                 tie_tol: float = TIE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """`dist_point_set` for every row of the (m, d) array P in one query:
+    the distances to B and, per row, the lexicographically smallest of the
+    tied witnesses (the points of B within tie_tol of the distance)."""
+    if P.shape[1] != B.dim:
+        raise DimensionMismatch(f"dimension {P.shape[1]} vs {B.dim}")
+    if len(B) > KDTREE_MIN:
+        order = _NORM_ORD[norm]
+        d, i = B.tree.query(P, k=2, p=order)
+        dist, pick = d[:, 0], i[:, 0]
+        tied = np.flatnonzero(d[:, 1] <= dist + tie_tol)
+        if tied.size:
+            balls = B.tree.query_ball_point(P[tied], dist[tied] + tie_tol,
+                                            p=order, return_sorted=True)
+            for r, ball in zip(tied, balls):
+                pick[r] = ball[np.lexsort(B.points[ball].T[::-1])[0]]
+    else:
+        D = cdist(P, B.points, metric=_CDIST_METRIC[norm])
+        dist = D.min(axis=1)
+        near = D <= dist[:, None] + tie_tol
+        rank = np.empty(len(B), dtype=int)
+        rank[np.lexsort(B.points.T[::-1])] = np.arange(len(B))
+        pick = np.where(near, rank, len(B)).argmin(axis=1)
+    return dist, B.points[pick]
 
 
 def hausdorff(A: PointSet, B: PointSet, norm: str = "l2") -> float:

@@ -10,10 +10,13 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .geometry import PointSet
-from .svf import Partition, SetValuedFunction
+from .svf import (SEED_TOL, ChainFunction, GreedySeedError, MetricChain,
+                  MetricSelection, Partition, SelectionFamily,
+                  SetValuedFunction)
 
 _TIE = 1e-9
 _METRIC = {"l1": "cityblock", "l2": "euclidean", "linf": "chebyshev"}
+_ORD = {"l1": 1, "l2": 2, "linf": np.inf}
 
 
 def oracle_min_dists(P: np.ndarray, Q: np.ndarray, norm: str = "l2") -> np.ndarray:
@@ -29,6 +32,75 @@ def oracle_dist_point_set(p, Q: np.ndarray, norm: str = "l2",
               metric=_METRIC[norm])[0]
     value = float(d.min())
     return value, np.nonzero(d <= value + tie_tol)[0]
+
+
+def _pick(p, S: PointSet, norm: str, tie_tol: float) -> tuple[float, np.ndarray]:
+    """Distance from p to S and the lexicographically smallest witness."""
+    d, idx = oracle_dist_point_set(p, S.points, norm, tie_tol)
+    w = S.points[idx]
+    return d, w[np.lexsort(w.T[::-1])[0]]
+
+
+def oracle_greedy_chain(F: SetValuedFunction, chi: Partition, seed,
+                        norm: str = "l2", tie_tol: float = _TIE) -> MetricChain:
+    """One greedy chain, node by node: the seed's witness, then projections
+    rightward and leftward, F evaluated afresh at every step."""
+    x_hat, y_hat = float(seed[0]), np.atleast_1d(np.asarray(seed[1], float))
+    nodes = chi.nodes
+    i0 = int(np.argmin(np.abs(nodes - x_hat)))
+    if abs(nodes[i0] - x_hat) > 1e-9:
+        raise ValueError("seed abscissa must be a partition node")
+    d, first = _pick(y_hat, F(nodes[i0]), norm, tie_tol)
+    if d > SEED_TOL:
+        raise GreedySeedError(f"seed value is {d:.3g} away from F(x_hat)")
+    values = np.empty((len(nodes), y_hat.size))
+    values[i0] = first
+    for i in range(i0 + 1, len(nodes)):
+        values[i] = _pick(values[i - 1], F(nodes[i]), norm, tie_tol)[1]
+    for i in range(i0 - 1, -1, -1):
+        values[i] = _pick(values[i + 1], F(nodes[i]), norm, tie_tol)[1]
+    return MetricChain(chi, values)
+
+
+def oracle_selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
+                            depth: int, norm: str = "l2",
+                            probe: Partition | None = None) -> SelectionFamily:
+    """`svf.selection_family` seed by seed: two greedy chains per seed (at
+    `depth` and `depth - 1`), the singleton test on fresh evaluations of F,
+    then dedup on the probe grid."""
+    xs = sorted(set(np.linspace(F.a, F.b, x_seeds))
+                | {float(j) for j in F.jump_points})
+    if probe is None:
+        probe = Partition.dyadic(F.a, F.b, 6, tuple(F.jump_points))
+    selections, signatures = [], []
+    for x_hat in xs:
+        pts = F(x_hat).points
+        pts = pts[np.lexsort(pts.T[::-1])]
+        if len(pts) > y_seeds:
+            pts = pts[np.linspace(0, len(pts) - 1, y_seeds).round().astype(int)]
+        for y_hat in pts:
+            forced = (float(x_hat),) + tuple(F.jump_points)
+            last = ChainFunction(oracle_greedy_chain(
+                F, Partition.dyadic(F.a, F.b, depth, forced), (x_hat, y_hat),
+                norm))
+            defect = 0.0
+            if depth > 1:
+                prev = ChainFunction(oracle_greedy_chain(
+                    F, Partition.dyadic(F.a, F.b, depth - 1, forced),
+                    (x_hat, y_hat), norm))
+                gaps = last(probe.nodes) - prev(probe.nodes)
+                defect = float(np.linalg.norm(gaps, ord=_ORD[norm], axis=1).max())
+            smooth = None
+            if all(len(F(x)) == 1 for x in last.nodes):
+                smooth = lambda x: F(x).single()
+            sig = last(probe.nodes).ravel()
+            if any(np.max(np.abs(sig - old)) <= 1e-12 for old in signatures):
+                continue
+            signatures.append(sig)
+            selections.append(MetricSelection(
+                last, (float(x_hat), np.atleast_1d(np.asarray(y_hat, float))),
+                depth, defect, smooth))
+    return SelectionFamily(tuple(selections), "per-seed reference")
 
 
 def _argmins(p: np.ndarray, pts: np.ndarray) -> list[int]:

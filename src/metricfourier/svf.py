@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (DEDUP_TOL, TIE_TOL, PointSet, as_point,
-                       dist_point_set, enumerate_metric_chains, hausdorff,
-                       project, row_norms, vec_norm)
+                       enumerate_metric_chains, hausdorff, project_rows,
+                       row_norms, vec_norm)
 
 # A greedy chain certifies convergence when the last refinement moved
 # nothing on the probe grid by more than STOL.
@@ -141,31 +141,66 @@ class ChainFunction:
         return self.values[np.clip(i, 0, len(nodes) - 1)]
 
 
-def _pick_witness(witnesses: PointSet) -> np.ndarray:
-    """Deterministic tie-break: lexicographically smallest coordinate tuple."""
-    pts = witnesses.points
-    order = np.lexsort(pts.T[::-1])
-    return pts[order[0]]
-
-
 def greedy_chain(F: SetValuedFunction, chi: Partition, seed,
-                 norm: str = "l2", tie_tol: float = TIE_TOL) -> MetricChain:
-    """Chain through the seed, projecting outward node by node."""
-    x_hat, y_hat = float(seed[0]), as_point(seed[1])
-    nodes = chi.nodes
-    i0 = int(np.argmin(np.abs(nodes - x_hat)))
-    if abs(nodes[i0] - x_hat) > 1e-9:
-        raise ValueError("seed abscissa must be a partition node")
-    d, w = dist_point_set(y_hat, F(nodes[i0]), norm, tie_tol)
-    if d > SEED_TOL:
-        raise GreedySeedError(f"seed value is {d:.3g} away from F(x_hat)")
-    values = np.empty((len(nodes), y_hat.size))
-    values[i0] = _pick_witness(w)
-    for i in range(i0 + 1, len(nodes)):
-        values[i] = _pick_witness(project(values[i - 1], F(nodes[i]), norm, tie_tol))
-    for i in range(i0 - 1, -1, -1):
-        values[i] = _pick_witness(project(values[i + 1], F(nodes[i]), norm, tie_tol))
-    return MetricChain(chi, values)
+                 norm: str = "l2", tie_tol: float = TIE_TOL,
+                 sets: dict | None = None) -> MetricChain:
+    """Chain through the seed, projecting outward node by node.
+
+    `sets` memoizes F at the nodes (node -> F(node)); calls that share it
+    evaluate F once per node."""
+    return _greedy_chains(F, [(chi, seed)], norm, tie_tol, sets)[0]
+
+
+def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
+                   tie_tol: float = TIE_TOL,
+                   sets: dict | None = None) -> list[MetricChain]:
+    """The greedy chains of many (partition, seed) jobs, built together.
+
+    Every chain keeps its own partition, so each equals the chain built
+    alone.  F is evaluated once per node of the union of the partitions.
+    The union nodes are swept rightward, then leftward; at each node every
+    chain that steps onto it moves in one batched `project_rows` query of
+    the chains' current values, the seed steps joining the rightward sweep.
+    """
+    if sets is None:
+        sets = {}
+    seeds = np.array([as_point(seed[1]) for _, seed in jobs])
+    sizes = [len(chi) for chi, _ in jobs]
+    offsets = np.cumsum([0] + sizes)
+    total = int(offsets[-1])
+    starts = []
+    for (chi, seed), o in zip(jobs, offsets):
+        i0 = int(np.argmin(np.abs(chi.nodes - float(seed[0]))))
+        if abs(chi.nodes[i0] - float(seed[0])) > 1e-9:
+            raise ValueError("seed abscissa must be a partition node")
+        starts.append(o + i0)
+    union = np.unique(np.concatenate([chi.nodes for chi, _ in jobs]))
+    for x in union:
+        if x not in sets:
+            sets[x] = F(x)
+    # All chains in one array: row r holds a chain's value at union node
+    # at[r] and moves from row src[r], its neighbour toward the seed; the
+    # seed rows move from the seed values, stored after row `total`.
+    at = np.concatenate([np.searchsorted(union, chi.nodes) for chi, _ in jobs])
+    vals = np.vstack([np.empty((total, seeds.shape[1])), seeds])
+    rows = np.arange(total)
+    start = np.repeat(starts, sizes)
+    src = rows - np.sign(rows - start)
+    src[starts] = total + np.arange(len(jobs))
+    for dst, step in ((rows[rows >= start], 1), (rows[rows < start], -1)):
+        if not dst.size:
+            continue
+        dst = dst[np.argsort(step * at[dst], kind="stable")]
+        for group in np.split(dst, np.flatnonzero(np.diff(at[dst])) + 1):
+            dist, vals[group] = project_rows(vals[src[group]],
+                                             sets[union[at[group[0]]]],
+                                             norm, tie_tol)
+            off = dist[src[group] >= total]
+            if off.size and off.max() > SEED_TOL:
+                raise GreedySeedError(
+                    f"seed value is {off.max():.3g} away from F(x_hat)")
+    return [MetricChain(chi, vals[o:o + n])
+            for (chi, _), o, n in zip(jobs, offsets, sizes)]
 
 
 @dataclass
@@ -221,29 +256,38 @@ def approximate_selection(F: SetValuedFunction, seed, depth: int,
     level coarser only feeds `cauchy_defect`."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    x_hat = float(seed[0])
-    forced = (x_hat,) + tuple(F.jump_points)
+    forced = (float(seed[0]),) + tuple(F.jump_points)
     if probe is None:
         probe = Partition.dyadic(F.a, F.b, min(depth, 6), forced)
-    last = ChainFunction(greedy_chain(
-        F, Partition.dyadic(F.a, F.b, depth, forced), seed, norm))
-    defect = 0.0
+    sets: dict = {}
+    last = greedy_chain(F, Partition.dyadic(F.a, F.b, depth, forced), seed,
+                        norm, sets=sets)
+    prev = None
     if depth > 1:
-        prev = ChainFunction(greedy_chain(
-            F, Partition.dyadic(F.a, F.b, depth - 1, forced), seed, norm))
-        defect = float(row_norms(last(probe.nodes) - prev(probe.nodes),
+        prev = greedy_chain(F, Partition.dyadic(F.a, F.b, depth - 1, forced),
+                            seed, norm, sets=sets)
+    return _selection(F, seed, depth, last, prev, probe, norm, sets)
+
+
+def _selection(F: SetValuedFunction, seed, depth: int, last: MetricChain,
+               prev: MetricChain | None, probe: Partition, norm: str,
+               sets: dict) -> MetricSelection:
+    """The selection of the depth-`depth` chain `last`.  `cauchy_defect` is
+    its largest move on the probe nodes from `prev`, the chain one level
+    coarser (0 at depth 1).  If F is singleton-valued on the nodes of `last`
+    (read from the memo `sets`), its unique selection x -> the single point
+    of F(x) is kept as the exact evaluator."""
+    base = ChainFunction(last)
+    defect = 0.0
+    if prev is not None:
+        defect = float(row_norms(base(probe.nodes)
+                                 - ChainFunction(prev)(probe.nodes),
                                  norm).max())
-    smooth = _singleton_evaluator(F, last)
-    return MetricSelection(last, (x_hat, as_point(seed[1])), depth, defect, smooth)
-
-
-def _singleton_evaluator(F: SetValuedFunction, cf: ChainFunction):
-    """If F is singleton-valued on the chain nodes, its unique selection is
-    x -> the single point of F(x); keep that exact evaluator."""
-    for x in cf.nodes:
-        if len(F(x)) != 1:
-            return None
-    return lambda x: F(x).single()
+    smooth = None
+    if all(len(sets[x]) == 1 for x in last.partition.nodes):
+        smooth = lambda x: F(x).single()
+    return MetricSelection(base, (float(seed[0]), as_point(seed[1])), depth,
+                           defect, smooth)
 
 
 @dataclass(frozen=True)
@@ -265,27 +309,41 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
                      depth: int, norm: str = "l2",
                      probe: Partition | None = None) -> SelectionFamily:
     """Selections seeded on a uniform x-grid (plus jumps) crossed with up to
-    y_seeds points of each F(x_hat), deduplicated on a probe grid."""
+    y_seeds points of each F(x_hat), deduplicated on a probe grid.
+
+    The depth-`depth` and depth-`depth - 1` chains of all seeds are built
+    together by one `_greedy_chains` sweep."""
     if x_seeds < 1 or y_seeds < 1:
         raise ValueError("seed counts must be positive")
     xs = sorted(set(np.linspace(F.a, F.b, x_seeds)) | {float(j) for j in F.jump_points})
     if probe is None:
         probe = Partition.dyadic(F.a, F.b, 6, tuple(F.jump_points))
-    selections: list[MetricSelection] = []
-    signatures: list[np.ndarray] = []
+    seeds = []
     for x_hat in xs:
         pts = _sorted_rows(F(x_hat).points)
         if len(pts) <= y_seeds:
             picks = pts
         else:
             picks = pts[np.linspace(0, len(pts) - 1, y_seeds).round().astype(int)]
-        for y_hat in picks:
-            s = approximate_selection(F, (x_hat, y_hat), depth, probe, norm)
-            sig = s(probe.nodes).ravel()
-            if any(np.max(np.abs(sig - old)) <= DEDUP_TOL for old in signatures):
-                continue
-            signatures.append(sig)
-            selections.append(s)
+        seeds += [(x_hat, y_hat) for y_hat in picks]
+    depths = [depth, depth - 1] if depth > 1 else [depth]
+    grids = {(x_hat, k): Partition.dyadic(F.a, F.b, k,
+                                          (float(x_hat),) + tuple(F.jump_points))
+             for x_hat in xs for k in depths}
+    sets: dict = {}
+    chains = _greedy_chains(F, [(grids[seed[0], k], seed)
+                                for k in depths for seed in seeds],
+                            norm, sets=sets)
+    prevs = chains[len(seeds):] or [None] * len(seeds)
+    selections: list[MetricSelection] = []
+    signatures: list[np.ndarray] = []
+    for seed, last, prev in zip(seeds, chains, prevs):
+        sig = ChainFunction(last)(probe.nodes).ravel()
+        if any(np.max(np.abs(sig - old)) <= DEDUP_TOL for old in signatures):
+            continue
+        signatures.append(sig)
+        selections.append(_selection(F, seed, depth, last, prev, probe, norm,
+                                     sets))
     return SelectionFamily(tuple(selections),
                            f"uniform x={x_seeds} (+jumps) times y<={y_seeds}")
 
@@ -410,11 +468,17 @@ def one_sided_moduli(g, x_star: float, delta: float, lo: float, hi: float,
         raise ValueError("side must be '-' or '+'")
     vals = [g(x) for x in xs]
     g_star = g(x_star)
-    plain = max((_rho(v, g_star, norm) for v in vals), default=0.0)
     g_lim = one_sided_value(g, x_star, side, lo=lo, hi=hi)
-    quasi = max((_rho(g_lim, v, norm) for v, keep in zip(vals, inner) if keep),
-                default=0.0)
-    return plain, quasi
+    if any(isinstance(v, PointSet) for v in vals + [g_star, g_lim]):
+        plain = max((_rho(v, g_star, norm) for v in vals), default=0.0)
+        quasi = max((_rho(g_lim, v, norm)
+                     for v, keep in zip(vals, inner) if keep), default=0.0)
+        return plain, quasi
+    # Points: one row_norms call per supremum.
+    V = np.array([as_point(v) for v in vals])
+    plain = row_norms(V - as_point(g_star), norm).max(initial=0.0)
+    quasi = row_norms(as_point(g_lim) - V[inner], norm).max(initial=0.0)
+    return float(plain), float(quasi)
 
 
 def local_moduli(g, x_star: float, delta: float, lo: float, hi: float,

@@ -186,6 +186,35 @@ def test_exit_code_2_hausdorff_unknown_key(tmp_path, capsys):
     assert main(["hausdorff", "--config", cfg]) == 2
 
 
+def test_config_rejects_malformed_types():
+    for bad in ({"orders": [4.5]}, {"orders": ["16"]}, {"orders": 16},
+                {"x_grid": "9"}, {"x_grid": [0.0, "1"]}, {"depth": "4"},
+                {"weight": {"kind": "poly"}}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(bad)
+
+
+def test_exit_code_2_missing_weight_coeffs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "w.json", {"fixture": "lines",
+                                         "weight": {"kind": "poly"}})
+    assert main(["integral", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        parse_weight({"kind": "poly"})
+
+
+def test_library_key_error_is_not_a_config_error(tmp_path, monkeypatch,
+                                                 capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "selection_family", broken)
+    cfg = write_cfg(tmp_path, "ok.json", SMALL)
+    with pytest.raises(KeyError, match="internal"):
+        main(["convergence", "--config", cfg])
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_example_lines_passes(capsys):
     assert main(["example", "lines"]) == 0
     out = capsys.readouterr().out

@@ -13,7 +13,7 @@ from scipy.spatial.distance import directed_hausdorff
 
 from metricfourier import geometry
 from metricfourier.geometry import (PointSet, dist_point_set, hausdorff,
-                                    min_dists)
+                                    min_dists, project_rows)
 from metricfourier.oracle import oracle_dist_point_set, oracle_min_dists
 
 ATOL = 1e-12
@@ -53,6 +53,22 @@ def test_dist_point_set_matches_oracle(inst, norm, path):
     assert abs(d - ref_d) <= ATOL
     index = {tuple(r): i for i, r in enumerate(Q)}
     assert [index[tuple(r)] for r in w.points] == ref_idx.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims.flatmap(tied_instance), st.sampled_from(NORMS),
+       st.sampled_from(sorted(FORCE)))
+def test_project_rows_matches_oracle(inst, norm, path):
+    """Each row's distance and its lexicographically smallest witness."""
+    q, Q = inst
+    P = np.vstack([q, Q[:3], q[::-1] if q.size > 1 else -q])
+    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+        dist, picks = project_rows(P, PointSet.of(Q, dedup_tol=0), norm)
+    for p, d, pick in zip(P, dist, picks):
+        ref_d, ref_idx = oracle_dist_point_set(p, Q, norm)
+        w = Q[ref_idx]
+        assert abs(d - ref_d) <= ATOL
+        assert np.array_equal(pick, w[np.lexsort(w.T[::-1])[0]])
 
 
 @settings(max_examples=60, deadline=None)

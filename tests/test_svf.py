@@ -1,18 +1,23 @@
 """Unit tests for partitions, chain functions, greedy selections, variation
 and moduli analyzers."""
+import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricfourier.fixtures import (constant_set_fixture, lines_fixture,
                                     singleton_fixture, step_svf,
                                     two_branch_sine)
 from metricfourier.geometry import PointSet
-from metricfourier import svf
+from metricfourier import geometry, svf
+from metricfourier.oracle import oracle_greedy_chain, oracle_selection_family
 from metricfourier.svf import (ChainFunction, GreedySeedError, MetricChain,
-                               Partition, approximate_selection, greedy_chain,
+                               Partition, SetValuedFunction,
+                               approximate_selection, greedy_chain,
                                local_moduli, one_sided_moduli, one_sided_value,
                                selection_family, total_variation,
                                variation_function_samples,
@@ -373,3 +378,120 @@ def test_one_sided_moduli_match_local_moduli():
         one_sided_moduli(abs, 0.0, 0.0, -1.0, 1.0, "-")
     with pytest.raises(ValueError):
         one_sided_moduli(abs, 0.0, 0.5, -1.0, 1.0, "both")
+
+
+# ---------------------------------------------------------------------------
+# the batched chain engine against the per-seed reference in oracle.py
+
+@st.composite
+def svf_instance(draw):
+    """A piecewise F on [a, b] whose pieces are 1-4 points (duplicates
+    allowed, so seeds repeat) of a half-integer grid, each moving at a
+    velocity of 0 or +-1/4 per unit; pieces at rest plant exact ties.  At a
+    jump F is the next piece, or the union of both sides."""
+    a, b = draw(st.sampled_from([(-1.0, 1.0), (-math.pi, math.pi)]))
+    dim = draw(st.integers(1, 2))
+    cuts = sorted(set(draw(st.lists(
+        st.sampled_from([0.25, 0.5, 0.3, 0.61]), max_size=2))))
+    jumps = [a + (b - a) * c for c in cuts]
+    coord = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    pieces = []
+    for _ in range(len(jumps) + 1):
+        pts = 0.5 * np.array(draw(st.lists(coord, min_size=1, max_size=4)),
+                             dtype=float)
+        vel = 0.25 * np.array(draw(st.lists(coord.map(np.sign), min_size=len(pts),
+                                            max_size=len(pts))), dtype=float)
+        pieces.append((pts, vel * draw(st.sampled_from([0.0, 1.0]))))
+    union_at_jump = draw(st.booleans())
+
+    def piece(k, t):
+        pts, vel = pieces[k]
+        return pts + (t - a) * vel
+
+    def fn(t):
+        k = int(np.searchsorted(jumps, t, side="right"))
+        here = piece(k, t)
+        if union_at_jump and k > 0 and t == jumps[k - 1]:
+            here = np.vstack([piece(k - 1, t), here])
+        return PointSet.of(here, dedup_tol=0)
+
+    return SetValuedFunction(a, b, fn, jump_points=tuple(jumps))
+
+
+def assert_same_family(got, ref):
+    assert len(got) == len(ref)
+    for s, r in zip(got.selections, ref.selections):
+        assert np.array_equal(s.nodes, r.nodes)
+        assert np.array_equal(s.values, r.values)
+        assert s.cauchy_defect == r.cauchy_defect
+        assert s.seed[0] == r.seed[0]
+        assert np.array_equal(s.seed[1], r.seed[1])
+        assert s.refinement_depth == r.refinement_depth
+        assert (s.smooth_fn is None) == (r.smooth_fn is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(svf_instance(), st.sampled_from(["l1", "l2", "linf"]),
+       st.sampled_from([0, 10 ** 9]), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 5))
+def test_selection_family_matches_per_seed_reference(F, norm, kdtree_min,
+                                                     x_seeds, y_seeds, depth):
+    # x_seeds >= 2 seeds at a and at b; jumps are always seeded.
+    with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
+        got = selection_family(F, x_seeds, y_seeds, depth, norm)
+        ref = oracle_selection_family(F, x_seeds, y_seeds, depth, norm)
+    assert_same_family(got, ref)
+
+
+@pytest.mark.parametrize("kdtree_min", [0, 10 ** 9])
+def test_batched_chains_match_chains_built_alone(kdtree_min):
+    F = lines_fixture()
+    jobs = []
+    for depth in (1, 3, 4):
+        for x_hat in (F.a, 0.5, F.b, 0.5):          # 0.5 twice: duplicates
+            chi = Partition.dyadic(F.a, F.b, depth, (x_hat, 0.5))
+            jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
+    with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
+        chains = svf._greedy_chains(F, jobs, "l2")
+        for (chi, seed), ch in zip(jobs, chains):
+            ref = oracle_greedy_chain(F, chi, seed, "l2")
+            assert np.array_equal(ch.partition.nodes, chi.nodes)
+            assert np.array_equal(ch.values, ref.values)
+
+
+def test_batched_chains_keep_seed_errors():
+    F = lines_fixture()
+    chi = Partition.dyadic(F.a, F.b, 3, forced=(0.5,))
+    good = (chi, (0.5, 0.0))
+    with pytest.raises(GreedySeedError):
+        svf._greedy_chains(F, [good, (chi, (0.5, 0.4)), good])
+    with pytest.raises(ValueError, match="partition node"):
+        svf._greedy_chains(F, [good, (chi, (0.123456, 0.0))])
+
+
+@pytest.mark.parametrize("make", [lines_fixture,
+                                  lambda: singleton_fixture(math.cos)],
+                         ids=["lines", "singleton"])
+def test_family_evaluates_F_once_per_node(make):
+    F = make()
+    calls = []
+
+    def fn(t):
+        calls.append(float(t))
+        return F.fn(t)
+
+    counted = dataclasses.replace(F, fn=fn)
+    x_seeds, y_seeds, depth = 5, 3, 6
+    fam = selection_family(counted, x_seeds, y_seeds, depth)
+    xs = sorted(set(np.linspace(F.a, F.b, x_seeds)) | set(F.jump_points))
+    nodes = set()
+    for x_hat in xs:
+        for k in (depth, depth - 1):
+            nodes |= set(Partition.dyadic(F.a, F.b, k, (x_hat,)
+                                          + F.jump_points).nodes.tolist())
+    # The seed picks evaluate F at each x_hat; the chains once per node.
+    assert calls[:len(xs)] == xs
+    chain_calls = calls[len(xs):]
+    assert len(chain_calls) == len(set(chain_calls)) == len(nodes)
+    assert set(chain_calls) == nodes
+    assert len(fam) >= 1
