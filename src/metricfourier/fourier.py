@@ -3,15 +3,18 @@ bound, the metric Fourier approximant S_nF, and the limit set A_F(x).
 
 Every partial sum is `trig_eval` of Fourier coefficients.  A piecewise-
 constant selection has exact closed-form coefficients, so no quadrature
-error enters the set-valued approximants; a family's coefficients form one
+error enters the set-valued approximants.  A single-valued selection takes
+one adaptive vector quadrature per smooth panel, which serves every
+harmonic and every coordinate.  A family's coefficients form one
 (n+1, S, d) matrix that serves every order up to n and every x."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad_vec
 
 from .geometry import PointSet, as_point
 from .svf import (ChainFunction, MetricSelection, SelectionFamily,
@@ -74,21 +77,25 @@ def modified_dirichlet_antiderivative(n: int, x):
 
 
 def fourier_coefficients(f, n: int, breakpoints=(), qtol: float = QTOL):
-    """(a_0..a_n, b_0..b_n) of f on [-pi, pi] by weighted quadrature."""
+    """(a_0..a_n, b_0..b_n) of f on [-pi, pi]: one adaptive `quad_vec` per
+    smooth panel integrates [cos(kt) f(t), sin(kt) f(t)] for every k at once.
+    A scalar f gives (n+1,) arrays, a point-valued f (n+1, d) arrays."""
     cuts = sorted({-math.pi, math.pi} | {float(t) for t in breakpoints
                                          if -math.pi < t < math.pi})
-    a = np.zeros(n + 1)
-    b = np.zeros(n + 1)
+    ks = np.arange(n + 1)
+
+    def integrand(t):
+        kt = ks * t
+        return np.multiply.outer(np.stack([np.cos(kt), np.sin(kt)]), f(t))
+
+    total = 0.0
     for u, v in zip(cuts, cuts[1:]):
-        val, _ = quad(f, u, v, epsabs=qtol, epsrel=qtol, limit=200)
-        a[0] += val / math.pi
-        for k in range(1, n + 1):
-            ca, _ = quad(f, u, v, weight="cos", wvar=k,
-                         epsabs=qtol, epsrel=qtol, limit=200)
-            sb, _ = quad(f, u, v, weight="sin", wvar=k,
-                         epsabs=qtol, epsrel=qtol, limit=200)
-            a[k] += ca / math.pi
-            b[k] += sb / math.pi
+        val, _, info = quad_vec(integrand, u, v, epsabs=qtol, epsrel=qtol,
+                                norm="max", full_output=True)
+        if not info.success:
+            warnings.warn(f"{info.message} on [{u}, {v}]", IntegrationWarning)
+        total = total + val
+    a, b = total / math.pi
     return a, b
 
 
@@ -139,9 +146,8 @@ def selection_coefficients(s: MetricSelection, n: int, breakpoints=()):
     coefficients of the selection's exact single-valued evaluator."""
     if s.smooth_fn is None:
         return chain_coefficients(s.base, n)
-    return _stack([fourier_coefficients(
-        lambda t, i=i: as_point(s.smooth_fn(t))[i], n, breakpoints)
-        for i in range(as_point(s.smooth_fn(0.0)).size)])
+    return fourier_coefficients(lambda t: as_point(s.smooth_fn(t)), n,
+                                breakpoints)
 
 
 def family_coefficients(F: SetValuedFunction, n: int,

@@ -4,11 +4,14 @@ Each oracle is deliberately plain: nested loops, its own projection logic,
 no shared shortcuts with the library code paths beyond plain distances."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
+from .fourier import QTOL
 from .geometry import PointSet
 from .svf import (SEED_TOL, ChainFunction, GreedySeedError, MetricChain,
                   MetricSelection, Partition, SelectionFamily,
@@ -39,6 +42,17 @@ def _pick(p, S: PointSet, norm: str, tie_tol: float) -> tuple[float, np.ndarray]
     d, idx = oracle_dist_point_set(p, S.points, norm, tie_tol)
     w = S.points[idx]
     return d, w[np.lexsort(w.T[::-1])[0]]
+
+
+def oracle_dyadic_nodes(a: float, b: float, depth: int, forced=()) -> np.ndarray:
+    """The nodes of `Partition.dyadic`: each forced point is checked against
+    every node kept so far, grid and forced alike."""
+    nodes = list(np.linspace(a, b, 2 ** depth + 1))
+    for x in forced:
+        x = float(x)
+        if a < x < b and min(abs(x - t) for t in nodes) > 1e-13:
+            nodes.append(x)
+    return np.asarray(sorted(nodes), dtype=float)
 
 
 def oracle_greedy_chain(F: SetValuedFunction, chi: Partition, seed,
@@ -197,6 +211,28 @@ def oracle_fourier(f, n: int, x: float, nodes: int = 200_000,
         kernel = 0.5 + sum(np.cos(k * (x - t)) for k in range(1, n + 1))
         total += float(np.trapezoid(kernel * ft, t))
     return total / np.pi
+
+
+def oracle_fourier_coefficients(f, n: int, breakpoints=(), qtol: float = QTOL):
+    """(a_0..a_n, b_0..b_n) of a scalar f on [-pi, pi], one `quad` of
+    cos(kt) f(t) and one of sin(kt) f(t) per harmonic and per panel between
+    breakpoints.  The integrands are plain products, not quad's weight="cos"
+    / "sin" (QAWO): at this tolerance QAWO returns wrong values with a tiny
+    error estimate once it subdivides, e.g. 0.045 off for sin 4t cos 4t on
+    [-2.2, -0.2] (scipy 1.17)."""
+    cuts = sorted({-math.pi, math.pi} | {float(t) for t in breakpoints
+                                         if -math.pi < t < math.pi})
+    a = np.zeros(n + 1)
+    b = np.zeros(n + 1)
+    for u, v in zip(cuts, cuts[1:]):
+        for k in range(n + 1):
+            ca, _ = quad(lambda t: math.cos(k * t) * f(t), u, v,
+                         epsabs=qtol, epsrel=qtol, limit=200)
+            sb, _ = quad(lambda t: math.sin(k * t) * f(t), u, v,
+                         epsabs=qtol, epsrel=qtol, limit=200)
+            a[k] += ca / math.pi
+            b[k] += sb / math.pi
+    return a, b
 
 
 def _limit(g, x: float, sign: float, h: float = 1e-5) -> np.ndarray:

@@ -35,7 +35,7 @@ class Partition:
 
     @staticmethod
     def of(nodes) -> "Partition":
-        arr = np.asarray(sorted(float(x) for x in nodes), dtype=float)
+        arr = np.sort(np.asarray(nodes, dtype=float))
         if arr.size < 2 or np.any(np.diff(arr) <= 0):
             raise ValueError("nodes must be strictly increasing, length >= 2")
         arr.setflags(write=False)
@@ -47,12 +47,19 @@ class Partition:
 
     @staticmethod
     def dyadic(a: float, b: float, depth: int, forced=()) -> "Partition":
-        nodes = list(np.linspace(a, b, 2 ** depth + 1))
-        for x in forced:
-            x = float(x)
-            if a < x < b and min(abs(x - t) for t in nodes) > 1e-13:
-                nodes.append(x)
-        return Partition.of(nodes)
+        """The uniform grid of 2**depth cells plus every interior forced
+        point farther than 1e-13 from the grid and from the forced points
+        kept before it."""
+        grid = np.linspace(a, b, 2 ** depth + 1)
+        xs = np.array([float(x) for x in forced if a < float(x) < b])
+        # The grid is sorted, so its nearest node is a searchsorted neighbour.
+        i = np.clip(np.searchsorted(grid, xs), 1, grid.size - 1)
+        far = np.minimum(np.abs(xs - grid[i - 1]), np.abs(xs - grid[i])) > 1e-13
+        kept = []
+        for x in xs[far]:
+            if all(abs(x - y) > 1e-13 for y in kept):
+                kept.append(x)
+        return Partition.of(np.concatenate([grid, kept]))
 
     @property
     def a(self) -> float:

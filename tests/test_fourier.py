@@ -1,9 +1,12 @@
 """Unit tests for kernels, coefficients, partial sums, the set-valued
 approximants, and the jump-error bounds."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricfourier.fixtures import (SCALAR_FIXTURES, constant_set_fixture,
                                     lines_fixture, sawtooth,
@@ -23,7 +26,7 @@ from metricfourier.fourier import (BoundParams, class_membership,
                                    selection_coefficients, svf_bound_rhs,
                                    svf_jump_omega, trig_eval)
 from metricfourier.geometry import PointSet, hausdorff
-from metricfourier.oracle import oracle_fourier
+from metricfourier.oracle import oracle_fourier, oracle_fourier_coefficients
 from metricfourier.fixtures import step_svf
 from metricfourier.svf import (ChainFunction, MetricChain, Partition,
                                approximate_selection, local_moduli,
@@ -227,6 +230,92 @@ def test_selection_quadrature_uses_the_given_breakpoints():
         assert np.array_equal(got_a[:, 0], a) and np.array_equal(got_b[:, 0], b)
         got = partial_sum_of_selection(s, 6, 0.4, breakpoints=bp)
         assert abs(got[0] - trig_eval(a, b, 0.4)) < 1e-14
+
+
+@st.composite
+def piecewise_smooth(draw):
+    """(f, breakpoints, columns): 0-3 declared breakpoints with a smooth
+    piece c + A sin(wt + p) between them, so f jumps at each breakpoint, in
+    one coordinate (f scalar) or two (f point-valued)."""
+    bps = sorted(x / 10.0 for x in draw(st.lists(
+        st.integers(-30, 30), max_size=3, unique=True)))
+    coef = st.floats(-2.0, 2.0)
+    piece = st.tuples(coef, coef, st.floats(0.5, 4.0), st.floats(-3.0, 3.0))
+    cols = []
+    for _ in range(draw(st.sampled_from([1, 2]))):
+        pieces = draw(st.lists(piece, min_size=len(bps) + 1,
+                               max_size=len(bps) + 1))
+
+        def col(t, pieces=pieces):
+            c, amp, w, p = pieces[int(np.searchsorted(bps, t, side="right"))]
+            return c + amp * math.sin(w * t + p)
+
+        cols.append(col)
+    if len(cols) == 1:
+        return cols[0], bps, cols
+    return (lambda t: np.array([g(t) for g in cols])), bps, cols
+
+
+@settings(max_examples=30, deadline=None)
+@given(piecewise_smooth(), st.integers(0, 40))
+def test_vector_quadrature_matches_per_harmonic_quad(case, n):
+    f, bps, cols = case
+    a, b = fourier_coefficients(f, n, breakpoints=bps)
+    shape = (n + 1,) if f is cols[0] else (n + 1, len(cols))
+    assert a.shape == b.shape == shape
+    a, b = a.reshape(n + 1, -1), b.reshape(n + 1, -1)
+    for i, g in enumerate(cols):
+        ao, bo = oracle_fourier_coefficients(g, n, breakpoints=bps)
+        assert np.max(np.abs(a[:, i] - ao)) <= 1e-9
+        assert np.max(np.abs(b[:, i] - bo)) <= 1e-9
+
+
+@pytest.mark.parametrize("c", [0.3, -1.1, 2.0])
+def test_vector_quadrature_converges_on_an_undeclared_kink(c):
+    # |t - c| has a kink at c that no breakpoint announces.
+    cols = (lambda t: abs(t - c), lambda t: t * abs(t - c))
+    a, b = fourier_coefficients(lambda t: np.array([g(t) for g in cols]), 40)
+    for i, g in enumerate(cols):
+        ao, bo = oracle_fourier_coefficients(g, 40)
+        assert np.max(np.abs(a[:, i] - ao)) <= 1e-9
+        assert np.max(np.abs(b[:, i] - bo)) <= 1e-9
+
+
+def test_coefficients_ignore_the_value_at_a_breakpoint():
+    # f = 1 on (0.2, 2.2) and 5 elsewhere, the breakpoints included: a rule
+    # that evaluated f at a panel end would mix in the neighbour's value.
+    f = lambda t: 1.0 if 0.2 < t < 2.2 else 5.0
+    a, b = fourier_coefficients(f, 16, breakpoints=(0.2, 2.2))
+    k = np.arange(1, 17)
+    assert abs(a[0] - (10.0 * PI - 8.0) / PI) <= 1e-12
+    assert np.max(np.abs(a[1:] + 4.0 * (np.sin(2.2 * k) - np.sin(0.2 * k))
+                         / (PI * k))) <= 1e-12
+    assert np.max(np.abs(b[1:] - 4.0 * (np.cos(2.2 * k) - np.cos(0.2 * k))
+                         / (PI * k))) <= 1e-12
+
+
+def test_singleton_coefficients_evaluate_F_once_per_node():
+    F = step_svf()
+    fn, calls = F.fn, [0]
+
+    def counted(t):
+        calls[0] += 1
+        return fn(t)
+
+    F = dataclasses.replace(F, fn=counted)
+    fam = selection_family(F, 7, 4, 9)
+    calls[0] = 0
+    a, b = family_coefficients(F, 32, fam)
+    assert calls[0] < 1000
+    # The step {0} -> {1} at x0: a_k = (sin k pi - sin k x0) / (pi k),
+    # b_k = (cos k x0 - cos k pi) / (pi k), a_0 = (pi - x0) / pi.
+    x0, k = 0.5, np.arange(1, 33)
+    assert a.shape == b.shape == (33, 1, 1)
+    assert abs(a[0, 0, 0] - (PI - x0) / PI) <= 1e-13 and b[0, 0, 0] == 0.0
+    assert np.max(np.abs(a[1:, 0, 0] - (np.sin(k * PI) - np.sin(k * x0))
+                         / (PI * k))) <= 1e-13
+    assert np.max(np.abs(b[1:, 0, 0] - (np.cos(k * x0) - np.cos(k * PI))
+                         / (PI * k))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from metricfourier.fixtures import (constant_set_fixture, lines_fixture,
                                     two_branch_sine)
 from metricfourier.geometry import PointSet
 from metricfourier import geometry, svf
-from metricfourier.oracle import oracle_greedy_chain, oracle_selection_family
+from metricfourier.oracle import (oracle_dyadic_nodes, oracle_greedy_chain,
+                                  oracle_selection_family)
 from metricfourier.svf import (ChainFunction, GreedySeedError, MetricChain,
                                Partition, SetValuedFunction,
                                approximate_selection, greedy_chain,
@@ -47,6 +48,29 @@ def test_partition_dyadic_forces_nodes():
     # Forcing an existing node does not duplicate it.
     chi2 = Partition.dyadic(0.0, 1.0, 2, forced=(0.5,))
     assert len(chi2) == 5
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(0.0, 1.0), (-math.pi, math.pi), (-3.0, 1e4)]),
+       st.integers(0, 10), st.data())
+def test_partition_dyadic_matches_node_loop(ab, depth, data):
+    # Forced points near grid nodes and near each other, within and just
+    # beyond the 1e-13 threshold, plus points on and outside [a, b].
+    a, b = ab
+    grid = np.linspace(a, b, 2 ** depth + 1)
+    offsets = st.sampled_from([0.0, 3e-14, -5e-14, 1e-13, -1e-13, 1.5e-13,
+                               -2e-13, 1e-12])
+    anchor = st.one_of(st.sampled_from(list(grid)),
+                       st.floats(a - 1.0, b + 1.0))
+    forced = []
+    for base, off in data.draw(st.lists(st.tuples(anchor, offsets),
+                                        max_size=12)):
+        forced.append(base + off)
+        if data.draw(st.booleans()):
+            forced.append(forced[-1] + data.draw(offsets))
+    got = Partition.dyadic(a, b, depth, tuple(forced)).nodes
+    want = oracle_dyadic_nodes(a, b, depth, forced)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
