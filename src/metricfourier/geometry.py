@@ -4,14 +4,16 @@ Compact sets are modelled as finite point clouds in R^d.  Continua (discs,
 segments) enter as epsilon-nets built by the fixture layer; every assertion
 about such sets carries a tolerance of the order of the net parameter.
 
-Nearest-point queries (`dist_point_set`, `project`, its batched form
-`project_rows`, `min_dists` and so `hausdorff`) against a set of more than
-KDTREE_MIN points go through a `scipy.spatial.cKDTree` in the l1, l2 or
-linf norm.  `PointSet.tree` builds it on first use and keeps it with the
-frozen set, so a net that is projected onto many times builds one tree.
-Smaller sets take a brute-force `cdist` row (a block, for `project_rows`),
-which is faster there.  Both paths give the same distances and the same
-witnesses, in index order.
+Every nearest-point query (`min_dists`, `hausdorff`, `dist_point_set`,
+`project`, `project_rows` and the metric pairs of `_pair_indices`) is one
+call of `_nearest`: the distance from each query row to a `PointSet` and,
+on request, every witness within a tie tolerance of it.  `_nearest` is the
+one place that chooses the path: a set of more than KDTREE_MIN points goes
+through a `scipy.spatial.cKDTree` in the l1, l2 or linf norm, which
+`PointSet.tree` builds on first use and keeps with the frozen set, so a net
+that is queried many times builds one tree.  Smaller sets take brute-force
+`cdist` blocks of at most _BLOCK entries, which is faster there.  Both paths
+give the same distances and the same witnesses, in index order.
 """
 from __future__ import annotations
 
@@ -87,8 +89,8 @@ class PointSet:
             raise ValueError("a PointSet must be a nonempty (m, d) array")
         if not np.isfinite(arr).all():
             raise ValueError("point has non-finite coordinates")
-        if dedup_tol > 0:
-            arr = _dedup(arr, dedup_tol)
+        if dedup_tol > 0 and arr.shape[0] > 1:
+            arr = arr[_dedup(arr, dedup_tol)]
         arr.setflags(write=False)
         return PointSet(arr)
 
@@ -112,79 +114,99 @@ class PointSet:
         """KD-tree of the points, built on first use and kept with the set."""
         return cKDTree(self.points)
 
+    @cached_property
+    def lex_order(self) -> np.ndarray:
+        """Indices of the points in lexicographic order, kept with the set."""
+        return np.lexsort(self.points.T[::-1])
+
+    @cached_property
+    def lex_rank(self) -> np.ndarray:
+        """Position of each point in `lex_order`."""
+        rank = np.empty(len(self), dtype=np.intp)
+        rank[self.lex_order] = np.arange(len(self))
+        return rank
+
 
 def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
-    """Drop every row within tol (linf) of an earlier kept row."""
-    if arr.shape[0] <= 1:
-        return arr
+    """Mask of the rows kept when every row within tol (linf) of an earlier
+    kept row is dropped."""
     if arr.shape[0] <= KDTREE_MIN:
-        keep: list[np.ndarray] = []
-        for row in arr:
-            if not keep or np.min(np.max(np.abs(np.array(keep) - row), axis=1)) > tol:
-                keep.append(row)
-        return np.array(keep)
-    # Same rule on the candidate pairs (i < j) only, taken in order of j, so
-    # kept[i] is final before it decides about j.
-    pairs = cKDTree(arr).query_pairs(tol, p=np.inf, output_type="ndarray")
+        # The near matrix is symmetric, so its entries (j, i) come in order
+        # of j; those with i < j are the near pairs.
+        j, i = np.nonzero(cdist(arr, arr, metric="chebyshev") <= tol)
+    else:
+        i, j = cKDTree(arr).query_pairs(tol, p=np.inf, output_type="ndarray").T
+        order = np.argsort(j, kind="stable")
+        i, j = i[order], j[order]
+    # Keep-first over the near pairs in order of j, so kept[i] is final
+    # before it decides about j.
     kept = np.ones(arr.shape[0], dtype=bool)
-    for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
-        if kept[i]:
-            kept[j] = False
-    return arr[kept]
+    up = i < j
+    for a, b in zip(i[up].tolist(), j[up].tolist()):
+        if kept[a]:
+            kept[b] = False
+    return kept
 
 
-def _check_dims(A: PointSet, B: PointSet) -> None:
-    if A.dim != B.dim:
-        raise DimensionMismatch(f"dimension {A.dim} vs {B.dim}")
+def _nearest(P: np.ndarray, B: PointSet, norm: str,
+             tie_tol: float | None = None):
+    """Distance from each row of the (m, d) array P to B.  Given a tie_tol,
+    also the witnesses as index pairs (rows[k], cols[k]), sorted: every b_j
+    within tie_tol of row i's distance gives one pair (i, j).
 
-
-def _dists_to(p: np.ndarray, B: PointSet, norm: str) -> np.ndarray:
-    return cdist(p[None, :], B.points, metric=_CDIST_METRIC[norm])[0]
+    The one choice of path: B's cached KD-tree when B has more than
+    KDTREE_MIN points, brute-force `cdist` blocks of at most _BLOCK entries
+    otherwise."""
+    if P.shape[1] != B.dim:
+        raise DimensionMismatch(f"dimension {P.shape[1]} vs {B.dim}")
+    m, n = P.shape[0], len(B)
+    if n > KDTREE_MIN:
+        order = _NORM_ORD[norm]
+        if tie_tol is None:
+            return B.tree.query(P, p=order)[0]
+        # The two nearest points settle the usual untied row in one query.
+        d, i = B.tree.query(P, k=2, p=order)
+        dist, cols = d[:, 0], i[:, 0]
+        counts = np.ones(m, dtype=np.intp)
+        tied = d[:, 1] <= dist + tie_tol
+        if tied.any():
+            balls = B.tree.query_ball_point(P[tied], dist[tied] + tie_tol,
+                                            p=order, return_sorted=True)
+            counts[tied] = [len(ball) for ball in balls]
+            cols = np.repeat(cols, counts)
+            cols[np.repeat(tied, counts)] = np.concatenate(balls)
+        return dist, np.repeat(np.arange(m), counts), cols
+    step = max(1, _BLOCK // n)
+    if m > step:
+        # Blocks of rows, each of at most _BLOCK entries (or one row).
+        ks = range(0, m, step)
+        parts = [_nearest(P[k:k + step], B, norm, tie_tol) for k in ks]
+        if tie_tol is None:
+            return np.concatenate(parts)
+        dist, rows, cols = zip(*parts)
+        return (np.concatenate(dist),
+                np.concatenate([r + k for r, k in zip(rows, ks)]),
+                np.concatenate(cols))
+    D = cdist(P, B.points, metric=_CDIST_METRIC[norm])
+    dist = D.min(axis=1)
+    if tie_tol is None:
+        return dist
+    return (dist, *np.nonzero(D <= dist[:, None] + tie_tol))
 
 
 def min_dists(P: np.ndarray, Q: np.ndarray, norm: str = "l2") -> np.ndarray:
-    """Distance from each row of P to the set Q: one bulk KD-tree query when
-    Q is large, block-wise brute force (bounded memory) otherwise."""
-    if Q.shape[0] > KDTREE_MIN:
-        return cKDTree(Q).query(P, p=_NORM_ORD[norm])[0]
-    m = P.shape[0]
-    out = np.full(m, np.inf)
-    pb = max(1, min(m, _BLOCK // max(1, Q.shape[0])))
-    qb = max(1, _BLOCK // pb)
-    metric = _CDIST_METRIC[norm]
-    for i in range(0, m, pb):
-        pi = P[i:i + pb]
-        best = np.full(pi.shape[0], np.inf)
-        for j in range(0, Q.shape[0], qb):
-            d = cdist(pi, Q[j:j + qb], metric=metric)
-            np.minimum(best, d.min(axis=1), out=best)
-        out[i:i + pb] = best
-    return out
+    """Distance from each row of P to the set of the rows of Q."""
+    return _nearest(P, PointSet(Q), norm)
 
 
 def dist_point_set(p, B: PointSet, norm: str = "l2",
                    tie_tol: float = TIE_TOL) -> tuple[float, PointSet]:
     """Distance from p to B plus the witness set of near-minimizers."""
-    p = as_point(p)
-    if p.size != B.dim:
-        raise DimensionMismatch(f"dimension {p.size} vs {B.dim}")
-    if len(B) > KDTREE_MIN:
-        # The two nearest points settle the usual untied case in one query.
-        order = _NORM_ORD[norm]
-        (value, second), (i, _) = B.tree.query(p, k=2, p=order)
-        value = float(value)
-        if second > value + tie_tol:
-            witnesses = B.points[i:i + 1]
-        else:
-            witnesses = B.points[B.tree.query_ball_point(
-                p, value + tie_tol, p=order, return_sorted=True)]
-    else:
-        d = _dists_to(p, B, norm)
-        value = float(d.min())
-        witnesses = B.points[d <= value + tie_tol]
+    dist, _, cols = _nearest(as_point(p)[None, :], B, norm, tie_tol)
+    witnesses = B.points[cols]
     # Rows of a validated set: mark them read-only instead of re-validating.
     witnesses.setflags(write=False)
-    return value, PointSet(witnesses)
+    return float(dist[0]), PointSet(witnesses)
 
 
 def project(p, B: PointSet, norm: str = "l2", tie_tol: float = TIE_TOL) -> PointSet:
@@ -197,34 +219,19 @@ def project_rows(P: np.ndarray, B: PointSet, norm: str = "l2",
     """`dist_point_set` for every row of the (m, d) array P in one query:
     the distances to B and, per row, the lexicographically smallest of the
     tied witnesses (the points of B within tie_tol of the distance)."""
-    if P.shape[1] != B.dim:
-        raise DimensionMismatch(f"dimension {P.shape[1]} vs {B.dim}")
-    if len(B) > KDTREE_MIN:
-        order = _NORM_ORD[norm]
-        d, i = B.tree.query(P, k=2, p=order)
-        dist, pick = d[:, 0], i[:, 0]
-        tied = np.flatnonzero(d[:, 1] <= dist + tie_tol)
-        if tied.size:
-            balls = B.tree.query_ball_point(P[tied], dist[tied] + tie_tol,
-                                            p=order, return_sorted=True)
-            for r, ball in zip(tied, balls):
-                pick[r] = ball[np.lexsort(B.points[ball].T[::-1])[0]]
-    else:
-        D = cdist(P, B.points, metric=_CDIST_METRIC[norm])
-        dist = D.min(axis=1)
-        near = D <= dist[:, None] + tie_tol
-        rank = np.empty(len(B), dtype=int)
-        rank[np.lexsort(B.points.T[::-1])] = np.arange(len(B))
-        pick = np.where(near, rank, len(B)).argmin(axis=1)
-    return dist, B.points[pick]
+    dist, rows, cols = _nearest(P, B, norm, tie_tol)
+    if cols.size > len(P):
+        # Some row is tied.  Every row has a witness and the pairs are
+        # sorted, so each row's witnesses form one run of them.
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        cols = B.lex_order[np.minimum.reduceat(B.lex_rank[cols], first)]
+    return dist, B.points[cols]
 
 
 def hausdorff(A: PointSet, B: PointSet, norm: str = "l2") -> float:
     """Hausdorff distance: max of the two directed sup-min distances."""
-    _check_dims(A, B)
-    fwd = float(min_dists(A.points, B.points, norm).max())
-    bwd = float(min_dists(B.points, A.points, norm).max())
-    return max(fwd, bwd)
+    return max(float(_nearest(A.points, B, norm).max()),
+               float(_nearest(B.points, A, norm).max()))
 
 
 def row_norms(P: np.ndarray, norm: str = "l2") -> np.ndarray:
@@ -250,12 +257,8 @@ class MetricPairList:
 def metric_pairs(A: PointSet, B: PointSet, norm: str = "l2",
                  tie_tol: float = TIE_TOL) -> MetricPairList:
     """All metric pairs of (A, B); symmetric duplicates counted once."""
-    _check_dims(A, B)
-    if len(A) * len(B) > 4 * 10 ** 6:
-        raise ChainExplosion(
-            "pair enumeration too large; query membership with is_metric_pair")
-    return MetricPairList(tuple((A.points[i], B.points[j])
-                                for i, j in _pair_indices(A, B, norm, tie_tol)))
+    i, j = _pair_indices(A, B, norm, tie_tol)
+    return MetricPairList(tuple(zip(A.points[i], B.points[j])))
 
 
 def is_metric_pair(a, b, A: PointSet, B: PointSet, norm: str = "l2",
@@ -270,13 +273,14 @@ def is_metric_pair(a, b, A: PointSet, B: PointSet, norm: str = "l2",
 
 
 def _pair_indices(A: PointSet, B: PointSet, norm: str,
-                  tie_tol: float) -> np.ndarray:
-    """Index pairs (i, j) of the metric pairs of (A, B), one per row, sorted:
-    b_j is a near-nearest point of a_i in B, or a_i one of b_j in A."""
-    D = cdist(A.points, B.points, metric=_CDIST_METRIC[norm])
-    near = ((D <= D.min(axis=1, keepdims=True) + tie_tol)
-            | (D <= D.min(axis=0, keepdims=True) + tie_tol))
-    return np.argwhere(near)
+                  tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The metric pairs (a_i, b_j) of (A, B) as index arrays (i, j), sorted:
+    b_j is a near-nearest point of a_i in B, or a_i one of b_j in A.  The
+    union of the witnesses of the two directions, with no |A| x |B| matrix."""
+    _, i, j = _nearest(A.points, B, norm, tie_tol)
+    _, j2, i2 = _nearest(B.points, A, norm, tie_tol)
+    return np.divmod(np.unique(np.concatenate([i * len(B) + j,
+                                               i2 * len(B) + j2])), len(B))
 
 
 def enumerate_metric_chains(sets: list[PointSet], norm: str = "l2",
@@ -286,25 +290,23 @@ def enumerate_metric_chains(sets: list[PointSet], norm: str = "l2",
     (chains, n+1, d) array in lexicographic order of the point indices."""
     if len(sets) < 2:
         raise ValueError("need at least two sets")
-    for A, B in zip(sets, sets[1:]):
-        _check_dims(A, B)
     links = [_pair_indices(A, B, norm, tie_tol) for A, B in zip(sets, sets[1:])]
     # Count before materializing to catch explosions cheaply.
     counts = np.ones(len(sets[-1]))
-    for A, ij in zip(reversed(sets[:-1]), reversed(links)):
-        counts = np.bincount(ij[:, 0], counts[ij[:, 1]], minlength=len(A))
+    for A, (i, j) in zip(reversed(sets[:-1]), reversed(links)):
+        counts = np.bincount(i, counts[j], minlength=len(A))
     total = counts.sum()
     if total > limit:
         raise ChainExplosion(
             f"{total:.0f} chains exceed limit {limit}; use greedy selections instead")
     # Extend every chain by each partner of its last point, in order.
     idx = np.arange(len(sets[0]))[:, None]
-    for ij in links:
-        lo = np.searchsorted(ij[:, 0], idx[:, -1], side="left")
-        fan = np.searchsorted(ij[:, 0], idx[:, -1], side="right") - lo
+    for i, j in links:
+        lo = np.searchsorted(i, idx[:, -1], side="left")
+        fan = np.searchsorted(i, idx[:, -1], side="right") - lo
         start = np.repeat(lo - np.cumsum(fan) + fan, fan)
         picks = start + np.arange(start.size)
-        idx = np.column_stack([np.repeat(idx, fan, axis=0), ij[picks, 1]])
+        idx = np.column_stack([np.repeat(idx, fan, axis=0), j[picks]])
     return np.stack([S.points[idx[:, k]] for k, S in enumerate(sets)], axis=1)
 
 

@@ -37,6 +37,16 @@ def oracle_dist_point_set(p, Q: np.ndarray, norm: str = "l2",
     return value, np.nonzero(d <= value + tie_tol)[0]
 
 
+def oracle_dedup(arr: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of arr left when every row within tol (linf) of an earlier
+    kept row is dropped, row by row against every kept row."""
+    keep: list[np.ndarray] = []
+    for row in arr:
+        if not keep or np.min(np.max(np.abs(np.array(keep) - row), axis=1)) > tol:
+            keep.append(row)
+    return np.array(keep)
+
+
 def _pick(p, S: PointSet, norm: str, tie_tol: float) -> tuple[float, np.ndarray]:
     """Distance from p to S and the lexicographically smallest witness."""
     d, idx = oracle_dist_point_set(p, S.points, norm, tie_tol)

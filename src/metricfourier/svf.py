@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DEDUP_TOL, TIE_TOL, PointSet, as_point,
+from .geometry import (DEDUP_TOL, TIE_TOL, PointSet, _dedup, as_point,
                        enumerate_metric_chains, hausdorff, project_rows,
                        row_norms, vec_norm)
 
@@ -308,10 +308,6 @@ class SelectionFamily:
         return len(self.selections)
 
 
-def _sorted_rows(pts: np.ndarray) -> np.ndarray:
-    return pts[np.lexsort(pts.T[::-1])]
-
-
 def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
                      depth: int, norm: str = "l2",
                      probe: Partition | None = None) -> SelectionFamily:
@@ -325,32 +321,30 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
     xs = sorted(set(np.linspace(F.a, F.b, x_seeds)) | {float(j) for j in F.jump_points})
     if probe is None:
         probe = Partition.dyadic(F.a, F.b, 6, tuple(F.jump_points))
+    # The seed picks read F(x_hat) through the engine's node memo, and take
+    # evenly spaced ranks of its cached lexicographic order.
+    sets: dict = {}
     seeds = []
     for x_hat in xs:
-        pts = _sorted_rows(F(x_hat).points)
-        if len(pts) <= y_seeds:
-            picks = pts
-        else:
-            picks = pts[np.linspace(0, len(pts) - 1, y_seeds).round().astype(int)]
-        seeds += [(x_hat, y_hat) for y_hat in picks]
+        S = sets[x_hat] = F(x_hat)
+        picks = S.lex_order
+        if len(S) > y_seeds:
+            picks = picks[np.linspace(0, len(S) - 1, y_seeds).round().astype(int)]
+        seeds += [(x_hat, y_hat) for y_hat in S.points[picks]]
     depths = [depth, depth - 1] if depth > 1 else [depth]
     grids = {(x_hat, k): Partition.dyadic(F.a, F.b, k,
                                           (float(x_hat),) + tuple(F.jump_points))
              for x_hat in xs for k in depths}
-    sets: dict = {}
     chains = _greedy_chains(F, [(grids[seed[0], k], seed)
                                 for k in depths for seed in seeds],
                             norm, sets=sets)
     prevs = chains[len(seeds):] or [None] * len(seeds)
-    selections: list[MetricSelection] = []
-    signatures: list[np.ndarray] = []
-    for seed, last, prev in zip(seeds, chains, prevs):
-        sig = ChainFunction(last)(probe.nodes).ravel()
-        if any(np.max(np.abs(sig - old)) <= DEDUP_TOL for old in signatures):
-            continue
-        signatures.append(sig)
-        selections.append(_selection(F, seed, depth, last, prev, probe, norm,
-                                     sets))
+    # Keep-first dedup of the selections' signatures on the probe grid.
+    sigs = np.stack([ChainFunction(last)(probe.nodes).ravel()
+                     for last in chains[:len(seeds)]])
+    selections = [_selection(F, seed, depth, last, prev, probe, norm, sets)
+                  for seed, last, prev, kept
+                  in zip(seeds, chains, prevs, _dedup(sigs, DEDUP_TOL)) if kept]
     return SelectionFamily(tuple(selections),
                            f"uniform x={x_seeds} (+jumps) times y<={y_seeds}")
 

@@ -4,17 +4,22 @@ Sets of more than `geometry.KDTREE_MIN` points are queried through a
 KD-tree, smaller ones by brute force.  Patching the constant forces either
 path on small sets; the brute-force references live in `oracle.py`.
 """
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import directed_hausdorff
 
 from metricfourier import geometry
-from metricfourier.geometry import (PointSet, dist_point_set, hausdorff,
+from metricfourier.fixtures import disc_net
+from metricfourier.geometry import (PointSet, dist_point_set,
+                                    enumerate_metric_chains, hausdorff,
                                     min_dists, project_rows)
-from metricfourier.oracle import oracle_dist_point_set, oracle_min_dists
+from metricfourier.oracle import (_all_chains, _pairs, oracle_dedup,
+                                  oracle_dist_point_set, oracle_min_dists)
 
 ATOL = 1e-12
 NORMS = ("l1", "l2", "linf")
@@ -121,6 +126,24 @@ def test_paths_agree_at_the_cutoff():
         assert abs(hausdorff(A, B) - ref) <= ATOL
 
 
+@pytest.mark.parametrize("block", [1, 7 * 40])
+def test_row_blocks_match_one_block(block):
+    """Brute force in row blocks of at most `_BLOCK` entries (one row when
+    the set alone is larger) gives the distances and witnesses of one block,
+    on a grid with many ties."""
+    rng = np.random.default_rng(3)
+    B = PointSet.of(rng.integers(-3, 4, (40, 2)) * 0.5, dedup_tol=0)
+    P = rng.integers(-3, 4, (30, 2)) * 0.5
+    with mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
+        one = geometry._nearest(P, B, "l2", geometry.TIE_TOL)
+        with mock.patch.object(geometry, "_BLOCK", block):
+            blocks = geometry._nearest(P, B, "l2", geometry.TIE_TOL)
+            assert np.array_equal(geometry._nearest(P, B, "l2"), one[0])
+    assert one[1].size > len(P)
+    for a, b in zip(one, blocks):
+        assert np.array_equal(a, b)
+
+
 def test_witnesses_are_read_only():
     """Witness sets share no writeable buffer, on either path, tied or not."""
     Q = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [3.0, 3.0]])
@@ -134,6 +157,56 @@ def test_witnesses_are_read_only():
 def test_tree_is_built_once_per_set():
     B = PointSet.of(np.arange(12.0).reshape(6, 2))
     assert B.tree is B.tree
+
+
+def test_hausdorff_reuses_the_cached_trees():
+    """A second `hausdorff` on the same large sets builds no new tree."""
+    A = disc_net((0.0, 0.0), 1.0, 0.02)
+    B = disc_net((0.5, 0.0), 1.0, 0.02)
+    assert min(len(A), len(B)) > geometry.KDTREE_MIN
+    first = hausdorff(A, B)
+    with mock.patch.object(geometry, "cKDTree",
+                           side_effect=AssertionError("tree rebuilt")):
+        assert hausdorff(A, B) == first
+
+
+# ---------------------------------------------------------------------------
+# Metric pairs and chains: two witness queries, no |A| x |B| matrix
+
+@settings(max_examples=60, deadline=None)
+@given(dims.flatmap(lambda d: st.lists(tied_instance(d), min_size=2,
+                                       max_size=3)),
+       st.sampled_from(sorted(FORCE)))
+def test_pairs_and_chains_match_oracle(insts, path):
+    """Each set holds ties planted around a query point, which is added to
+    the set before it, so that point has several nearest partners."""
+    sets = [np.vstack([Q, q]) for (_, Q), (q, _) in zip(insts, insts[1:])]
+    sets.append(insts[-1][1])
+    psets = [PointSet.of(S, dedup_tol=0) for S in sets]
+    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+        for A, B, S, T in zip(psets, psets[1:], sets, sets[1:]):
+            i, j = geometry._pair_indices(A, B, "l2", geometry.TIE_TOL)
+            assert list(zip(i.tolist(), j.tolist())) == sorted(_pairs(S, T))
+        chains = enumerate_metric_chains(psets)
+    ref = _all_chains(sets, limit=10 ** 6)
+    expect = np.stack([np.stack([S[i] for S, i in zip(sets, ch)])
+                       for ch in sorted(ref)])
+    assert np.array_equal(chains, expect)
+
+
+def test_chains_of_large_nets_stay_small():
+    """Pair enumeration on two 8,201-point nets builds no |A| x |B| matrix
+    (that alone is 538 MB)."""
+    A = disc_net((0.0, 0.0), 1.0, 0.02)
+    B = disc_net((0.01, 0.0), 1.0, 0.02)
+    tracemalloc.start()
+    try:
+        chains = enumerate_metric_chains([A, B])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chains) >= max(len(A), len(B))
+    assert peak < 100 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +230,7 @@ def test_dedup_tree_path_matches_loop(cells):
     so the rule is keep-first, not the connected components."""
     tol = 1e-3
     arr = np.array([[x + k * 0.8 * tol, y] for x, k, y in cells])
-    with mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
-        loop = PointSet.of(arr, dedup_tol=tol).points
-    with mock.patch.object(geometry, "KDTREE_MIN", FORCE["tree"]):
-        tree = PointSet.of(arr, dedup_tol=tol).points
-    assert np.array_equal(loop, tree)
+    ref = oracle_dedup(arr, tol)
+    for path in sorted(FORCE):
+        with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+            assert np.array_equal(PointSet.of(arr, dedup_tol=tol).points, ref)
