@@ -7,12 +7,12 @@ from .geometry import (CHAIN_LIMIT, DEDUP_TOL, TIE_TOL, ChainExplosion,
                        metric_average, metric_linear_combination, metric_pairs,
                        minkowski_combination, project, row_norms, set_norm,
                        vec_norm)
-from .svf import (ChainFunction, LocalModuli, MetricChain, MetricSelection,
-                  Partition, SelectionFamily, SetValuedFunction,
-                  approximate_selection, exhaustive_chain_family, greedy_chain,
-                  local_moduli, one_sided_moduli, one_sided_value,
-                  selection_family, total_variation,
-                  variation_function_samples, variation_on_partition)
+from .svf import (LocalModuli, MetricChain, MetricSelection, Partition,
+                  SelectionFamily, SetValuedFunction, approximate_selection,
+                  exhaustive_chain_family, greedy_chain, local_moduli,
+                  one_sided_moduli, one_sided_value, selection_family,
+                  total_variation, variation_function_samples,
+                  variation_on_partition)
 from .metric_integral import (InclusionReport, IntegralResult, WeightFunction,
                               aumann_integral_convex, inclusion_check,
                               integrate_weight, right_weighted_metric_riemann_sum,

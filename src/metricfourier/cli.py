@@ -17,8 +17,7 @@ from .fourier import (delta_grid, family_coefficients, fit_K, limit_set_AF,
 from .geometry import PointSet, dist_point_set, hausdorff, is_metric_pair, metric_average
 from .metric_integral import (WeightFunction, aumann_integral_convex,
                               inclusion_check, weighted_metric_integral)
-from .oracle import oracle_AF
-from .svf import Partition, selection_family
+from .svf import Partition, approximate_selection, selection_family
 
 PI = math.pi
 
@@ -40,10 +39,9 @@ class ExperimentConfig:
     out: str | None = None
     weight: dict | None = None
     eps: float = 1e-3
-    tolerances: dict = field(default_factory=dict)
 
     _KEYS = {"fixture", "svf", "orders", "x_grid", "x_seeds", "y_seeds",
-             "depth", "norm", "out", "weight", "eps", "tolerances"}
+             "depth", "norm", "out", "weight", "eps"}
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -73,12 +71,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be a {kind.__name__}")
         if not _is_number(cfg.eps):
             raise ConfigError("eps must be a number")
-        if not isinstance(cfg.tolerances, dict) \
-                or not all(map(_is_number, cfg.tolerances.values())):
-            raise ConfigError("tolerances must map names to numbers")
-        for key, val in cfg.tolerances.items():
-            if float(val) <= 0:
-                raise ConfigError(f"tolerance {key} must be positive")
         parse_weight(cfg.weight)
         return cfg
 
@@ -267,8 +259,8 @@ def run_example(name: str, eps: float = 1e-3, out=None) -> int:
         AF = limit_set_AF(F, 0.5, fam)
         gap = float(np.min(np.abs(AF.points[:, 0] - 0.5)))
         check("1/2 is at least 1/8 away from A_F", gap >= 0.125 - 1e-9)
-        check("oracle A_F agrees with the family",
-              hausdorff(AF, oracle_AF(F, 0.5)) <= 1e-9)
+        check("A_F is {-5/8, -1/2, 5/8}",
+              hausdorff(AF, PointSet.of([-0.625, -0.5, 0.625])) <= 1e-9)
     elif name == "balls":
         F = fx.balls_fixture(eps=eps)
         L, R = F(0.5 - 1e-6), F(0.5 + 1e-6)
@@ -276,7 +268,6 @@ def run_example(name: str, eps: float = 1e-3, out=None) -> int:
         target = np.array([-2.0 + math.sqrt(2) / 2, 2.0 - math.sqrt(2) / 2])
         check("projection of the origin onto the left disc",
               float(np.linalg.norm(w.points[0] - target)) <= 2 * eps)
-        from .svf import approximate_selection
         s = approximate_selection(F, (0.5, (0.0, 0.0)), 3)
         mid = (s.one_sided_limit(0.5, "-") + s.one_sided_limit(0.5, "+")) / 2.0
         check("(0, 2 - sqrt(2)/2) is a midpoint of one-sided limits",
@@ -335,8 +326,6 @@ def _load_config(args) -> ExperimentConfig:
             cfg.x_seeds, cfg.y_seeds = int(xs), int(ys)
         except ValueError as exc:
             raise ConfigError("--seed-grid expects X,Y") from exc
-    if getattr(args, "threads", None):
-        cfg.tolerances["threads"] = int(args.threads)
     return cfg
 
 
@@ -350,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--norm", choices=["l1", "l2", "linf"])
-        p.add_argument("--threads", type=int,
-                       help="accepted for old configs; has no effect")
         p.add_argument("--seed-grid", dest="seed_grid", metavar="X,Y")
         p.add_argument("--depth", type=int)
 

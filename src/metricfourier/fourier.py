@@ -17,8 +17,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad_vec
 
 from .geometry import PointSet, as_point
-from .svf import (ChainFunction, MetricSelection, SelectionFamily,
-                  SetValuedFunction, one_sided_moduli)
+from .svf import (MetricChain, MetricSelection, SelectionFamily,
+                  SetValuedFunction, one_sided_moduli, total_variation)
 
 QTOL = 1e-10
 # Kernel-integral constant in the refined Dirichlet-Jordan bound.
@@ -27,7 +27,7 @@ C_KERNEL = 2.0
 _SING = 1e-8
 
 
-def _kernel_eval(n, x, closed, sum_form):
+def _kernel_eval(x, closed, sum_form):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -50,16 +50,14 @@ def dirichlet_cos_sum(n: int, x):
 def dirichlet(n: int, x):
     """D_n(x) = sin((n+1/2)x) / (2 sin(x/2)), with D_n(2*pi*m) = n + 1/2."""
     return _kernel_eval(
-        n, x,
-        lambda xs, s: np.sin((n + 0.5) * xs) / (2.0 * s),
+        x, lambda xs, s: np.sin((n + 0.5) * xs) / (2.0 * s),
         lambda xs: dirichlet_cos_sum(n, xs))
 
 
 def modified_dirichlet(n: int, x):
     """D*_n(x) = (1/2) sin(nx) cot(x/2), with D*_n(2*pi*m) = n."""
     return _kernel_eval(
-        n, x,
-        lambda xs, s: 0.5 * np.sin(n * xs) * np.cos(xs / 2.0) / s,
+        x, lambda xs, s: 0.5 * np.sin(n * xs) * np.cos(xs / 2.0) / s,
         lambda xs: dirichlet_cos_sum(n, xs) - 0.5 * np.cos(n * xs))
 
 
@@ -120,7 +118,7 @@ def classical_partial_sum(f, n: int, x: float, coeffs=None,
     return trig_eval(*coeffs, x, n)
 
 
-def chain_coefficients(c: ChainFunction, n: int):
+def chain_coefficients(c: MetricChain, n: int):
     """Exact (a, b), each (n+1, d), of a chain on [-pi, pi] with values y_i
     on [t_i, t_{i+1}): a_k = (1/pi k) sum_i y_i (sin k t_{i+1} - sin k t_i),
     b_k the same with -cos."""
@@ -136,29 +134,26 @@ def chain_coefficients(c: ChainFunction, n: int):
             np.vstack([np.zeros_like(a0), -np.diff(np.cos(kt), axis=1) @ y / scale]))
 
 
-def _stack(pairs):
-    """Stack (a, b) coefficient pairs along axis 1, after the harmonics."""
-    return tuple(np.stack(c, axis=1) for c in zip(*pairs))
-
-
 def selection_coefficients(s: MetricSelection, n: int, breakpoints=()):
-    """(a, b), each (n+1, d): the exact chain coefficients, or quadrature
-    coefficients of the selection's exact single-valued evaluator."""
+    """(a, b), each (n+1, d): the exact coefficients of the selection's
+    chain, or quadrature coefficients of its exact single-valued evaluator."""
     if s.smooth_fn is None:
-        return chain_coefficients(s.base, n)
+        return chain_coefficients(s, n)
     return fourier_coefficients(lambda t: as_point(s.smooth_fn(t)), n,
                                 breakpoints)
 
 
 def family_coefficients(F: SetValuedFunction, n: int,
                         family: SelectionFamily):
-    """(a, b), each (n+1, S, d): the coefficients of every selection."""
-    return _stack([selection_coefficients(s, n, F.jump_points)
-                   for s in family.selections])
+    """(a, b), each (n+1, S, d): the coefficients of every selection,
+    stacked along axis 1, after the harmonics."""
+    pairs = [selection_coefficients(s, n, F.jump_points)
+             for s in family.selections]
+    return tuple(np.stack(c, axis=1) for c in zip(*pairs))
 
 
-def partial_sum_of_chain(c: ChainFunction, n: int, x: float) -> np.ndarray:
-    """Exact S_n c(x) for a piecewise-constant chain on [-pi, pi]."""
+def partial_sum_of_chain(c: MetricChain, n: int, x: float) -> np.ndarray:
+    """Exact S_n c(x) for a chain, or a selection, on [-pi, pi]."""
     return trig_eval(*chain_coefficients(c, n), x)
 
 
@@ -277,7 +272,6 @@ def class_membership(f, B: float, x: float, omega, vf,
                      deltas=None, lo: float = -math.pi,
                      hi: float = math.pi) -> ClassReport:
     """Check V(f) <= B and both quasi-moduli of v_f at x dominated by omega."""
-    from .svf import total_variation
     if deltas is None:
         deltas = delta_grid()
     var, _ = total_variation(f, lo, hi, depth=12)

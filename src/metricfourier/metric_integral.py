@@ -107,7 +107,7 @@ def weighted_metric_integral(F: SetValuedFunction, k: WeightFunction,
     sums = []
     pnorm = 0.0
     for s in family.selections:
-        nodes = s.base.nodes
+        nodes = s.nodes
         pnorm = max(pnorm, float(np.diff(nodes).max()))
         cells = np.array([integrate_weight(k, float(u), float(v), qtol)
                           for u, v in zip(nodes[:-1], nodes[1:])])

@@ -11,13 +11,16 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
-from .fourier import QTOL
 from .geometry import PointSet
-from .svf import (SEED_TOL, ChainFunction, GreedySeedError, MetricChain,
-                  MetricSelection, Partition, SelectionFamily,
-                  SetValuedFunction)
+from .svf import (SEED_TOL, GreedySeedError, MetricChain, MetricSelection,
+                  Partition, SelectionFamily, SetValuedFunction)
 
 _TIE = 1e-9
+# Tolerance of the reference quadrature, tighter than the library's QTOL:
+# `quad` accepts its first 21-point panel once the error estimate is below
+# the tolerance, and on sin(3t + 6e-8) cos(9t) over [-pi, pi] an estimate
+# of 9.8e-11 hides a true error of 1.4e-8.  At 1e-12 it subdivides.
+_QTOL = 1e-12
 _METRIC = {"l1": "cityblock", "l2": "euclidean", "linf": "chebyshev"}
 _ORD = {"l1": 1, "l2": 2, "linf": np.inf}
 
@@ -104,14 +107,14 @@ def oracle_selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
             pts = pts[np.linspace(0, len(pts) - 1, y_seeds).round().astype(int)]
         for y_hat in pts:
             forced = (float(x_hat),) + tuple(F.jump_points)
-            last = ChainFunction(oracle_greedy_chain(
+            last = oracle_greedy_chain(
                 F, Partition.dyadic(F.a, F.b, depth, forced), (x_hat, y_hat),
-                norm))
+                norm)
             defect = 0.0
             if depth > 1:
-                prev = ChainFunction(oracle_greedy_chain(
+                prev = oracle_greedy_chain(
                     F, Partition.dyadic(F.a, F.b, depth - 1, forced),
-                    (x_hat, y_hat), norm))
+                    (x_hat, y_hat), norm)
                 gaps = last(probe.nodes) - prev(probe.nodes)
                 defect = float(np.linalg.norm(gaps, ord=_ORD[norm], axis=1).max())
             smooth = None
@@ -122,9 +125,10 @@ def oracle_selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
                 continue
             signatures.append(sig)
             selections.append(MetricSelection(
-                last, (float(x_hat), np.atleast_1d(np.asarray(y_hat, float))),
+                last.partition, last.values,
+                (float(x_hat), np.atleast_1d(np.asarray(y_hat, float))),
                 depth, defect, smooth))
-    return SelectionFamily(tuple(selections), "per-seed reference")
+    return SelectionFamily(tuple(selections))
 
 
 def _argmins(p: np.ndarray, pts: np.ndarray) -> list[int]:
@@ -223,11 +227,12 @@ def oracle_fourier(f, n: int, x: float, nodes: int = 200_000,
     return total / np.pi
 
 
-def oracle_fourier_coefficients(f, n: int, breakpoints=(), qtol: float = QTOL):
+def oracle_fourier_coefficients(f, n: int, breakpoints=(),
+                                qtol: float = _QTOL):
     """(a_0..a_n, b_0..b_n) of a scalar f on [-pi, pi], one `quad` of
     cos(kt) f(t) and one of sin(kt) f(t) per harmonic and per panel between
     breakpoints.  The integrands are plain products, not quad's weight="cos"
-    / "sin" (QAWO): at this tolerance QAWO returns wrong values with a tiny
+    / "sin" (QAWO): at tight tolerances QAWO returns wrong values with a tiny
     error estimate once it subdivides, e.g. 0.045 off for sin 4t cos 4t on
     [-2.2, -0.2] (scipy 1.17)."""
     cuts = sorted({-math.pi, math.pi} | {float(t) for t in breakpoints

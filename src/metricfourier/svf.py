@@ -1,24 +1,21 @@
-"""Set-valued functions on an interval: chain functions, metric selections,
+"""Set-valued functions on an interval: metric chains, metric selections,
 variation and local moduli analyzers.
 
-A metric selection is approximated by a greedy projection chain on a fine
-dyadic partition; `cauchy_defect` records how much the chain moved in the
-last refinement step (convergence diagnostic, not a proof).
+A metric chain is callable as its piecewise-constant extension.  A metric
+selection is approximated by one such chain, built greedily by projection
+on a fine dyadic partition; `cauchy_defect` records how much the chain
+moved in the last refinement step (convergence diagnostic, not a proof).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (DEDUP_TOL, TIE_TOL, PointSet, _dedup, as_point,
                        enumerate_metric_chains, hausdorff, project_rows,
-                       row_norms, vec_norm)
+                       row_norms)
 
-# A greedy chain certifies convergence when the last refinement moved
-# nothing on the probe grid by more than STOL.
-STOL = 1e-8
 # Seed values must lie in F(x_hat) within this tolerance.
 SEED_TOL = 1e-7
 
@@ -102,7 +99,8 @@ class SetValuedFunction:
 
 @dataclass(frozen=True)
 class MetricChain:
-    """Point values over a partition with consecutive metric pairs.
+    """Point values over a partition with consecutive metric pairs, and
+    their piecewise-constant extension: values[i] on [x_i, x_{i+1}).
 
     `values` is one read-only (N, d) array, row i the value at node i;
     sequences of points (or of scalars, for d = 1) are copied into it.
@@ -123,20 +121,9 @@ class MetricChain:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-
-@dataclass(frozen=True)
-class ChainFunction:
-    """Piecewise-constant extension of a chain: values[i] on [x_i, x_{i+1})."""
-
-    chain: MetricChain
-
     @property
     def nodes(self) -> np.ndarray:
-        return self.chain.partition.nodes
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.chain.values
+        return self.partition.nodes
 
     def __call__(self, x):
         """The value at x, or the (m, d) values at an array of m points."""
@@ -210,47 +197,29 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
             for (chi, _), o, n in zip(jobs, offsets, sizes)]
 
 
-@dataclass
-class MetricSelection:
-    """Greedy chain function on a fine dyadic partition plus diagnostics."""
+@dataclass(frozen=True)
+class MetricSelection(MetricChain):
+    """The greedy chain of a selection on a fine dyadic partition, with the
+    seed it grew from and its convergence diagnostics."""
 
-    base: ChainFunction
     seed: tuple
     refinement_depth: int
     cauchy_defect: float
     smooth_fn: object | None = None
 
-    def __call__(self, x: float):
-        return self.base(x)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.base.nodes
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.values
-
     def one_sided_limit(self, x: float, side: str):
         """s(x-0) or s(x+0), extrapolated linearly from the two nearest
         node samples on the requested side (exact for piecewise-linear
         branch motion, which covers all regression fixtures)."""
-        nodes = self.nodes
-        vals = self.values
+        nodes, vals = self.nodes, self.values
         if side == "-":
-            idx = np.nonzero(nodes < x - 1e-12)[0]
-            if idx.size == 0:
-                return self.base(x)
-            picks = idx[-2:]
+            picks = np.flatnonzero(nodes < x - 1e-12)[-2:]
         elif side == "+":
-            idx = np.nonzero(nodes > x + 1e-12)[0]
-            if idx.size == 0:
-                return self.base(x)
-            picks = idx[:2]
+            picks = np.flatnonzero(nodes > x + 1e-12)[:2]
         else:
             raise ValueError("side must be '-' or '+'")
-        if picks.size == 1:
-            return vals[picks[0]]
+        if picks.size < 2:
+            return vals[picks[0]] if picks.size else self(x)
         i, j = picks
         v_i, v_j = vals[i], vals[j]
         return v_i + (v_j - v_i) * ((x - nodes[i]) / (nodes[j] - nodes[i]))
@@ -284,17 +253,16 @@ def _selection(F: SetValuedFunction, seed, depth: int, last: MetricChain,
     coarser (0 at depth 1).  If F is singleton-valued on the nodes of `last`
     (read from the memo `sets`), its unique selection x -> the single point
     of F(x) is kept as the exact evaluator."""
-    base = ChainFunction(last)
     defect = 0.0
     if prev is not None:
-        defect = float(row_norms(base(probe.nodes)
-                                 - ChainFunction(prev)(probe.nodes),
+        defect = float(row_norms(last(probe.nodes) - prev(probe.nodes),
                                  norm).max())
     smooth = None
-    if all(len(sets[x]) == 1 for x in last.partition.nodes):
+    if all(len(sets[x]) == 1 for x in last.nodes):
         smooth = lambda x: F(x).single()
-    return MetricSelection(base, (float(seed[0]), as_point(seed[1])), depth,
-                           defect, smooth)
+    return MetricSelection(last.partition, last.values,
+                           (float(seed[0]), as_point(seed[1])), depth, defect,
+                           smooth)
 
 
 @dataclass(frozen=True)
@@ -302,7 +270,6 @@ class SelectionFamily:
     """Computational stand-in for the family of all metric selections."""
 
     selections: tuple
-    seed_grid: str
 
     def __len__(self) -> int:
         return len(self.selections)
@@ -340,13 +307,12 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
                             norm, sets=sets)
     prevs = chains[len(seeds):] or [None] * len(seeds)
     # Keep-first dedup of the selections' signatures on the probe grid.
-    sigs = np.stack([ChainFunction(last)(probe.nodes).ravel()
+    sigs = np.stack([last(probe.nodes).ravel()
                      for last in chains[:len(seeds)]])
     selections = [_selection(F, seed, depth, last, prev, probe, norm, sets)
                   for seed, last, prev, kept
                   in zip(seeds, chains, prevs, _dedup(sigs, DEDUP_TOL)) if kept]
-    return SelectionFamily(tuple(selections),
-                           f"uniform x={x_seeds} (+jumps) times y<={y_seeds}")
+    return SelectionFamily(tuple(selections))
 
 
 def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
@@ -359,25 +325,44 @@ def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
     """
     sets = [F(x) for x in chi.nodes]
     chains = enumerate_metric_chains(sets, norm=norm, limit=limit)
-    selections = [MetricSelection(ChainFunction(MetricChain(chi, ch)),
-                                  (chi.a, ch[0]), 0, 0.0) for ch in chains]
-    return SelectionFamily(tuple(selections), "exhaustive chains")
+    return SelectionFamily(tuple(
+        MetricSelection(chi, ch, (chi.a, ch[0]), 0, 0.0) for ch in chains))
 
 
 # ---------------------------------------------------------------------------
 # Variation and moduli analyzers.  The argument g may be a callable returning
-# a PointSet (an SVF), a vector, or a scalar; rho dispatches accordingly.
+# a PointSet (an SVF), a vector, or a scalar.  `_values` samples it and
+# `_rhos` measures the samples, so every analyzer takes one distance path.
 
-def _rho(u, v, norm: str) -> float:
-    if isinstance(u, PointSet) or isinstance(v, PointSet):
-        return hausdorff(u, v, norm)
-    return vec_norm(as_point(u) - as_point(v), norm)
+def _values(g, xs):
+    """g at each x: a list of PointSets, or an (m, d) array of points."""
+    vals = [g(x) for x in xs]
+    if isinstance(vals[0], PointSet):
+        return vals
+    return np.array([as_point(v) for v in vals])
+
+
+def _rhos(vals, refs, norm: str) -> np.ndarray:
+    """rho(v, r) for each of the `_values` v and its reference r, where
+    `refs` pairs with `vals` or is one value of their kind shared by all:
+    one `row_norms` call for points, one `hausdorff` per value for sets."""
+    if isinstance(refs, PointSet):
+        refs = [refs] * len(vals)
+    if isinstance(vals, list):
+        return np.array([hausdorff(v, r, norm) for v, r in zip(vals, refs)])
+    return row_norms(vals - refs, norm)
+
+
+def _running_variation(g, chi: Partition, norm: str) -> np.ndarray:
+    """v_g at the nodes: the steps rho(g(x_{i-1}), g(x_i)) summed left to
+    right."""
+    vals = _values(g, chi.nodes)
+    return np.cumsum(np.concatenate([[0.0], _rhos(vals[1:], vals[:-1], norm)]))
 
 
 def variation_on_partition(g, chi: Partition, norm: str = "l2") -> float:
     """V(g, chi) = sum of rho(g(x_i), g(x_{i-1}))."""
-    vals = [g(x) for x in chi.nodes]
-    return float(sum(_rho(u, v, norm) for u, v in zip(vals, vals[1:])))
+    return float(_running_variation(g, chi, norm)[-1])
 
 
 def total_variation(g, a: float | None = None, b: float | None = None,
@@ -385,9 +370,10 @@ def total_variation(g, a: float | None = None, b: float | None = None,
                     norm: str = "l2") -> tuple[float, bool]:
     """Variation on refining dyadic partitions; a lower bound in general,
     exact once the refinement stabilizes (piecewise-monotone fixtures)."""
-    if isinstance(g, (ChainFunction, MetricSelection)):
+    if isinstance(g, MetricChain):
         # Exact for piecewise-constant data: jumps happen at the nodes.
-        return float(row_norms(np.diff(g.values, axis=0), norm).sum()), True
+        vals = g.values
+        return float(_rhos(vals[1:], vals[:-1], norm).sum()), True
     if isinstance(g, SetValuedFunction):
         a = g.a if a is None else a
         b = g.b if b is None else b
@@ -409,20 +395,19 @@ def total_variation(g, a: float | None = None, b: float | None = None,
 def one_sided_value(g, x: float, side: str, delta: float = 1e-3,
                     lo: float | None = None, hi: float | None = None,
                     probes: int = 20):
-    """g(x-0) or g(x+0) along offsets delta*2^-j with a final linear
-    (Richardson) extrapolation; exact for locally linear scalar/vector g."""
+    """g(x-0) or g(x+0): the linear (Richardson) extrapolation of g at the
+    offsets 2h and h, h = delta*2^-probes; exact for locally linear
+    scalar/vector g.  A set-valued g gives its value at offset h."""
     sgn = -1.0 if side == "-" else 1.0
     if lo is not None and hi is not None:
         room = (x - lo) if side == "-" else (hi - x)
         if room <= 0:
             raise ValueError("no room on the requested side")
         delta = min(delta, room / 2.0)
-    offs = [delta * 2.0 ** (-j) for j in range(probes + 1)]
-    v_prev = g(x + sgn * offs[-2])
-    v_last = g(x + sgn * offs[-1])
+    h = sgn * delta * 2.0 ** -probes
+    v_prev, v_last = _values(g, [x + 2.0 * h, x + h])
     if isinstance(v_last, PointSet):
         return v_last
-    v_prev, v_last = as_point(v_prev), as_point(v_last)
     return 2.0 * v_last - v_prev
 
 
@@ -455,30 +440,24 @@ def one_sided_moduli(g, x_star: float, delta: float, lo: float, hi: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    # The probes are sorted, so those off x* form a prefix ('-') or a
+    # suffix ('+').
     if side == "-":
         if x_star <= lo:
             return 0.0, 0.0
         xs = _probe_grid(x_star, max(lo, x_star - delta), x_star, probes)
-        inner = xs < x_star - 1e-13
+        inner = slice(None, np.searchsorted(xs, x_star - 1e-13))
     elif side == "+":
         if x_star >= hi:
             return 0.0, 0.0
         xs = _probe_grid(x_star, x_star, min(hi, x_star + delta), probes)
-        inner = xs > x_star + 1e-13
+        inner = slice(np.searchsorted(xs, x_star + 1e-13, side="right"), None)
     else:
         raise ValueError("side must be '-' or '+'")
-    vals = [g(x) for x in xs]
-    g_star = g(x_star)
+    vals = _values(g, xs)
+    plain = _rhos(vals, _values(g, [x_star])[0], norm).max(initial=0.0)
     g_lim = one_sided_value(g, x_star, side, lo=lo, hi=hi)
-    if any(isinstance(v, PointSet) for v in vals + [g_star, g_lim]):
-        plain = max((_rho(v, g_star, norm) for v in vals), default=0.0)
-        quasi = max((_rho(g_lim, v, norm)
-                     for v, keep in zip(vals, inner) if keep), default=0.0)
-        return plain, quasi
-    # Points: one row_norms call per supremum.
-    V = np.array([as_point(v) for v in vals])
-    plain = row_norms(V - as_point(g_star), norm).max(initial=0.0)
-    quasi = row_norms(as_point(g_lim) - V[inner], norm).max(initial=0.0)
+    quasi = _rhos(vals[inner], g_lim, norm).max(initial=0.0)
     return float(plain), float(quasi)
 
 
@@ -495,18 +474,13 @@ def local_moduli(g, x_star: float, delta: float, lo: float, hi: float,
                                           probes, norm)
     window = _probe_grid(x_star, max(lo, x_star - delta / 2.0),
                          min(hi, x_star + delta / 2.0), probes)
-    w_vals = [g(x) for x in window]
-    two_sided = max((_rho(u, v, norm)
-                     for u, v in itertools.combinations(w_vals, 2)), default=0.0)
+    w_vals = _values(g, window)
+    two_sided = max((float(_rhos(w_vals[i + 1:], w_vals[i], norm).max())
+                     for i in range(len(window) - 1)), default=0.0)
     return LocalModuli(two_sided, left, right, left_quasi, right_quasi)
 
 
 def variation_function_samples(g, chi: Partition, norm: str = "l2"):
     """Cumulative variation along the partition: [(x_i, v_g(x_i))]."""
-    vals = [g(x) for x in chi.nodes]
-    out = [(float(chi.nodes[0]), 0.0)]
-    acc = 0.0
-    for i in range(1, len(vals)):
-        acc += _rho(vals[i - 1], vals[i], norm)
-        out.append((float(chi.nodes[i]), acc))
-    return out
+    return [(float(x), float(v))
+            for x, v in zip(chi.nodes, _running_variation(g, chi, norm))]

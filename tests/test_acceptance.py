@@ -26,8 +26,7 @@ from metricfourier.metric_integral import (WeightFunction,
                                            right_weighted_metric_riemann_sum,
                                            weighted_metric_riemann_sum)
 from metricfourier.oracle import TinyInstance, oracle_AF, oracle_riemann_set
-from metricfourier.svf import (ChainFunction, Partition,
-                               approximate_selection,
+from metricfourier.svf import (Partition, approximate_selection,
                                exhaustive_chain_family, greedy_chain,
                                local_moduli, selection_family,
                                total_variation)
@@ -361,7 +360,7 @@ def test_criterion_12_selection_invariants(report):
         chi = Partition.dyadic(F.a, F.b, 4, forced=tuple(F.jump_points)
                                + (x_star,))
         for y_hat in F(x_star).points:
-            c = ChainFunction(greedy_chain(F, chi, (x_star, y_hat)))
+            c = greedy_chain(F, chi, (x_star, y_hat))
             for delta in DELTAS:
                 m_c = local_moduli(c, x_star, delta, F.a, F.b)
                 rhs = local_moduli(vf, x_star, delta + chi.norm,

@@ -3,6 +3,10 @@ inline set-valued description parser."""
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,22 @@ def test_example_lines_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("ok:") == 3
     assert "FAIL" not in out
+
+
+def test_cli_does_not_import_the_test_oracle():
+    # The worked examples check closed forms; oracle.py serves only tests.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import sys, metricfourier.cli; "
+            "print('metricfourier.oracle' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_example_integral_inclusion_passes(capsys):

@@ -16,8 +16,8 @@ from metricfourier.geometry import PointSet
 from metricfourier import geometry, svf
 from metricfourier.oracle import (oracle_dyadic_nodes, oracle_greedy_chain,
                                   oracle_selection_family)
-from metricfourier.svf import (ChainFunction, GreedySeedError, MetricChain,
-                               Partition, SetValuedFunction,
+from metricfourier.svf import (GreedySeedError, MetricChain, Partition,
+                               SetValuedFunction,
                                approximate_selection, greedy_chain,
                                local_moduli, one_sided_moduli, one_sided_value,
                                selection_family, total_variation,
@@ -74,11 +74,11 @@ def test_partition_dyadic_matches_node_loop(ab, depth, data):
 
 
 # ---------------------------------------------------------------------------
-# ChainFunction evaluation
+# MetricChain evaluation
 
 def chain_on(nodes, values):
-    return ChainFunction(MetricChain(Partition.of(nodes),
-                                     tuple(np.atleast_1d(v) for v in values)))
+    return MetricChain(Partition.of(nodes),
+                       tuple(np.atleast_1d(v) for v in values))
 
 
 def test_chain_function_rules():
@@ -217,7 +217,7 @@ def test_variation_sign_straddle():
 def test_chain_variation_below_svf_variation():
     F = lines_fixture()
     chi = Partition.dyadic(F.a, F.b, 5, forced=(0.5,))
-    ch = ChainFunction(greedy_chain(F, chi, (0.5, 1.0)))
+    ch = greedy_chain(F, chi, (0.5, 1.0))
     assert variation_on_partition(ch, chi) <= variation_on_partition(F, chi) + 1e-9
 
 
@@ -380,8 +380,7 @@ def test_approximate_selection_builds_two_depths():
     assert spy.call_count == 2
     ref = greedy_chain(F, Partition.dyadic(F.a, F.b, 5, (0.5, 0.5)), seed)
     assert np.array_equal(s.values, ref.values)
-    coarse = ChainFunction(greedy_chain(
-        F, Partition.dyadic(F.a, F.b, 4, (0.5, 0.5)), seed))
+    coarse = greedy_chain(F, Partition.dyadic(F.a, F.b, 4, (0.5, 0.5)), seed)
     probe = Partition.dyadic(F.a, F.b, 5, (0.5, 0.5)).nodes
     assert s.cauchy_defect == max(abs(float(s(x)[0] - coarse(x)[0]))
                                   for x in probe)
@@ -402,6 +401,36 @@ def test_one_sided_moduli_match_local_moduli():
         one_sided_moduli(abs, 0.0, 0.0, -1.0, 1.0, "-")
     with pytest.raises(ValueError):
         one_sided_moduli(abs, 0.0, 0.5, -1.0, 1.0, "both")
+
+
+@st.composite
+def step_function(draw):
+    """A piecewise-constant scalar g on [-1, 1], jumping on the 1/8 grid
+    between multiples of 1/4."""
+    jumps = sorted({k / 8.0 for k in draw(st.lists(st.integers(-7, 7),
+                                                    max_size=4))})
+    levels = draw(st.lists(st.integers(-8, 8), min_size=len(jumps) + 1,
+                           max_size=len(jumps) + 1))
+    return lambda t: levels[int(np.searchsorted(jumps, t, side="right"))] / 4.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(step_function(), st.integers(-16, 16), st.sampled_from([0.1, 0.5]),
+       st.sampled_from(["l1", "l2", "linf"]))
+def test_analyzers_agree_on_scalars_and_singleton_sets(g, k, delta, norm):
+    # g is piecewise constant, so the scalar one-sided limits (extrapolated)
+    # and the set ones (sampled) are the same value.
+    G = lambda t: PointSet.of([g(t)])
+    chi, x = Partition.dyadic(-1.0, 1.0, 5), k / 16.0
+    assert variation_on_partition(g, chi, norm) \
+        == variation_on_partition(G, chi, norm)
+    assert variation_function_samples(g, chi, norm) \
+        == variation_function_samples(G, chi, norm)
+    for side in "-+":
+        assert one_sided_moduli(g, x, delta, -1.0, 1.0, side, norm=norm) \
+            == one_sided_moduli(G, x, delta, -1.0, 1.0, side, norm=norm)
+    assert local_moduli(g, x, delta, -1.0, 1.0, norm=norm) \
+        == local_moduli(G, x, delta, -1.0, 1.0, norm=norm)
 
 
 # ---------------------------------------------------------------------------
