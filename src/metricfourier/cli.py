@@ -33,7 +33,7 @@ class ExperimentConfig:
     orders: list = field(default_factory=lambda: [16, 64, 256])
     x_grid: object = 9          # count or explicit list
     x_seeds: int = 7
-    y_seeds: int = 4
+    y_seeds: int | str = 4     # count, or "all" for every point of F(x_hat)
     depth: int = 4              # base refinement depth; grows with the order
     norm: str = "l2"
     out: str | None = None
@@ -60,9 +60,12 @@ class ExperimentConfig:
             raise ConfigError("x_grid must be a count or a list of numbers")
         if cfg.norm not in ("l1", "l2", "linf"):
             raise ConfigError("norm must be one of l1, l2, linf")
-        if not all(map(_is_int, (cfg.x_seeds, cfg.y_seeds, cfg.depth))):
-            raise ConfigError("x_seeds, y_seeds and depth must be integers")
-        if cfg.x_seeds < 1 or cfg.y_seeds < 1 or cfg.depth < 1:
+        every = cfg.y_seeds == "all"
+        if not all(map(_is_int, (cfg.x_seeds, cfg.depth))) \
+                or not (every or _is_int(cfg.y_seeds)):
+            raise ConfigError('x_seeds and depth must be integers, y_seeds '
+                              'an integer or "all"')
+        if cfg.x_seeds < 1 or cfg.depth < 1 or not every and cfg.y_seeds < 1:
             raise ConfigError("seed counts and depth must be positive")
         for key, kind in (("fixture", str), ("svf", dict), ("out", str),
                           ("weight", dict)):

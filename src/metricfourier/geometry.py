@@ -69,9 +69,12 @@ def vec_norm(v, norm: str = "l2") -> float:
     return float(np.linalg.norm(as_point(v), ord=_NORM_ORD[norm]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Nonempty finite subset of R^d stored as an (m, d) array."""
+    """Nonempty finite subset of R^d stored as an (m, d) array.
+
+    Equality and hashing are by identity; compare contents with
+    `np.array_equal` on `points`."""
 
     points: np.ndarray
 
@@ -89,10 +92,16 @@ class PointSet:
             raise ValueError("a PointSet must be a nonempty (m, d) array")
         if not np.isfinite(arr).all():
             raise ValueError("point has non-finite coordinates")
-        if dedup_tol > 0 and arr.shape[0] > 1:
-            arr = arr[_dedup(arr, dedup_tol)]
         arr.setflags(write=False)
-        return PointSet(arr)
+        S = PointSet(arr)
+        if dedup_tol > 0 and len(S) > 1:
+            kept = _dedup(S, dedup_tol)
+            if not kept.all():
+                # A fresh set: a tree built for the dedup indexes dropped rows.
+                arr = arr[kept]
+                arr.setflags(write=False)
+                S = PointSet(arr)
+        return S
 
     @property
     def dim(self) -> int:
@@ -127,15 +136,17 @@ class PointSet:
         return rank
 
 
-def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the rows kept when every row within tol (linf) of an earlier
-    kept row is dropped."""
+def _dedup(S: PointSet, tol: float) -> np.ndarray:
+    """Mask of the rows of S.points kept when every row within tol (linf) of
+    an earlier kept row is dropped.  Above KDTREE_MIN rows the near pairs
+    come from S's cached tree, which a set that keeps every row reuses."""
+    arr = S.points
     if arr.shape[0] <= KDTREE_MIN:
         # The near matrix is symmetric, so its entries (j, i) come in order
         # of j; those with i < j are the near pairs.
         j, i = np.nonzero(cdist(arr, arr, metric="chebyshev") <= tol)
     else:
-        i, j = cKDTree(arr).query_pairs(tol, p=np.inf, output_type="ndarray").T
+        i, j = S.tree.query_pairs(tol, p=np.inf, output_type="ndarray").T
         order = np.argsort(j, kind="stable")
         i, j = i[order], j[order]
     # Keep-first over the near pairs in order of j, so kept[i] is final

@@ -24,9 +24,10 @@ class GreedySeedError(ValueError):
     """Seed value does not belong to F at the seed node."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Strictly increasing nodes from a to b."""
+    """Strictly increasing nodes from a to b.  Equality and hashing are by
+    identity; compare `nodes` with `np.array_equal`."""
 
     nodes: np.ndarray
 
@@ -97,13 +98,14 @@ class SetValuedFunction:
         return self.fn(min(max(x, self.a), self.b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricChain:
     """Point values over a partition with consecutive metric pairs, and
     their piecewise-constant extension: values[i] on [x_i, x_{i+1}).
 
     `values` is one read-only (N, d) array, row i the value at node i;
     sequences of points (or of scalars, for d = 1) are copied into it.
+    Equality and hashing are by identity, as for `Partition`.
     """
 
     partition: Partition
@@ -155,6 +157,16 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     The union nodes are swept rightward, then leftward; at each node every
     chain that steps onto it moves in one batched `project_rows` query of
     the chains' current values, the seed steps joining the rightward sweep.
+
+    F's image is often one set on long runs of nodes.  Consecutive union
+    nodes share a label when their sets are the same object or have equal
+    points, and a step between two nodes of one label is a run row.  A run
+    row copies its root, the nearest row toward the seed that is not a run
+    row, provided the root's value b is a fixed point of the set's
+    projection.  That can fail in a cluster of points spaced below tie_tol,
+    so after projecting a node that holds roots, one more query projects
+    the roots again: the run rows of a root that moves step node by node.
+    Nodes where only run rows land get no query.
     """
     if sets is None:
         sets = {}
@@ -172,6 +184,9 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     for x in union:
         if x not in sets:
             sets[x] = F(x)
+    images = [sets[x] for x in union]
+    label = np.cumsum([0] + [A is not B and not np.array_equal(A.points, B.points)
+                             for A, B in zip(images, images[1:])])
     # All chains in one array: row r holds a chain's value at union node
     # at[r] and moves from row src[r], its neighbour toward the seed; the
     # seed rows move from the seed values, stored after row `total`.
@@ -179,25 +194,49 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     vals = np.vstack([np.empty((total, seeds.shape[1])), seeds])
     rows = np.arange(total)
     start = np.repeat(starts, sizes)
+    ahead = rows >= start
     src = rows - np.sign(rows - start)
+    run = np.zeros(total + len(jobs), dtype=bool)
+    run[:total] = label[at] == label[at[src]]
+    run[starts] = False
     src[starts] = total + np.arange(len(jobs))
-    for dst, step in ((rows[rows >= start], 1), (rows[rows < start], -1)):
-        if not dst.size:
-            continue
+    # A job's rows are contiguous around its seed row, which is no run row,
+    # so a running max (rightward) or min (leftward) finds the roots; the
+    # seed values are their own roots.
+    root = np.concatenate([
+        np.where(ahead, np.maximum.accumulate(np.where(run[:total], 0, rows)),
+                 np.minimum.accumulate(np.where(run[:total], total,
+                                                rows)[::-1])[::-1]),
+        src[starts]])
+    has_run = np.zeros(total, dtype=bool)
+    has_run[root[:total][run[:total]]] = True
+    for dst, step in ((rows[ahead], 1), (rows[~ahead], -1)):
         dst = dst[np.argsort(step * at[dst], kind="stable")]
         for group in np.split(dst, np.flatnonzero(np.diff(at[dst])) + 1):
-            dist, vals[group] = project_rows(vals[src[group]],
-                                             sets[union[at[group[0]]]],
-                                             norm, tie_tol)
-            off = dist[src[group] >= total]
+            group = group[~run[group]]
+            if not group.size:
+                continue
+            B = images[at[group[0]]]
+            frm = src[group]
+            dist, vals[group] = project_rows(
+                vals[np.where(run[frm], root[frm], frm)], B, norm, tie_tol)
+            off = dist[frm >= total]
             if off.size and off.max() > SEED_TOL:
                 raise GreedySeedError(
                     f"seed value is {off.max():.3g} away from F(x_hat)")
+            roots = group[has_run[group]]
+            if roots.size:
+                moved = (project_rows(vals[roots], B, norm, tie_tol)[1]
+                         != vals[roots]).any(axis=1)
+                if moved.any():
+                    run[:total] &= ~np.isin(root[:total], roots[moved])
+    copies = np.flatnonzero(run[:total])
+    vals[copies] = vals[root[copies]]
     return [MetricChain(chi, vals[o:o + n])
             for (chi, _), o, n in zip(jobs, offsets, sizes)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSelection(MetricChain):
     """The greedy chain of a selection on a fine dyadic partition, with the
     seed it grew from and its convergence diagnostics."""
@@ -275,15 +314,17 @@ class SelectionFamily:
         return len(self.selections)
 
 
-def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
+def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
                      depth: int, norm: str = "l2",
                      probe: Partition | None = None) -> SelectionFamily:
     """Selections seeded on a uniform x-grid (plus jumps) crossed with up to
-    y_seeds points of each F(x_hat), deduplicated on a probe grid.
+    y_seeds points of each F(x_hat), or every point if y_seeds is "all",
+    deduplicated on a probe grid.
 
     The depth-`depth` and depth-`depth - 1` chains of all seeds are built
     together by one `_greedy_chains` sweep."""
-    if x_seeds < 1 or y_seeds < 1:
+    every = y_seeds == "all"
+    if x_seeds < 1 or not every and y_seeds < 1:
         raise ValueError("seed counts must be positive")
     xs = sorted(set(np.linspace(F.a, F.b, x_seeds)) | {float(j) for j in F.jump_points})
     if probe is None:
@@ -295,7 +336,7 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
     for x_hat in xs:
         S = sets[x_hat] = F(x_hat)
         picks = S.lex_order
-        if len(S) > y_seeds:
+        if not every and len(S) > y_seeds:
             picks = picks[np.linspace(0, len(S) - 1, y_seeds).round().astype(int)]
         seeds += [(x_hat, y_hat) for y_hat in S.points[picks]]
     depths = [depth, depth - 1] if depth > 1 else [depth]
@@ -309,9 +350,10 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
     # Keep-first dedup of the selections' signatures on the probe grid.
     sigs = np.stack([last(probe.nodes).ravel()
                      for last in chains[:len(seeds)]])
+    kept = _dedup(PointSet(sigs), DEDUP_TOL)
     selections = [_selection(F, seed, depth, last, prev, probe, norm, sets)
-                  for seed, last, prev, kept
-                  in zip(seeds, chains, prevs, _dedup(sigs, DEDUP_TOL)) if kept]
+                  for seed, last, prev, keep in zip(seeds, chains, prevs, kept)
+                  if keep]
     return SelectionFamily(tuple(selections))
 
 

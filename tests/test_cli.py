@@ -184,6 +184,12 @@ def test_exit_code_2_missing_file(capsys):
     assert main(["convergence", "--config", "/nonexistent.json"]) == 2
 
 
+def test_exit_code_2_unknown_y_seeds_word(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "bad.json", {"fixture": "lines", "y_seeds": "most"})
+    assert main(["convergence", "--config", cfg]) == 2
+    assert "y_seeds" in capsys.readouterr().err
+
+
 def test_exit_code_2_hausdorff_unknown_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "h.json",
                     {"set_a": [[0.0]], "set_b": [[1.0]], "extra": 1})
@@ -311,3 +317,15 @@ def test_inline_svf_through_cli(tmp_path, capsys):
     assert main(["convergence", "--config", cfg]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert float(rows[0].split(",")[2]) < 1e-9
+
+
+def test_y_seeds_all_covers_the_disc():
+    """On balls at eps 0.1 four y-seeds per x_hat measure seed coverage,
+    not approximation: at x = 2 (order 8) every seed brings the distance to
+    F(x) from 0.87 to 0.026."""
+    base = {"fixture": "balls", "eps": 0.1, "orders": [8], "x_grid": [2.0]}
+    (_, _, four, _), = cli.run_convergence(ExperimentConfig.from_dict(base))
+    (_, _, every, _), = cli.run_convergence(
+        ExperimentConfig.from_dict({**base, "y_seeds": "all"}))
+    assert four > 0.8
+    assert every < 0.05

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import directed_hausdorff
 
 from metricfourier import geometry
@@ -160,11 +161,15 @@ def test_tree_is_built_once_per_set():
 
 
 def test_hausdorff_reuses_the_cached_trees():
-    """A second `hausdorff` on the same large sets builds no new tree."""
-    A = disc_net((0.0, 0.0), 1.0, 0.02)
-    B = disc_net((0.5, 0.0), 1.0, 0.02)
+    """`PointSet.of` keeps the tree of its dedup when it drops no row, so
+    building two large sets and a first `hausdorff` build one tree per set,
+    and a second `hausdorff` builds none."""
+    nets = [disc_net(c, 1.0, 0.02).points for c in ((0.0, 0.0), (0.5, 0.0))]
+    with mock.patch.object(geometry, "cKDTree", wraps=cKDTree) as build:
+        A, B = (PointSet.of(P) for P in nets)
+        first = hausdorff(A, B)
     assert min(len(A), len(B)) > geometry.KDTREE_MIN
-    first = hausdorff(A, B)
+    assert build.call_count == 2
     with mock.patch.object(geometry, "cKDTree",
                            side_effect=AssertionError("tree rebuilt")):
         assert hausdorff(A, B) == first
@@ -218,6 +223,7 @@ def test_dedup_independent_of_set_size():
     assert len(PointSet.of([0.0, near_zero])) == 1
     big = PointSet.of(list(range(5000)) + [near_zero])
     assert len(big) == 5000
+    assert big.tree.n == 5000        # not the dedup's tree of 5,001 rows
     assert np.array_equal(big.points[:, 0], np.arange(5000.0))
 
 

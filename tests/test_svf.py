@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricfourier.fixtures import (constant_set_fixture, lines_fixture,
-                                    singleton_fixture, step_svf,
-                                    two_branch_sine)
+from metricfourier.fixtures import (balls_fixture, constant_set_fixture,
+                                    lines_fixture, singleton_fixture,
+                                    step_svf, two_branch_sine)
 from metricfourier.geometry import PointSet
 from metricfourier import geometry, svf
 from metricfourier.oracle import (oracle_dyadic_nodes, oracle_greedy_chain,
@@ -354,6 +354,25 @@ def test_metric_chain_rejects_length_mismatch():
         MetricChain(chi, ((1.0,),))
 
 
+def test_equality_is_identity():
+    """Twins with equal arrays compare unequal without raising, hash, and
+    work with `in`; their contents compare with `np.array_equal`."""
+    F = lines_fixture()
+    chi = Partition.dyadic(F.a, F.b, 3, (0.5,))
+    pairs = [(chi, Partition.of(chi.nodes)),
+             (F(0.0), PointSet.of(F(0.0).points))]
+    pairs += [tuple(greedy_chain(F, chi, (0.5, 0.0)) for _ in range(2)),
+              tuple(approximate_selection(F, (0.5, 0.0), 3) for _ in range(2))]
+    for x, twin in pairs:
+        assert x == x and x != twin
+        assert hash(x) == hash(x)
+        assert x in [twin, x] and x not in [twin]
+        assert len({x, twin}) == 2
+        assert all(np.array_equal(getattr(x, f.name), getattr(twin, f.name))
+                   for f in dataclasses.fields(x)
+                   if isinstance(getattr(x, f.name), np.ndarray))
+
+
 def test_chain_function_evaluates_arrays_like_scalars():
     c = chain_on([0.0, 1.0, 2.0], [10.0, 20.0, 30.0])
     xs = [0.0, 0.5, 1.0, 1.99, 2.0]
@@ -440,8 +459,9 @@ def test_analyzers_agree_on_scalars_and_singleton_sets(g, k, delta, norm):
 def svf_instance(draw):
     """A piecewise F on [a, b] whose pieces are 1-4 points (duplicates
     allowed, so seeds repeat) of a half-integer grid, each moving at a
-    velocity of 0 or +-1/4 per unit; pieces at rest plant exact ties.  At a
-    jump F is the next piece, or the union of both sides."""
+    velocity of 0 or +-1/4 per unit; pieces at rest plant exact ties, and
+    some add a cluster of 3-4 points spaced 0.6 TIE_TOL apart.  At a jump F
+    is the next piece, or the union of both sides."""
     a, b = draw(st.sampled_from([(-1.0, 1.0), (-math.pi, math.pi)]))
     dim = draw(st.integers(1, 2))
     cuts = sorted(set(draw(st.lists(
@@ -454,7 +474,16 @@ def svf_instance(draw):
                              dtype=float)
         vel = 0.25 * np.array(draw(st.lists(coord.map(np.sign), min_size=len(pts),
                                             max_size=len(pts))), dtype=float)
-        pieces.append((pts, vel * draw(st.sampled_from([0.0, 1.0]))))
+        vel = vel * draw(st.sampled_from([0.0, 1.0]))
+        if not vel.any() and draw(st.booleans()):
+            # A tie cluster at rest: a chain on its top point drifts down
+            # node by node, so runs of this set fall back to stepping.
+            step = np.eye(dim)[0] * 0.6 * geometry.TIE_TOL
+            cluster = pts[0] + np.outer(np.arange(1, draw(st.integers(3, 4))),
+                                        step)
+            pts = np.vstack([pts, cluster])
+            vel = np.zeros_like(pts)
+        pieces.append((pts, vel))
     union_at_jump = draw(st.booleans())
 
     def piece(k, t):
@@ -496,20 +525,43 @@ def test_selection_family_matches_per_seed_reference(F, norm, kdtree_min,
     assert_same_family(got, ref)
 
 
+# A tie cluster spaced below TIE_TOL: a chain on 3h drifts to h, then 0,
+# so a run of this set may not copy its first value.
+H = 2.0 ** -31
+DRIFT = constant_set_fixture([0.0, H, 2 * H, 3 * H, 5.0], -1.0, 1.0)
+
+
 @pytest.mark.parametrize("kdtree_min", [0, 10 ** 9])
 def test_batched_chains_match_chains_built_alone(kdtree_min):
-    F = lines_fixture()
-    jobs = []
-    for depth in (1, 3, 4):
-        for x_hat in (F.a, 0.5, F.b, 0.5):          # 0.5 twice: duplicates
-            chi = Partition.dyadic(F.a, F.b, depth, (x_hat, 0.5))
-            jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
-    with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
-        chains = svf._greedy_chains(F, jobs, "l2")
-        for (chi, seed), ch in zip(jobs, chains):
-            ref = oracle_greedy_chain(F, chi, seed, "l2")
-            assert np.array_equal(ch.partition.nodes, chi.nodes)
-            assert np.array_equal(ch.values, ref.values)
+    for F in (lines_fixture(), DRIFT):
+        jobs = []
+        for depth in (1, 3, 4):
+            for x_hat in (F.a, 0.5, F.b, 0.5):      # 0.5 twice: duplicates
+                chi = Partition.dyadic(F.a, F.b, depth, (x_hat, 0.5))
+                jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
+        with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
+            chains = svf._greedy_chains(F, jobs, "l2")
+            for (chi, seed), ch in zip(jobs, chains):
+                ref = oracle_greedy_chain(F, chi, seed, "l2")
+                assert np.array_equal(ch.partition.nodes, chi.nodes)
+                assert np.array_equal(ch.values, ref.values)
+    # The drift itself: chains seeded on 3h at the left end read h, 0, 0.
+    drifted = [ch.values[:3, 0].tolist() for (_, (x_hat, y)), ch
+               in zip(jobs, chains) if x_hat == F.a and y[0] == 3 * H]
+    assert drifted == [[H, 0.0, 0.0]] * 3
+
+
+def test_chain_queries_stay_flat_with_depth():
+    """Only nodes where F's image changes, and the seed nodes, are queried:
+    a balls family makes as many `project_rows` calls at depth 9 as at 6."""
+    F = balls_fixture(eps=0.1)
+    counts = []
+    for depth in (6, 9):
+        with mock.patch.object(svf, "project_rows",
+                               wraps=svf.project_rows) as spy:
+            selection_family(F, 7, 4, depth)
+        counts.append(spy.call_count)
+    assert counts[0] == counts[1]
 
 
 def test_batched_chains_keep_seed_errors():
