@@ -312,24 +312,24 @@ def run_selections(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file merged with the command-line flags, validated as one
+    config by `ExperimentConfig.from_dict`."""
+    d = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
-    else:
-        cfg = ExperimentConfig()
-    if getattr(args, "norm", None):
-        cfg.norm = args.norm
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "depth", None):
-        cfg.depth = args.depth
-    if getattr(args, "seed_grid", None):
+            d = json.load(fh)
+    flags = {"norm": args.norm, "out": args.out, "depth": args.depth}
+    if args.seed_grid is not None:
+        xs, _, ys = args.seed_grid.partition(",")
         try:
-            xs, ys = args.seed_grid.split(",")
-            cfg.x_seeds, cfg.y_seeds = int(xs), int(ys)
+            flags.update(x_seeds=int(xs),
+                         y_seeds=ys if ys == "all" else int(ys))
         except ValueError as exc:
-            raise ConfigError("--seed-grid expects X,Y") from exc
-    return cfg
+            raise ConfigError('--seed-grid expects X,Y with Y an integer or '
+                              '"all"') from exc
+    if isinstance(d, dict):
+        d = {**d, **{k: v for k, v in flags.items() if v is not None}}
+    return ExperimentConfig.from_dict(d)
 
 
 def build_parser() -> argparse.ArgumentParser:

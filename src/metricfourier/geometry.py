@@ -10,10 +10,17 @@ call of `_nearest`: the distance from each query row to a `PointSet` and,
 on request, every witness within a tie tolerance of it.  `_nearest` is the
 one place that chooses the path: a set of more than KDTREE_MIN points goes
 through a `scipy.spatial.cKDTree` in the l1, l2 or linf norm, which
-`PointSet.tree` builds on first use and keeps with the frozen set, so a net
-that is queried many times builds one tree.  Smaller sets take brute-force
-`cdist` blocks of at most _BLOCK entries, which is faster there.  Both paths
-give the same distances and the same witnesses, in index order.
+`PointSet.tree` builds on first use with sliding-midpoint splits and keeps
+with the frozen set, so a net that is queried many times builds one tree.
+Smaller sets take brute-force `cdist` blocks of at most _BLOCK entries,
+which is faster there.  Both paths give the same distances and the same
+witnesses, in index order.
+
+Sets of more than KDTREE_MIN points also take two shortcuts that leave the
+answer unchanged.  `hausdorff` queries only the rows of such a set that can
+reach its maximum: `PointSet.cells` groups the rows by a grid, and one
+query per cell bounds the rest.  `PointSet.of` finds near duplicates in
+windows of sorted projections instead of an all-pairs search.
 """
 from __future__ import annotations
 
@@ -34,12 +41,17 @@ DEDUP_TOL = 1e-12
 CHAIN_LIMIT = 10 ** 6
 # Sets of more points than this are queried through a KD-tree, smaller ones
 # by brute force.  Measured cost of one `dist_point_set` call (2 shared
-# cores, scipy 1.17): with the cached tree 31-37 us at any size; by brute
-# force 18 us at 5 points, 32 us at 2,048, 41 us at 3,072, 65 us at 8,201.
+# cores, scipy 1.17, sliding-midpoint tree, fastest of 15 runs): with the
+# cached tree 28-29 us at any size; by brute force 13 us at 5 points, 25 us
+# at 2,048, 30 us at 3,072, 54 us at 8,201.  Such sets also dedup by sorted
+# projections and enter `hausdorff` through their cells.
 KDTREE_MIN = 2048
+# `hausdorff` groups a set's rows by a grid of about this many rows a cell.
+_CELL_ROWS = 16
 # Block size (matrix entries) for chunked brute-force distance computations.
 _BLOCK = 1 << 22
 
+_EPS = np.finfo(float).eps
 _CDIST_METRIC = {"l1": "cityblock", "l2": "euclidean", "linf": "chebyshev"}
 _NORM_ORD = {"l1": 1, "l2": 2, "linf": np.inf}
 
@@ -92,16 +104,10 @@ class PointSet:
             raise ValueError("a PointSet must be a nonempty (m, d) array")
         if not np.isfinite(arr).all():
             raise ValueError("point has non-finite coordinates")
+        if dedup_tol > 0 and len(arr) > 1:
+            arr = arr[_dedup(arr, dedup_tol)]
         arr.setflags(write=False)
-        S = PointSet(arr)
-        if dedup_tol > 0 and len(S) > 1:
-            kept = _dedup(S, dedup_tol)
-            if not kept.all():
-                # A fresh set: a tree built for the dedup indexes dropped rows.
-                arr = arr[kept]
-                arr.setflags(write=False)
-                S = PointSet(arr)
-        return S
+        return PointSet(arr)
 
     @property
     def dim(self) -> int:
@@ -120,8 +126,10 @@ class PointSet:
 
     @cached_property
     def tree(self) -> cKDTree:
-        """KD-tree of the points, built on first use and kept with the set."""
-        return cKDTree(self.points)
+        """KD-tree of the points, built on first use and kept with the set.
+        Sliding-midpoint splits: cheaper to build and to query than the
+        median splits of a balanced tree, with the same exact answers."""
+        return cKDTree(self.points, balanced_tree=False, compact_nodes=False)
 
     @cached_property
     def lex_order(self) -> np.ndarray:
@@ -135,23 +143,80 @@ class PointSet:
         rank[self.lex_order] = np.arange(len(self))
         return rank
 
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows grouped by a grid of about len/_CELL_ROWS cells, kept
+        with the set: (rows, bounds, dev).  Cell c holds the rows
+        rows[bounds[c]:bounds[c + 1]], in index order; its first row r is
+        its representative.  dev[c, k] is the largest |a_k - r_k| over the
+        rows a of cell c, so one grid bounds |a - r| in every norm."""
+        P = self.points
+        m, d = P.shape
+        # Column by column: a reduction over axis 0 of a thin array is slow.
+        lo = np.array([col.min() for col in P.T])
+        ext = np.array([col.max() for col in P.T]) - lo
+        wide = ext[ext > 0]
+        # Side h with prod(ext / h) = m / _CELL_ROWS over the axes the rows
+        # span, and ceil(ext / h) cells per axis, at most `most`, so that a
+        # cell key fits in 63 bits.  The bounds hold for any grouping of
+        # the rows, so a grid that overflows or collapses groups coarsely.
+        h = np.exp((np.log(wide).sum() - np.log(max(1, m // _CELL_ROWS)))
+                   / max(1, wide.size))
+        most = min(m, int(2 ** (62 / d)))
+        key = np.zeros(m, dtype=np.int64)
+        if 0 < h < np.inf:
+            top = np.clip(np.ceil(ext / h), 1, most) - 1
+            key = (np.minimum((P - lo) / h, top).astype(np.int64)
+                   @ most ** np.arange(d, dtype=np.int64))
+        rows = np.argsort(key, kind="stable")
+        key = key[rows]
+        bounds = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1],
+                                                [True]]))
+        reps = np.repeat(rows[bounds[:-1]], np.diff(bounds))
+        dev = np.maximum.reduceat(np.abs(P[rows] - P[reps]), bounds[:-1],
+                                  axis=0)
+        return rows, bounds, dev
 
-def _dedup(S: PointSet, tol: float) -> np.ndarray:
-    """Mask of the rows of S.points kept when every row within tol (linf) of
-    an earlier kept row is dropped.  Above KDTREE_MIN rows the near pairs
-    come from S's cached tree, which a set that keeps every row reuses."""
-    arr = S.points
-    if arr.shape[0] <= KDTREE_MIN:
+
+def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the rows of the (m, d) array arr kept when every row within
+    tol (linf) of an earlier kept row is dropped.
+
+    Above KDTREE_MIN rows the candidate pairs come from one sort: for a
+    direction u with |u|_1 = 1, |u.(a - b)| <= |a - b|_inf, so rows within
+    tol lie within tol of each other in the sorted projections.  The window
+    is widened by the rounding of the projections, and every candidate is
+    then checked in linf exactly as `cdist` would."""
+    m, d = arr.shape
+    if m <= KDTREE_MIN:
         # The near matrix is symmetric, so its entries (j, i) come in order
         # of j; those with i < j are the near pairs.
         j, i = np.nonzero(cdist(arr, arr, metric="chebyshev") <= tol)
     else:
-        i, j = S.tree.query_pairs(tol, p=np.inf, output_type="ndarray").T
-        order = np.argsort(j, kind="stable")
-        i, j = i[order], j[order]
+        # A fixed direction with no rational relations between its
+        # components, so lattices and lines do not collapse onto it.
+        u = np.random.default_rng(0).uniform(1.0, 2.0, d)
+        proj = arr @ (u / u.sum())
+        order = np.argsort(proj, kind="stable")
+        p = proj[order]
+        # Each projection is a d-term dot product of |u|_1 = 1: its error is
+        # below (d + 2) eps max|a|; the sum and the difference add two more.
+        reach = tol + 4 * (d + 2) * _EPS * (np.abs(arr).max() + tol)
+        fan = np.searchsorted(p, p + reach, side="right") - np.arange(1, m + 1)
+        # The candidates s places apart in sorted order, one s at a time,
+        # so memory stays O(m) however many rows share a window.
+        pairs = [np.empty((2, 0), dtype=np.intp)]
+        for s in range(1, fan.max() + 1):
+            k = np.flatnonzero(fan >= s)
+            ab = np.sort([order[k], order[k + s]], axis=0)
+            near = np.abs(arr[ab[0]] - arr[ab[1]]).max(axis=1) <= tol
+            pairs.append(ab[:, near])
+        i, j = np.concatenate(pairs, axis=1)
+        by_j = np.argsort(j, kind="stable")
+        i, j = i[by_j], j[by_j]
     # Keep-first over the near pairs in order of j, so kept[i] is final
     # before it decides about j.
-    kept = np.ones(arr.shape[0], dtype=bool)
+    kept = np.ones(m, dtype=bool)
     up = i < j
     for a, b in zip(i[up].tolist(), j[up].tolist()):
         if kept[a]:
@@ -241,8 +306,32 @@ def project_rows(P: np.ndarray, B: PointSet, norm: str = "l2",
 
 def hausdorff(A: PointSet, B: PointSet, norm: str = "l2") -> float:
     """Hausdorff distance: max of the two directed sup-min distances."""
-    return max(float(_nearest(A.points, B, norm).max()),
-               float(_nearest(B.points, A, norm).max()))
+    return max(_sup_dist(A, B, norm), _sup_dist(B, A, norm))
+
+
+def _sup_dist(A: PointSet, B: PointSet, norm: str) -> float:
+    """max over the rows a of A of d(a, B).  Above KDTREE_MIN rows only the
+    rows that can reach it are queried: the representatives of A's cells
+    give a lower bound L, and a row a of a cell with representative r has
+    d(a, B) <= d(r, B) + |a - r|, so only the cells whose bound reaches L
+    are queried row by row.  Every distance comes from the `_nearest` call
+    of the full query, so the result is the same float."""
+    if len(A) <= KDTREE_MIN:
+        return float(_nearest(A.points, B, norm).max())
+    rows, bounds, dev = A.cells
+    first = bounds[:-1]
+    near = _nearest(A.points[rows[first]], B, norm)
+    low = near.max()
+    # Each computed distance or norm is within (dim + 2) eps of the exact
+    # one (relatively; the absolute term covers subnormal squares), so the
+    # margin keeps the bound above the computed d(a, B) of every row.
+    margin = 1 + 8 * (A.dim + 2) * _EPS
+    bound = (near + row_norms(dev, norm)) * margin + 1e-150
+    live = np.repeat(bound >= low, np.diff(bounds))
+    live[first] = False
+    if live.any():
+        low = max(low, _nearest(A.points[rows[live]], B, norm).max())
+    return float(low)
 
 
 def row_norms(P: np.ndarray, norm: str = "l2") -> np.ndarray:
@@ -255,9 +344,10 @@ def set_norm(A: PointSet, norm: str = "l2") -> float:
     return float(row_norms(A.points, norm).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricPairList:
-    """Pairs (a, b) where one point projects onto the opposite set."""
+    """Pairs (a, b) where one point projects onto the opposite set.
+    Equality and hashing are by identity, as for `PointSet`."""
 
     pairs: tuple
 

@@ -350,7 +350,7 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
     # Keep-first dedup of the selections' signatures on the probe grid.
     sigs = np.stack([last(probe.nodes).ravel()
                      for last in chains[:len(seeds)]])
-    kept = _dedup(PointSet(sigs), DEDUP_TOL)
+    kept = _dedup(sigs, DEDUP_TOL)
     selections = [_selection(F, seed, depth, last, prev, probe, norm, sets)
                   for seed, last, prev, keep in zip(seeds, chains, prevs, kept)
                   if keep]

@@ -190,6 +190,30 @@ def test_exit_code_2_unknown_y_seeds_word(tmp_path, capsys):
     assert "y_seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, word", [
+    (["--seed-grid", "0,0"], "seed counts"),
+    (["--seed-grid", "3,most"], "--seed-grid"),
+    (["--seed-grid", "3"], "--seed-grid"),
+    (["--depth", "0"], "depth"),
+])
+def test_exit_code_2_bad_flag_values(tmp_path, capsys, flags, word):
+    """Flags are validated with the config they override."""
+    cfg = write_cfg(tmp_path, "ok.json", SMALL)
+    assert main(["convergence", "--config", cfg, *flags]) == 2
+    assert word in capsys.readouterr().err
+
+
+def test_seed_grid_flag_matches_config_keys(tmp_path, capsys):
+    """`--seed-grid X,all` is the config's `"y_seeds": "all"`."""
+    cfg = write_cfg(tmp_path, "ok.json", SMALL)
+    keys = write_cfg(tmp_path, "keys.json", {**SMALL, "x_seeds": 2,
+                                             "y_seeds": "all"})
+    assert main(["convergence", "--config", cfg, "--seed-grid", "2,all"]) == 0
+    by_flag = capsys.readouterr().out
+    assert main(["convergence", "--config", keys]) == 0
+    assert by_flag == capsys.readouterr().out
+
+
 def test_exit_code_2_hausdorff_unknown_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "h.json",
                     {"set_a": [[0.0]], "set_b": [[1.0]], "extra": 1})

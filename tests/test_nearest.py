@@ -161,9 +161,9 @@ def test_tree_is_built_once_per_set():
 
 
 def test_hausdorff_reuses_the_cached_trees():
-    """`PointSet.of` keeps the tree of its dedup when it drops no row, so
-    building two large sets and a first `hausdorff` build one tree per set,
-    and a second `hausdorff` builds none."""
+    """`PointSet.of` builds no tree, so building two large sets and a first
+    `hausdorff` build one tree per set, for the query against it, and a
+    second `hausdorff` builds none."""
     nets = [disc_net(c, 1.0, 0.02).points for c in ((0.0, 0.0), (0.5, 0.0))]
     with mock.patch.object(geometry, "cKDTree", wraps=cKDTree) as build:
         A, B = (PointSet.of(P) for P in nets)
@@ -173,6 +173,112 @@ def test_hausdorff_reuses_the_cached_trees():
     with mock.patch.object(geometry, "cKDTree",
                            side_effect=AssertionError("tree rebuilt")):
         assert hausdorff(A, B) == first
+
+
+# ---------------------------------------------------------------------------
+# Hausdorff by cell bounds: only the rows that can reach the maximum
+
+# d(a, B) for a = (2.72, 2.72) exceeds the computed bound d(r, B) + |a - r|
+# through r = (0.366, 0.366) by two ulps, and the row (0, -100), in a cell
+# of its own, sits at the float between them.  A bound without its rounding
+# margin prunes the maximum, which is at a row that is not a representative.
+_GAP = float(np.nextafter(3.8466608896548182, np.inf))
+OFF_REP = ([[0.366, 0.366], [2.72, 2.72], [0.0, -100.0]],
+           [[0.0, 0.0], [-_GAP, -100.0]])
+
+
+@st.composite
+def point_cloud(draw, dim, offset):
+    """Lattice points or points on one line, scaled and moved to `offset`;
+    up to 80 rows, so a set spans one cell or several."""
+    scale = draw(st.sampled_from([1.0, 0.1, 0.37]))
+    n = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        v = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim,
+                                   max_size=dim)), dtype=float)
+        v[0] = draw(st.integers(1, 3))
+        t = np.array(draw(st.lists(st.integers(-60, 60), min_size=n,
+                                   max_size=n)))
+        rows = t[:, None] * v
+    else:
+        rows = np.array(draw(st.lists(
+            st.lists(st.integers(-12, 12), min_size=dim, max_size=dim),
+            min_size=n, max_size=n)))
+    return rows * scale + offset
+
+
+@st.composite
+def hausdorff_case(draw):
+    dim = draw(st.integers(1, 3))
+    offset = draw(st.sampled_from([0.0, 1e4]))
+    A = draw(point_cloud(dim, offset))
+    # One case in four compares a set with itself.
+    B = A if draw(st.integers(0, 3)) == 0 else draw(point_cloud(dim, offset))
+    return A.tolist(), B.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(hausdorff_case(), st.sampled_from(NORMS), st.sampled_from(sorted(FORCE)))
+@example(OFF_REP, "l2", "tree")
+@example(([[1e4, 1e4]], [[1e4 + 0.1, 1e4 - 0.3]]), "l1", "tree")
+@example(([[0.5, 1e4]] * 40, [[0.1 * k, 1e4] for k in range(40)]),
+         "linf", "tree")
+def test_hausdorff_equals_the_brute_force_maximum(case, norm, path):
+    """Bitwise the maximum over every row of the `cdist` distances, on one
+    point, one cell, lines, identical sets and coordinates near 1e4, and
+    with the maximum at a row that is not a representative."""
+    A, B = (np.array(X, dtype=float) for X in case)
+    ref = max(oracle_min_dists(A, B, norm).max(),
+              oracle_min_dists(B, A, norm).max())
+    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+        got = hausdorff(PointSet.of(A, dedup_tol=0),
+                        PointSet.of(B, dedup_tol=0), norm)
+    assert got == ref
+
+
+def test_hausdorff_cases_reach_the_pruned_rows():
+    """The explicit examples above do what they are there for: the maximum
+    of OFF_REP is at a row that is not a representative, and 40 equal rows
+    form one cell."""
+    A, B = (np.array(X) for X in OFF_REP)
+    rows, bounds, _ = PointSet.of(A).cells
+    assert np.argmax(oracle_min_dists(A, B)) not in rows[bounds[:-1]]
+    same = PointSet.of([[0.5, 1e4]] * 40, dedup_tol=0)
+    assert same.cells[1].tolist() == [0, 40]
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_hausdorff_of_a_large_set_and_small_ones(norm):
+    """A large set's cells against sets queried by brute force: a disc net
+    and its rim with a few points off it, bitwise the `cdist` maximum."""
+    net = disc_net((0.0, 0.0), 1.0, 0.02).points
+    rng = np.random.default_rng(5)
+    rim = net[np.abs(np.linalg.norm(net, axis=1) - 1.0) < 0.01]
+    for B in (rng.uniform(-1.5, 1.5, (16, 2)), net[::700],
+              np.vstack([rim[::40], [[0.0, 0.0]]])):
+        ref = max(oracle_min_dists(net, B, norm).max(),
+                  oracle_min_dists(B, net, norm).max())
+        assert len(net) > geometry.KDTREE_MIN >= len(B)
+        assert hausdorff(PointSet.of(net), PointSet.of(B), norm) == ref
+
+
+def test_hausdorff_queries_few_rows_of_large_nets():
+    """On two 8,201-point disc nets 4 apart, each direction passes at most
+    1,000 rows to `_nearest`."""
+    A = disc_net((-2.0, 2.0), 1.0, 0.02)
+    B = disc_net((2.0, 2.0), 1.0, 0.02)
+    assert len(A) == len(B) == 8201
+    real = geometry._nearest
+
+    def counted(P, S, *args):
+        rows[id(S)] += len(P)
+        return real(P, S, *args)
+
+    for norm in NORMS:
+        rows = {id(A): 0, id(B): 0}
+        with mock.patch.object(geometry, "_nearest", counted):
+            assert hausdorff(A, B, norm) == 4.0
+        assert 0 < min(rows.values()) and max(rows.values()) <= 1000, norm
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +329,7 @@ def test_dedup_independent_of_set_size():
     assert len(PointSet.of([0.0, near_zero])) == 1
     big = PointSet.of(list(range(5000)) + [near_zero])
     assert len(big) == 5000
-    assert big.tree.n == 5000        # not the dedup's tree of 5,001 rows
+    assert big.tree.n == 5000
     assert np.array_equal(big.points[:, 0], np.arange(5000.0))
 
 
@@ -240,3 +346,52 @@ def test_dedup_tree_path_matches_loop(cells):
     for path in sorted(FORCE):
         with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
             assert np.array_equal(PointSet.of(arr, dedup_tol=tol).points, ref)
+
+
+@st.composite
+def near_duplicates(draw):
+    """Clusters planted around lattice points: copies moved by 0, +-tol/2
+    or +-tol on each axis (all signs equal included, where the projection
+    gap is exactly tol), at coordinates near 0, 1e4 or 1e8."""
+    dim = draw(st.integers(1, 3))
+    tol = draw(st.sampled_from([2.0 ** -10, 2.0 ** -20]))
+    offset = draw(st.sampled_from([0.0, 1e4, 1e8]))
+    step = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        centre = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim,
+                                        max_size=dim))) * 4 * tol + offset
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        rows.append(centre)
+        rows.append(centre + sign * tol)
+        for _ in range(draw(st.integers(0, 4))):
+            rows.append(centre + tol * np.array(
+                draw(st.lists(step, min_size=dim, max_size=dim))))
+    order = draw(st.permutations(range(len(rows))))
+    return np.array(rows)[list(order)], tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_duplicates())
+@example((np.array([[9999.953125, 9999.96875],
+                   [9999.953125 + 2.0 ** -10, 9999.96875 + 2.0 ** -10]]),
+          2.0 ** -10))
+def test_dedup_projection_path_matches_oracle(inst):
+    """The sorted-projection windows of large sets find every pair within
+    tol, exactly at tol included, at any coordinate size."""
+    arr, tol = inst
+    with mock.patch.object(geometry, "KDTREE_MIN", 0):
+        got = PointSet.of(arr, dedup_tol=tol).points
+    assert np.array_equal(got, oracle_dedup(arr, tol))
+
+
+def test_dedup_of_large_nets_builds_no_tree():
+    """Above KDTREE_MIN rows the dedup sorts projections: an 8,201-point net
+    keeps every row without building a tree, and a planted near copy of
+    each row is dropped."""
+    net = disc_net((0.3, -0.2), 1.0, 0.02).points
+    near = net + geometry.DEDUP_TOL / 2
+    with mock.patch.object(geometry, "cKDTree",
+                           side_effect=AssertionError("tree built")):
+        assert np.array_equal(PointSet.of(net).points, net)
+        assert np.array_equal(PointSet.of(np.vstack([net, near])).points, net)

@@ -355,14 +355,18 @@ def test_metric_chain_rejects_length_mismatch():
 
 
 def test_equality_is_identity():
-    """Twins with equal arrays compare unequal without raising, hash, and
-    work with `in`; their contents compare with `np.array_equal`."""
+    """Twins with equal arrays (planar metric pairs included) compare
+    unequal without raising, hash, and work with `in`; their contents
+    compare with `np.array_equal`."""
     F = lines_fixture()
     chi = Partition.dyadic(F.a, F.b, 3, (0.5,))
     pairs = [(chi, Partition.of(chi.nodes)),
              (F(0.0), PointSet.of(F(0.0).points))]
     pairs += [tuple(greedy_chain(F, chi, (0.5, 0.0)) for _ in range(2)),
               tuple(approximate_selection(F, (0.5, 0.0), 3) for _ in range(2))]
+    A = PointSet.of([[0.0, 0.0], [1.0, 0.0]])
+    B = PointSet.of([[0.0, 1.0], [2.0, 1.0]])
+    pairs.append(tuple(geometry.metric_pairs(A, B) for _ in range(2)))
     for x, twin in pairs:
         assert x == x and x != twin
         assert hash(x) == hash(x)
