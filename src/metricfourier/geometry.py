@@ -5,9 +5,15 @@ segments) enter as epsilon-nets built by the fixture layer; every assertion
 about such sets carries a tolerance of the order of the net parameter.
 
 Every nearest-point query (`min_dists`, `hausdorff`, `dist_point_set`,
-`project`, `project_rows` and the metric pairs of `_pair_indices`) is one
-call of `_nearest`: the distance from each query row to a `PointSet` and,
-on request, every witness within a tie tolerance of it.  `_nearest` is the
+`project`) is one call of `_nearest`: the distance from each query row to a
+`PointSet` and, on request, every witness within a tie tolerance of it.
+Projections (`project_groups`, and `project_rows`, its one-set case) and
+the metric pairs of `_pair_indices` go through the grouped query
+`_nearest_groups`, whose rows each have their own set.  Its groups (the
+rows of one set) of at most GROUP_MAX distance entries are computed
+together in one padded numpy kernel, which removes the cost of a call per
+small set and sums coordinates in order, as `cdist` does, so it gives the
+same floats; a larger group is one `_nearest` call.  `_nearest` is the
 one place that chooses the path: a set of more than KDTREE_MIN points goes
 through a `scipy.spatial.cKDTree` in the l1, l2 or linf norm, which
 `PointSet.tree` builds on first use with sliding-midpoint splits and keeps
@@ -46,6 +52,15 @@ CHAIN_LIMIT = 10 ** 6
 # at 2,048, 30 us at 3,072, 54 us at 8,201.  Such sets also dedup by sorted
 # projections and enter `hausdorff` through their cells.
 KDTREE_MIN = 2048
+# A group (the rows queried against one set) of at most this many distance
+# entries is computed with all such groups in one padded numpy kernel, a
+# larger one by `_nearest`.  Measured cost per group, many groups a call (2
+# shared cores, numpy 2.4, d = 1 and 2, fastest of 15 runs): the kernel
+# 2-7 us at 64 entries, 7-13 us at 256 and 14-25 us at 512; `_nearest`
+# 10-17 us at 64, 18-19 us at 256 and 12-25 us at 512.  They meet near 512.
+GROUP_MAX = 512
+# Entries (rows x width) of the kernel's padded matrix per call.
+_KERNEL_BLOCK = 1 << 18
 # `hausdorff` groups a set's rows by a grid of about this many rows a cell.
 _CELL_ROWS = 16
 # Block size (matrix entries) for chunked brute-force distance computations.
@@ -135,13 +150,6 @@ class PointSet:
     def lex_order(self) -> np.ndarray:
         """Indices of the points in lexicographic order, kept with the set."""
         return np.lexsort(self.points.T[::-1])
-
-    @cached_property
-    def lex_rank(self) -> np.ndarray:
-        """Position of each point in `lex_order`."""
-        rank = np.empty(len(self), dtype=np.intp)
-        rank[self.lex_order] = np.arange(len(self))
-        return rank
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,15 +301,110 @@ def project(p, B: PointSet, norm: str = "l2", tie_tol: float = TIE_TOL) -> Point
 def project_rows(P: np.ndarray, B: PointSet, norm: str = "l2",
                  tie_tol: float = TIE_TOL) -> tuple[np.ndarray, np.ndarray]:
     """`dist_point_set` for every row of the (m, d) array P in one query:
-    the distances to B and, per row, the lexicographically smallest of the
-    tied witnesses (the points of B within tie_tol of the distance)."""
-    dist, rows, cols = _nearest(P, B, norm, tie_tol)
+    the distances to B and, per row, the index in B of the
+    lexicographically smallest of the tied witnesses (the points of B
+    within tie_tol of the distance).  The one-set case of
+    `project_groups`."""
+    return project_groups(P, np.zeros(len(P), dtype=np.intp), [B], norm,
+                          tie_tol)
+
+
+def project_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str = "l2",
+                   tie_tol: float = TIE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """`project_rows` for rows that each have their own set: the distance
+    from row i of the (m, d) array P to sets[owner[i]], and the index there
+    of its lexicographically smallest tied witness."""
+    dist, rows, cols, wit = _nearest_groups(P, owner, sets, norm, tie_tol)
     if cols.size > len(P):
-        # Some row is tied.  Every row has a witness and the pairs are
-        # sorted, so each row's witnesses form one run of them.
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
-        cols = B.lex_order[np.minimum.reduceat(B.lex_rank[cols], first)]
-    return dist, B.points[cols]
+        # Some row is tied: order each row's witnesses by their coordinates,
+        # equal points by index, as `PointSet.lex_order` does, and take the
+        # first.
+        order = np.lexsort((cols, *wit.T[::-1], rows))
+        rows, cols = rows[order], cols[order]
+        cols = cols[np.flatnonzero(np.diff(rows, prepend=-1))]
+    return dist, cols
+
+
+def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str,
+                    tie_tol: float):
+    """`_nearest` with witnesses for rows that each have their own set: row
+    i of the (m, d) array P against sets[owner[i]].  Returns the distances,
+    the witness pairs (rows[k], cols[k]) sorted by row and then by col, with
+    cols indexing the row's own set, and the witnesses' coordinates.
+
+    A group, the rows of one set, is small when its distance matrix has at
+    most GROUP_MAX entries.  All small groups are computed together by
+    `_padded_nearest`, one call for the sets of each power-of-two width;
+    larger groups take `_nearest`, which picks the tree or `cdist`."""
+    m, d = P.shape
+    if not m:
+        none = np.empty(0, dtype=np.intp)
+        return np.empty(0), none, none, np.empty((0, d))
+    groups, inv = np.unique(owner, return_inverse=True)
+    size = np.array([len(sets[g]) for g in groups])
+    for g in groups:
+        if sets[g].dim != d:
+            raise DimensionMismatch(f"dimension {d} vs {sets[g].dim}")
+    small = np.bincount(inv, minlength=groups.size) * size <= GROUP_MAX
+    dist = np.empty(m)
+    parts = []
+    if small.any():
+        pts = np.concatenate([sets[g].points for g in groups[small]])
+        start = np.zeros(groups.size, dtype=np.intp)
+        start[small] = np.cumsum(size[small]) - size[small]
+        width = 1 << np.ceil(np.log2(size)).astype(int)
+        mine = np.flatnonzero(small[inv])
+        for w in np.unique(width[small]):
+            rows = mine[width[inv[mine]] == w]
+            step = max(1, _KERNEL_BLOCK // int(w))
+            for k in range(0, rows.size, step):
+                r = rows[k:k + step]
+                dist[r], i, j, wit = _padded_nearest(
+                    P[r], pts, start[inv[r]], size[inv[r]], norm, tie_tol)
+                parts.append((r[i], j, wit))
+    for g in np.flatnonzero(~small):
+        r = np.flatnonzero(inv == g)
+        B = sets[groups[g]]
+        dist[r], i, j = _nearest(P[r], B, norm, tie_tol)
+        parts.append((r[i], j, B.points[j]))
+    rows, cols, wit = (np.concatenate(x) for x in zip(*parts))
+    if len(parts) > 1:
+        # Each row's witnesses come from one part, in col order.
+        order = np.argsort(rows, kind="stable")
+        rows, cols, wit = rows[order], cols[order], wit[order]
+    return dist, rows, cols, wit
+
+
+def _padded_nearest(P: np.ndarray, pts: np.ndarray, start: np.ndarray,
+                    size: np.ndarray, norm: str, tie_tol: float):
+    """The distance from each row i of P to the set pts[start[i]:start[i] +
+    size[i]], and its witnesses as in `_nearest`, with their coordinates.
+
+    One numpy kernel over a padded (m, w) index matrix.  Each set is padded
+    with copies of its last point, which a mask leaves out of the
+    witnesses (they cannot lower the minimum).  The coordinates are summed
+    one at a time, in order, as `cdist` sums them, so the distances equal
+    its bit for bit (numpy's `sum` would add 8 or more terms pairwise)."""
+    if norm not in _NORM_ORD:
+        raise KeyError(norm)
+    slot = np.arange(int(size.max()))
+    idx = start[:, None] + np.minimum(slot, size[:, None] - 1)
+    D = None
+    for c in range(P.shape[1]):
+        t = P[:, c, None] - pts[idx, c]
+        t = t * t if norm == "l2" else np.abs(t)
+        if D is None:
+            D = t
+        elif norm == "linf":
+            np.maximum(D, t, out=D)
+        else:
+            D += t
+    if norm == "l2":
+        D = np.sqrt(D)
+    dist = D.min(axis=1)
+    rows, cols = np.nonzero((D <= dist[:, None] + tie_tol)
+                            & (slot < size[:, None]))
+    return dist, rows, cols, pts[idx[rows, cols]]
 
 
 def hausdorff(A: PointSet, B: PointSet, norm: str = "l2") -> float:
@@ -358,7 +461,7 @@ class MetricPairList:
 def metric_pairs(A: PointSet, B: PointSet, norm: str = "l2",
                  tie_tol: float = TIE_TOL) -> MetricPairList:
     """All metric pairs of (A, B); symmetric duplicates counted once."""
-    i, j = _pair_indices(A, B, norm, tie_tol)
+    (i, j), = _pair_indices([A, B], norm, tie_tol)
     return MetricPairList(tuple(zip(A.points[i], B.points[j])))
 
 
@@ -373,15 +476,36 @@ def is_metric_pair(a, b, A: PointSet, B: PointSet, norm: str = "l2",
     return gap <= da + tie_tol or gap <= db + tie_tol
 
 
-def _pair_indices(A: PointSet, B: PointSet, norm: str,
-                  tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The metric pairs (a_i, b_j) of (A, B) as index arrays (i, j), sorted:
-    b_j is a near-nearest point of a_i in B, or a_i one of b_j in A.  The
-    union of the witnesses of the two directions, with no |A| x |B| matrix."""
-    _, i, j = _nearest(A.points, B, norm, tie_tol)
-    _, j2, i2 = _nearest(B.points, A, norm, tie_tol)
-    return np.divmod(np.unique(np.concatenate([i * len(B) + j,
-                                               i2 * len(B) + j2])), len(B))
+def _pair_indices(sets: list[PointSet], norm: str,
+                  tie_tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The metric pairs (a_i, b_j) of each two consecutive sets (A, B) of
+    the list, as index arrays (i, j), sorted: b_j is a near-nearest point
+    of a_i in B, or a_i one of b_j in A.  The union of the witnesses of the
+    two directions, with no |A| x |B| matrix, from one `_nearest_groups`
+    query of every set's points against its neighbours."""
+    n = len(sets)
+    size = np.array([len(S) for S in sets])
+    # Rows: the points of each set but the last against the next set, then
+    # those of each set but the first against the one before.
+    P = np.concatenate([S.points for S in sets[:-1]]
+                       + [S.points for S in sets[1:]])
+    link = np.concatenate([np.repeat(np.arange(n - 1), size[:-1]),
+                           np.repeat(np.arange(n - 1), size[1:])])
+    blocks = np.concatenate([size[:-1], size[1:]])
+    local = np.arange(len(P)) - np.repeat(np.cumsum(blocks) - blocks, blocks)
+    fwd = np.arange(len(P)) < size[:-1].sum()
+    _, rows, cols, _ = _nearest_groups(P, link + fwd, sets, norm, tie_tol)
+    k = link[rows]
+    i = np.where(fwd[rows], local[rows], cols)
+    j = np.where(fwd[rows], cols, local[rows])
+    # One sorted key per pair: link k's keys start at base[k].
+    span = size[1:]
+    base = np.concatenate([[0], np.cumsum(size[:-1] * span)[:-1]])
+    key = np.unique(base[k] + i * span[k] + j)
+    k = np.searchsorted(base, key, side="right") - 1
+    i, j = np.divmod(key - base[k], span[k])
+    cut = np.searchsorted(k, np.arange(n)).tolist()
+    return [(i[a:b], j[a:b]) for a, b in zip(cut[:-1], cut[1:])]
 
 
 def enumerate_metric_chains(sets: list[PointSet], norm: str = "l2",
@@ -391,7 +515,7 @@ def enumerate_metric_chains(sets: list[PointSet], norm: str = "l2",
     (chains, n+1, d) array in lexicographic order of the point indices."""
     if len(sets) < 2:
         raise ValueError("need at least two sets")
-    links = [_pair_indices(A, B, norm, tie_tol) for A, B in zip(sets, sets[1:])]
+    links = _pair_indices(sets, norm, tie_tol)
     # Count before materializing to catch explosions cheaply.
     counts = np.ones(len(sets[-1]))
     for A, (i, j) in zip(reversed(sets[:-1]), reversed(links)):

@@ -5,6 +5,9 @@ A metric chain is callable as its piecewise-constant extension.  A metric
 selection is approximated by one such chain, built greedily by projection
 on a fine dyadic partition; `cauchy_defect` records how much the chain
 moved in the last refinement step (convergence diagnostic, not a proof).
+`_greedy_chains` builds the chains of a whole family together: a chain is
+a sequence of point indices, and a greedy step an index map between the
+sets of two nodes, computed once for all chains that take it.
 """
 from __future__ import annotations
 
@@ -12,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DEDUP_TOL, TIE_TOL, PointSet, _dedup, as_point,
-                       enumerate_metric_chains, hausdorff, project_rows,
-                       row_norms)
+from .geometry import (DEDUP_TOL, GROUP_MAX, TIE_TOL, PointSet, _dedup,
+                       as_point, enumerate_metric_chains, hausdorff,
+                       project_groups, row_norms)
 
 # Seed values must lie in F(x_hat) within this tolerance.
 SEED_TOL = 1e-7
+# `_greedy_chains` steps its chains in chunks of waves of at most this many
+# (wave, half-chain) entries, which bounds its step matrices.
+_WAVE_ENTRIES = 1 << 13
 
 
 class GreedySeedError(ValueError):
@@ -154,84 +160,178 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
 
     Every chain keeps its own partition, so each equals the chain built
     alone.  F is evaluated once per node of the union of the partitions.
-    The union nodes are swept rightward, then leftward; at each node every
-    chain that steps onto it moves in one batched `project_rows` query of
-    the chains' current values, the seed steps joining the rightward sweep.
 
-    F's image is often one set on long runs of nodes.  Consecutive union
-    nodes share a label when their sets are the same object or have equal
-    points, and a step between two nodes of one label is a run row.  A run
-    row copies its root, the nearest row toward the seed that is not a run
-    row, provided the root's value b is a fixed point of the set's
-    projection.  That can fail in a cluster of points spaced below tie_tol,
-    so after projecting a node that holds roots, one more query projects
-    the roots again: the run rows of a root that moves step node by node.
-    Nodes where only run rows land get no query.
+    After its seed step, a chain's value at a node is a point of F there,
+    so a chain is a sequence of point indices and a greedy step is a fixed
+    index map from F(t_i) to F(t_j): each point goes to the
+    lexicographically smallest of its nearest points, as `project_rows`
+    picks it.  Consecutive union nodes share a label when their sets are
+    the same object or have bitwise equal points, and a map is keyed by
+    its pair of labels, so a run of one set reuses one map (which may move
+    a point within a cluster spaced below tie_tol: the chain drifts one
+    step a node, as when built alone).  Maps between sets of at most
+    sqrt(GROUP_MAX) points are filled for every point, all by one
+    `project_groups` call.  A map touching a larger set is filled only at
+    the indices chains reach, by one call per wave that reaches new ones,
+    into a sorted cache; no map of a large set is stored densely.
+
+    The seed values are projected by one `project_groups` call.  Then every
+    chain steps outward from its seed node, rightward and leftward, one
+    wave of steps at a time, each wave a few integer gathers; a wave that
+    repeats the large maps of the wave before, which fixed every index, is
+    skipped.  The distinct steps come from the partitions, which jobs
+    share, not from the rows.
     """
     if sets is None:
         sets = {}
+    # Jobs share partitions (by identity): labels and steps are per partition.
+    chis = list({id(chi): chi for chi, _ in jobs}.values())
+    which = {id(chi): k for k, chi in enumerate(chis)}
+    part = np.array([which[id(chi)] for chi, _ in jobs])
     seeds = np.array([as_point(seed[1]) for _, seed in jobs])
-    sizes = [len(chi) for chi, _ in jobs]
-    offsets = np.cumsum([0] + sizes)
-    total = int(offsets[-1])
-    starts = []
-    for (chi, seed), o in zip(jobs, offsets):
-        i0 = int(np.argmin(np.abs(chi.nodes - float(seed[0]))))
-        if abs(chi.nodes[i0] - float(seed[0])) > 1e-9:
+    sizes = np.array([len(chi) for chi, _ in jobs])
+    offsets = np.cumsum(sizes) - sizes
+    i0 = np.empty(len(jobs), dtype=np.intp)
+    for k, (chi, seed) in enumerate(jobs):
+        i0[k] = np.argmin(np.abs(chi.nodes - float(seed[0])))
+        if abs(chi.nodes[i0[k]] - float(seed[0])) > 1e-9:
             raise ValueError("seed abscissa must be a partition node")
-        starts.append(o + i0)
-    union = np.unique(np.concatenate([chi.nodes for chi, _ in jobs]))
+    union = np.unique(np.concatenate([chi.nodes for chi in chis]))
     for x in union:
         if x not in sets:
             sets[x] = F(x)
     images = [sets[x] for x in union]
-    label = np.cumsum([0] + [A is not B and not np.array_equal(A.points, B.points)
-                             for A, B in zip(images, images[1:])])
-    # All chains in one array: row r holds a chain's value at union node
-    # at[r] and moves from row src[r], its neighbour toward the seed; the
-    # seed rows move from the seed values, stored after row `total`.
-    at = np.concatenate([np.searchsorted(union, chi.nodes) for chi, _ in jobs])
-    vals = np.vstack([np.empty((total, seeds.shape[1])), seeds])
-    rows = np.arange(total)
-    start = np.repeat(starts, sizes)
-    ahead = rows >= start
-    src = rows - np.sign(rows - start)
-    run = np.zeros(total + len(jobs), dtype=bool)
-    run[:total] = label[at] == label[at[src]]
-    run[starts] = False
-    src[starts] = total + np.arange(len(jobs))
-    # A job's rows are contiguous around its seed row, which is no run row,
-    # so a running max (rightward) or min (leftward) finds the roots; the
-    # seed values are their own roots.
-    root = np.concatenate([
-        np.where(ahead, np.maximum.accumulate(np.where(run[:total], 0, rows)),
-                 np.minimum.accumulate(np.where(run[:total], total,
-                                                rows)[::-1])[::-1]),
-        src[starts]])
-    has_run = np.zeros(total, dtype=bool)
-    has_run[root[:total][run[:total]]] = True
-    for dst, step in ((rows[ahead], 1), (rows[~ahead], -1)):
-        dst = dst[np.argsort(step * at[dst], kind="stable")]
-        for group in np.split(dst, np.flatnonzero(np.diff(at[dst])) + 1):
-            group = group[~run[group]]
-            if not group.size:
-                continue
-            B = images[at[group[0]]]
-            frm = src[group]
-            dist, vals[group] = project_rows(
-                vals[np.where(run[frm], root[frm], frm)], B, norm, tie_tol)
-            off = dist[frm >= total]
-            if off.size and off.max() > SEED_TOL:
-                raise GreedySeedError(
-                    f"seed value is {off.max():.3g} away from F(x_hat)")
-            roots = group[has_run[group]]
-            if roots.size:
-                moved = (project_rows(vals[roots], B, norm, tie_tol)[1]
-                         != vals[roots]).any(axis=1)
-                if moved.any():
-                    run[:total] &= ~np.isin(root[:total], roots[moved])
-    copies = np.flatnonzero(run[:total])
-    vals[copies] = vals[root[copies]]
+    changed = [A is not B and (len(A) != len(B)
+                               or A.points.tobytes() != B.points.tobytes())
+               for A, B in zip(images, images[1:])]
+    label = np.cumsum([0] + changed)
+    limg = [images[i] for i in np.flatnonzero(np.diff(label, prepend=-1))]
+    lsize = np.array([len(S) for S in limg])
+    small = lsize ** 2 <= GROUP_MAX
+    labs = [label[np.searchsorted(union, chi.nodes)] for chi in chis]
+    # The steps of each partition into nodes 1..n-1 (rightward), then into
+    # nodes 0..n-2 (leftward), as label pairs; a map per distinct pair.
+    keys = np.concatenate([np.concatenate([a[:-1] * len(limg) + a[1:],
+                                           a[1:] * len(limg) + a[:-1]])
+                           for a in labs])
+    pairs, pid = np.unique(keys, return_inverse=True)
+    src_lab, dst_lab = np.divmod(pairs, len(limg))
+    rofs = np.cumsum([0] + [2 * (len(a) - 1) for a in labs])[:-1]
+    lofs = rofs + np.array([len(a) - 1 for a in labs])
+    # The maps between small sets, from one query of their points, then a
+    # sink of zeros, where every other map reads.
+    dense = small[src_lab] & small[dst_lab]
+    pts = np.concatenate([limg[i].points for i in np.flatnonzero(small)]
+                         or [np.empty((0, seeds.shape[1]))])
+    loff = np.cumsum(np.where(small, lsize, 0)) - np.where(small, lsize, 0)
+    width = np.where(dense, lsize[src_lab], 0)
+    moff = np.cumsum(width) - width
+    rows = np.repeat(loff[src_lab] - moff, width) + np.arange(width.sum())
+    top = int(lsize.max())
+    maps = np.concatenate([project_groups(pts[rows], np.repeat(dst_lab, width),
+                                          limg, norm, tie_tol)[1],
+                           np.zeros(top, dtype=np.intp)])
+    moff = np.where(dense, moff, width.sum())
+    # A map touching a large set: a sorted cache of its entries (pair p,
+    # index k) at key p * top + k, ended by a key above them all.
+    # `step_large` takes the keys of a step.
+    cache = [np.array([len(pairs) * top]), np.array([-1])]
+
+    def step_large(keys):
+        ks, vs = cache
+        at = np.searchsorted(ks, keys)
+        miss = ks[at] != keys
+        if miss.any():
+            new = np.unique(keys[miss])
+            p, k = np.divmod(new, top)
+            cut = np.flatnonzero(np.diff(p)) + 1
+            P = np.concatenate([limg[src_lab[q[0]]].points[i] for q, i
+                                in zip(np.split(p, cut), np.split(k, cut))])
+            got = project_groups(P, dst_lab[p], limg, norm, tie_tol)[1]
+            where = np.searchsorted(ks, new)
+            cache[:] = np.insert(ks, where, new), np.insert(vs, where, got)
+            ks, vs = cache
+            at = np.searchsorted(ks, keys)
+        return vs[at]
+
+    # The seed step.
+    seed_lab = np.array([labs[p][i] for p, i in zip(part, i0)])
+    dist, idx0 = project_groups(seeds, seed_lab, limg, norm, tie_tol)
+    if dist.max() > SEED_TOL:
+        raise GreedySeedError(
+            f"seed value is {dist.max():.3g} away from F(x_hat)")
+    idx = np.empty(int(sizes.sum()), dtype=np.intp)
+    idx[offsets + i0] = idx0
+    # Every chain grows from its seed row as two halves, rightward and
+    # leftward, one step per wave, the longest halves first, so the halves
+    # still growing at a wave are a prefix.  A wave on large maps only
+    # reads the cache for that prefix.  Other waves gather every half: an
+    # ended half reads the sink, and so does a large map's entry before
+    # the cache replaces it.
+    head = np.concatenate([offsets + i0] * 2)
+    sign = np.repeat([1, -1], len(jobs))
+    base = np.concatenate([rofs[part] + i0 - 1, lofs[part] + i0])
+    length = np.concatenate([sizes - 1 - i0, i0])
+    order = np.argsort(-length, kind="stable")
+    head, sign, base, length = (a[order] for a in (head, sign, base, length))
+    cur = np.concatenate([idx0, idx0])[order]
+    span = max(1, _WAVE_ENTRIES // len(head))
+    lazy = not dense.all()
+    for w0 in range(1, length[0] + 1, span):
+        w = np.arange(w0, min(w0 + span, length[0] + 1))[:, None]
+        live = w <= length
+        p = pid[np.where(live, base + sign * w, 0)]
+        off = np.where(live, moff[p], width.sum())
+        steps = np.empty(p.shape, dtype=np.intp)
+        if not lazy:
+            for t in range(len(w)):
+                cur = steps[t] = maps[off[t] + cur]
+        else:
+            large = ~dense[p] & live
+            pk = p * top
+            # A wave on the maps of the wave before, which fixed every
+            # index, fixes them again (a run of one large set).
+            again = np.zeros(len(w), dtype=bool)
+            again[1:] = (pk[1:] == pk[:-1]).all(axis=1)
+            fixed = False
+            for t, (c, k) in enumerate(zip(live.sum(axis=1).tolist(),
+                                           large.sum(axis=1).tolist())):
+                if k == c:
+                    if not (fixed and again[t]):
+                        nxt = step_large(pk[t, :c] + cur[:c])
+                        fixed = (nxt == cur[:c]).all()
+                        cur[:c] = nxt
+                    steps[t] = cur
+                    continue
+                fixed = False
+                nxt = maps[off[t] + cur]
+                if k:
+                    big = large[t]
+                    nxt[big] = step_large(pk[t][big] + cur[big])
+                cur = steps[t] = nxt
+        idx[(head + sign * w)[live]] = steps[live]
+    # Values: small sets' from their joined points.  A large set's nodes
+    # form one run in each partition, the same for every job on it, so its
+    # rows are gathered run by run.
+    lab = np.concatenate([labs[p] for p in part])
+    on = small[lab]
+    vals = np.empty((len(idx), seeds.shape[1]))
+    vals[on] = pts[loff[lab[on]] + idx[on]]
+    if not on.all():
+        a = np.concatenate(labs)
+        first = np.cumsum([0] + [len(x) for x in labs])
+        edge = np.diff(a, prepend=-1) != 0
+        edge[first[:-1]] = True
+        edge = np.append(np.flatnonzero(edge), a.size)
+        big = ~small[a[edge[:-1]]]
+        lo, hi = edge[:-1][big], edge[1:][big]
+        j = np.searchsorted(first, lo, side="right") - 1
+        by = np.argsort(part, kind="stable")
+        heads = np.split(offsets[by][:, None],
+                         np.cumsum(np.bincount(part, minlength=len(chis)))[:-1])
+        for l, h, j in zip(lo.tolist(), hi.tolist(), j.tolist()):
+            b = heads[j] + np.arange(l - first[j], h - first[j])
+            vals[b] = limg[a[l]].points[idx[b]]
     return [MetricChain(chi, vals[o:o + n])
             for (chi, _), o, n in zip(jobs, offsets, sizes)]
 
@@ -377,11 +477,20 @@ def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
 # `_rhos` measures the samples, so every analyzer takes one distance path.
 
 def _values(g, xs):
-    """g at each x: a list of PointSets, or an (m, d) array of points."""
+    """g at each x: a list of PointSets, or an (m, d) array of points
+    (scalars become 1-d points).  Non-finite or ragged samples raise
+    ValueError."""
     vals = [g(x) for x in xs]
     if isinstance(vals[0], PointSet):
         return vals
-    return np.array([as_point(v) for v in vals])
+    arr = np.array(vals, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ValueError("samples must be scalars or points of one dimension")
+    if not np.isfinite(arr).all():
+        raise ValueError("sample has non-finite coordinates")
+    return arr
 
 
 def _rhos(vals, refs, norm: str) -> np.ndarray:

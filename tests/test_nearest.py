@@ -65,12 +65,13 @@ def test_dist_point_set_matches_oracle(inst, norm, path):
 @given(dims.flatmap(tied_instance), st.sampled_from(NORMS),
        st.sampled_from(sorted(FORCE)))
 def test_project_rows_matches_oracle(inst, norm, path):
-    """Each row's distance and its lexicographically smallest witness."""
+    """Each row's distance and the index of its lexicographically smallest
+    witness."""
     q, Q = inst
     P = np.vstack([q, Q[:3], q[::-1] if q.size > 1 else -q])
     with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
         dist, picks = project_rows(P, PointSet.of(Q, dedup_tol=0), norm)
-    for p, d, pick in zip(P, dist, picks):
+    for p, d, pick in zip(P, dist, Q[picks]):
         ref_d, ref_idx = oracle_dist_point_set(p, Q, norm)
         w = Q[ref_idx]
         assert abs(d - ref_d) <= ATOL
@@ -173,6 +174,118 @@ def test_hausdorff_reuses_the_cached_trees():
     with mock.patch.object(geometry, "cKDTree",
                            side_effect=AssertionError("tree rebuilt")):
         assert hausdorff(A, B) == first
+
+
+# ---------------------------------------------------------------------------
+# The grouped query: small groups in one padded kernel, bitwise as `cdist`
+
+TIE = geometry.TIE_TOL
+
+
+@st.composite
+def grouped_instance(draw):
+    """Rows, each paired with one of 1-4 sets of 1-12 grid points (one-point
+    sets included) in d = 1-3, at scales from 1e-3 to 1e4.  One set holds
+    points at distances 1 and 1 + TIE_TOL (1 + s) from a row, s within a
+    few ulps of 0, so that row's tie is decided at the tolerance's edge."""
+    dim = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 0.37, 1e-3, 1e4]))
+    cell = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)
+    sets = [np.array(draw(st.lists(cell, min_size=1, max_size=draw(
+        st.integers(1, 12)))), dtype=float) * scale
+        for _ in range(draw(st.integers(1, 4)))]
+    rows = [np.array(draw(cell), dtype=float) * scale
+            for _ in range(draw(st.integers(1, 12)))]
+    owner = [draw(st.integers(0, len(sets) - 1)) for _ in rows]
+    q = rows[0]
+    s = draw(st.sampled_from([-1e-6, 0.0, 1e-6, 1e-3]))
+    e = np.eye(dim)[draw(st.integers(0, dim - 1))]
+    sets[owner[0]] = np.vstack([sets[owner[0]], q + e,
+                                q - (1.0 + TIE * (1.0 + s)) * e])
+    return np.array(rows), np.array(owner), sets
+
+
+# A 3-point and a 4-point set share the kernel's width, so the first is
+# padded, and the first row's witness is its last point.
+PADDED = (np.array([[2.25], [0.0]]), np.array([0, 1]),
+          [np.array([[0.0], [1.0], [2.0]]),
+           np.array([[0.0], [1.0], [2.0], [3.0]])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_instance(), st.sampled_from(NORMS),
+       st.sampled_from([0, 8, 10 ** 9]))
+@example(PADDED, "l2", 10 ** 9)
+def test_grouped_query_matches_queries_per_group(inst, norm, group_max):
+    """`_nearest_groups` and `project_groups`, with groups sent to the
+    padded kernel or to `_nearest` by the patched GROUP_MAX, against
+    `_nearest` and `project_rows` on each group alone through `cdist`:
+    the same distances, witnesses and picks, bit for bit."""
+    P, owner, sets = inst
+    psets = [PointSet.of(S, dedup_tol=0) for S in sets]
+    with mock.patch.object(geometry, "GROUP_MAX", group_max):
+        dist, rows, cols, wit = geometry._nearest_groups(P, owner, psets,
+                                                         norm, TIE)
+        pdist, picks = geometry.project_groups(P, owner, psets, norm)
+    assert np.array_equal(dist, pdist)
+    assert np.array_equal(wit, np.concatenate(
+        [psets[owner[r]].points[c][None] for r, c in zip(rows, cols)]))
+    assert np.all(np.diff(rows * 100 + cols) > 0)
+    with mock.patch.object(geometry, "GROUP_MAX", 0), \
+            mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
+        for g, B in enumerate(psets):
+            mine = np.flatnonzero(owner == g)
+            if not mine.size:
+                continue
+            d, i, j = geometry._nearest(P[mine], B, norm, TIE)
+            assert np.array_equal(dist[mine], d)
+            got = np.isin(rows, mine)
+            assert np.array_equal(rows[got], mine[i])
+            assert np.array_equal(cols[got], j)
+            d, k = project_rows(P[mine], B, norm)
+            assert np.array_equal(pdist[mine], d)
+            assert np.array_equal(picks[mine], k)
+    for p, g, d, k in zip(P, owner, pdist, picks):
+        ref_d, ref_idx = oracle_dist_point_set(p, sets[g], norm)
+        w = sets[g][ref_idx]
+        assert d == ref_d
+        assert np.array_equal(sets[g][k], w[np.lexsort(w.T[::-1])[0]])
+
+
+def test_grouped_query_ties_at_the_tolerance():
+    """The planted pairs decide both ways: a point at 1 + TIE_TOL (1 - 1e-3)
+    is a witness and one at 1 + TIE_TOL (1 + 1e-3) is not, on both paths,
+    and the lexicographic pick prefers the smaller point."""
+    P = np.array([[0.0], [0.0]])
+    sets = [PointSet.of([[1.0], [-1.0 - TIE * (1 - 1e-3)]], dedup_tol=0),
+            PointSet.of([[1.0], [-1.0 - TIE * (1 + 1e-3)]], dedup_tol=0)]
+    for group_max in (0, 10 ** 9):
+        with mock.patch.object(geometry, "GROUP_MAX", group_max):
+            _, rows, cols, _ = geometry._nearest_groups(
+                P, np.array([0, 1]), sets, "l2", TIE)
+            _, picks = geometry.project_groups(P, np.array([0, 1]), sets)
+        assert rows.tolist() == [0, 0, 1] and cols.tolist() == [0, 1, 0]
+        assert picks.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 20])
+def test_kernel_distances_equal_cdist_bitwise(dim):
+    """Random rows and sets over fifteen decades: the kernel adds the
+    coordinates in order, so its distances equal `cdist`'s bit for bit at
+    every width, also from 8 coordinates on, where numpy's `sum` would add
+    them pairwise."""
+    rng = np.random.default_rng(dim)
+    for scale in 10.0 ** np.arange(-9, 6):
+        P = rng.normal(size=(20, dim)) * scale
+        sets = [PointSet.of(rng.normal(size=(5, dim)) * scale, dedup_tol=0)
+                for _ in range(4)]
+        owner = np.arange(20) % 4
+        for norm in NORMS:
+            dist = geometry._nearest_groups(P, owner, sets, norm, TIE)[0]
+            for g, B in enumerate(sets):
+                assert np.array_equal(dist[owner == g],
+                                      oracle_min_dists(P[owner == g],
+                                                       B.points, norm))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +409,45 @@ def test_pairs_and_chains_match_oracle(insts, path):
     psets = [PointSet.of(S, dedup_tol=0) for S in sets]
     with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
         for A, B, S, T in zip(psets, psets[1:], sets, sets[1:]):
-            i, j = geometry._pair_indices(A, B, "l2", geometry.TIE_TOL)
+            (i, j), = geometry._pair_indices([A, B], "l2", geometry.TIE_TOL)
             assert list(zip(i.tolist(), j.tolist())) == sorted(_pairs(S, T))
         chains = enumerate_metric_chains(psets)
     ref = _all_chains(sets, limit=10 ** 6)
     expect = np.stack([np.stack([S[i] for S, i in zip(sets, ch)])
                        for ch in sorted(ref)])
     assert np.array_equal(chains, expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims.flatmap(lambda d: st.lists(tied_instance(d), min_size=2,
+                                       max_size=4)),
+       st.sampled_from(NORMS), st.sampled_from([0, 8, 10 ** 9]))
+def test_batched_links_match_links_alone(insts, norm, group_max):
+    """The links of a list of sets, from one grouped query (its groups sent
+    to the padded kernel or to `_nearest` by the patched GROUP_MAX), equal
+    `_pair_indices` of each two consecutive sets alone on the `cdist`
+    path; in l2 they are the oracle's pairs, and the chains are the
+    oracle's chains in its order."""
+    sets = [np.vstack([Q, q]) for (_, Q), (q, _) in zip(insts, insts[1:])]
+    sets.append(insts[-1][1])
+    psets = [PointSet.of(S, dedup_tol=0) for S in sets]
+    with mock.patch.object(geometry, "GROUP_MAX", group_max):
+        links = geometry._pair_indices(psets, norm, geometry.TIE_TOL)
+        chains = enumerate_metric_chains(psets, norm)
+    with mock.patch.object(geometry, "GROUP_MAX", 0), \
+            mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
+        alone = [geometry._pair_indices([A, B], norm, geometry.TIE_TOL)[0]
+                 for A, B in zip(psets, psets[1:])]
+    assert len(links) == len(alone) == len(sets) - 1
+    for (i, j), (i2, j2) in zip(links, alone):
+        assert np.array_equal(i, i2) and np.array_equal(j, j2)
+    if norm == "l2":
+        for (i, j), S, T in zip(links, sets, sets[1:]):
+            assert list(zip(i.tolist(), j.tolist())) == sorted(_pairs(S, T))
+        ref = _all_chains(sets, limit=10 ** 5)
+        expect = np.stack([np.stack([S[i] for S, i in zip(sets, ch)])
+                           for ch in sorted(ref)])
+        assert np.array_equal(chains, expect)
 
 
 def test_chains_of_large_nets_stay_small():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from metricfourier.fixtures import (balls_fixture, constant_set_fixture,
                                     lines_fixture, singleton_fixture,
                                     step_svf, two_branch_sine)
-from metricfourier.geometry import PointSet
+from metricfourier.geometry import PointSet, as_point
 from metricfourier import geometry, svf
 from metricfourier.oracle import (oracle_dyadic_nodes, oracle_greedy_chain,
                                   oracle_selection_family)
@@ -409,6 +409,25 @@ def test_approximate_selection_builds_two_depths():
                                   for x in probe)
 
 
+def test_analyzer_samples_are_one_array():
+    """Scalars and vectors become one (m, d) array with the values of
+    `as_point`; non-finite and ragged samples raise ValueError."""
+    xs = [0.0, 0.25, 0.5]
+    got = svf._values(lambda t: 3.0 * t, xs)
+    assert got.shape == (3, 1) and got[:, 0].tolist() == [0.0, 0.75, 1.5]
+    vec = svf._values(lambda t: (t, -t), xs)
+    assert np.array_equal(vec, np.array([as_point((t, -t)) for t in xs]))
+    for g in (lambda t: math.inf if t else 0.0,
+              lambda t: [t, math.nan],
+              lambda t: [t] * (1 + (t > 0.25)),
+              lambda t: [[t]],
+              lambda t: []):
+        with pytest.raises(ValueError):
+            svf._values(g, xs)
+        with pytest.raises(ValueError):
+            local_moduli(g, 0.25, 0.1, 0.0, 1.0)
+
+
 def test_one_sided_moduli_match_local_moduli():
     cases = [(lambda t: t ** 3, 0.5, 0.25, -1.0, 1.0),
              (lambda t: 0.0 if t < 0.5 else 1.0 + t, 0.5, 0.7, 0.0, 1.0),
@@ -535,14 +554,19 @@ H = 2.0 ** -31
 DRIFT = constant_set_fixture([0.0, H, 2 * H, 3 * H, 5.0], -1.0, 1.0)
 
 
+def seeded_jobs(F):
+    jobs = []
+    for depth in (1, 3, 4):
+        for x_hat in (F.a, 0.5, F.b, 0.5):      # 0.5 twice: duplicates
+            chi = Partition.dyadic(F.a, F.b, depth, (x_hat, 0.5))
+            jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
+    return jobs
+
+
 @pytest.mark.parametrize("kdtree_min", [0, 10 ** 9])
 def test_batched_chains_match_chains_built_alone(kdtree_min):
     for F in (lines_fixture(), DRIFT):
-        jobs = []
-        for depth in (1, 3, 4):
-            for x_hat in (F.a, 0.5, F.b, 0.5):      # 0.5 twice: duplicates
-                chi = Partition.dyadic(F.a, F.b, depth, (x_hat, 0.5))
-                jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
+        jobs = seeded_jobs(F)
         with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
             chains = svf._greedy_chains(F, jobs, "l2")
             for (chi, seed), ch in zip(jobs, chains):
@@ -555,17 +579,94 @@ def test_batched_chains_match_chains_built_alone(kdtree_min):
     assert drifted == [[H, 0.0, 0.0]] * 3
 
 
+# A longer cluster: a chain on 6h drifts to 4h, 2h, then 0.
+DRIFT7 = constant_set_fixture([k * H for k in range(7)] + [5.0], -1.0, 1.0)
+
+
+def test_lazy_maps_match_chains_built_alone():
+    """The same jobs with every map filled lazily (GROUP_MAX 0), on the
+    tree and on `cdist`: a run of one set is skipped while its map fixes
+    every index, and the drift through a tie cluster, where it does not,
+    steps node by node."""
+    for kdtree_min in (0, 10 ** 9):
+        for F in (lines_fixture(), DRIFT, DRIFT7):
+            jobs = seeded_jobs(F)
+            with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min), \
+                    mock.patch.object(geometry, "GROUP_MAX", 0), \
+                    mock.patch.object(svf, "GROUP_MAX", 0):
+                chains = svf._greedy_chains(F, jobs, "l2")
+                for (chi, seed), ch in zip(jobs, chains):
+                    ref = oracle_greedy_chain(F, chi, seed, "l2")
+                    assert np.array_equal(ch.values, ref.values)
+    drifted = [ch.values[:4, 0].tolist() for (_, (x_hat, y)), ch
+               in zip(jobs, chains) if x_hat == F.a and y[0] == 6 * H]
+    assert drifted == [[4 * H, 2 * H, 0.0, 0.0]] * 3
+
+
+@st.composite
+def moving_svf(draw):
+    """F on [0, 1] with an image of 1-5 points that differs at every node
+    and changes cardinality: a first point moves at a nonzero velocity, and
+    rows of a half-integer grid, some at rest (planted ties), join and
+    leave as t crosses multiples of 1/period."""
+    dim = draw(st.integers(1, 2))
+    coord = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    base = 0.5 * np.array(draw(st.lists(coord, min_size=5, max_size=5)),
+                          dtype=float)
+    vel = 0.25 * np.array(draw(st.lists(coord, min_size=5, max_size=5)),
+                          dtype=float)
+    vel[0, 0] = draw(st.sampled_from([-0.75, 0.5, 1.0]))
+    period = draw(st.sampled_from([3, 5, 8]))
+    counts = draw(st.lists(st.integers(1, 5), min_size=period,
+                           max_size=period))
+
+    def fn(t):
+        m = counts[min(int(t * period), period - 1)]
+        return PointSet.of(base[:m] + t * vel[:m], dedup_tol=0)
+
+    return SetValuedFunction(0.0, 1.0, fn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moving_svf(), st.sampled_from(["l1", "l2", "linf"]),
+       st.sampled_from([0, 10 ** 9]), st.sampled_from([0, 10 ** 9]),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)),
+                min_size=1, max_size=4))
+def test_index_maps_match_the_reference_chains(F, norm, kdtree_min,
+                                               group_max, specs):
+    """Every chain of one `_greedy_chains` call equals `oracle_greedy_chain`
+    bitwise, with all maps filled up front (GROUP_MAX large) or all filled
+    lazily through `_nearest` (GROUP_MAX 0), on the tree or `cdist`."""
+    jobs = []
+    for depth, k in specs:
+        chi = Partition.dyadic(0.0, 1.0, depth)
+        x_hat = chi.nodes[min(k, len(chi) - 1)]
+        jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
+    with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min), \
+            mock.patch.object(geometry, "GROUP_MAX", group_max), \
+            mock.patch.object(svf, "GROUP_MAX", group_max):
+        chains = svf._greedy_chains(F, jobs, norm)
+        for (chi, seed), ch in zip(jobs, chains):
+            ref = oracle_greedy_chain(F, chi, seed, norm)
+            assert np.array_equal(ch.values, ref.values)
+
+
 def test_chain_queries_stay_flat_with_depth():
-    """Only nodes where F's image changes, and the seed nodes, are queried:
-    a balls family makes as many `project_rows` calls at depth 9 as at 6."""
-    F = balls_fixture(eps=0.1)
-    counts = []
-    for depth in (6, 9):
-        with mock.patch.object(svf, "project_rows",
-                               wraps=svf.project_rows) as spy:
-            selection_family(F, 7, 4, depth)
-        counts.append(spy.call_count)
-    assert counts[0] == counts[1]
+    """The maps between small sets come from one query and those touching a
+    large set from one query per wave that reaches new indices, so a balls
+    family (large nets, one set per piece) and a two-branch-sine family
+    (small sets, a new set at every node) make as many geometry distance
+    calls at depth 9 as at 6."""
+    for F in (balls_fixture(eps=0.1), two_branch_sine()):
+        counts = []
+        for depth in (6, 9):
+            with mock.patch.object(geometry, "_nearest",
+                                   wraps=geometry._nearest) as near, \
+                    mock.patch.object(geometry, "_padded_nearest",
+                                      wraps=geometry._padded_nearest) as pad:
+                selection_family(F, 7, 4, depth)
+            counts.append((near.call_count, pad.call_count))
+        assert counts[0] == counts[1]
 
 
 def test_batched_chains_keep_seed_errors():
