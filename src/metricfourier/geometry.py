@@ -13,14 +13,15 @@ the metric pairs of `_pair_indices` go through the grouped query
 rows of one set) of at most GROUP_MAX distance entries are computed
 together in one padded numpy kernel, which removes the cost of a call per
 small set and sums coordinates in order, as `cdist` does, so it gives the
-same floats; a larger group is one `_nearest` call.  `_nearest` is the
-one place that chooses the path: a set of more than KDTREE_MIN points goes
-through a `scipy.spatial.cKDTree` in the l1, l2 or linf norm, which
-`PointSet.tree` builds on first use with sliding-midpoint splits and keeps
-with the frozen set, so a net that is queried many times builds one tree.
-Smaller sets take brute-force `cdist` blocks of at most _BLOCK entries,
-which is faster there.  Both paths give the same distances and the same
-witnesses, in index order.
+same floats; a larger group is one `_nearest` call.  `small_sets` tells
+which sets pair within that size, for callers that fill whole maps
+between sets.  `_nearest` is the one place that chooses the path: a set
+of more than KDTREE_MIN points goes through a `scipy.spatial.cKDTree` in
+the l1, l2 or linf norm, which `PointSet.tree` builds on first use with
+sliding-midpoint splits and keeps with the frozen set, so a net that is
+queried many times builds one tree.  Smaller sets take brute-force
+`cdist` blocks of at most _BLOCK entries, which is faster there.  Both
+paths give the same distances and the same witnesses, in index order.
 
 Sets of more than KDTREE_MIN points also take two shortcuts that leave the
 answer unchanged.  `hausdorff` queries only the rows of such a set that can
@@ -58,6 +59,8 @@ KDTREE_MIN = 2048
 # shared cores, numpy 2.4, d = 1 and 2, fastest of 15 runs): the kernel
 # 2-7 us at 64 entries, 7-13 us at 256 and 14-25 us at 512; `_nearest`
 # 10-17 us at 64, 18-19 us at 256 and 12-25 us at 512.  They meet near 512.
+# `small_sets` reads it too: sets of at most sqrt(GROUP_MAX) points are
+# small, their distance matrices at most one kernel group's size.
 GROUP_MAX = 512
 # Entries (rows x width) of the kernel's padded matrix per call.
 _KERNEL_BLOCK = 1 << 18
@@ -323,6 +326,13 @@ def project_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str = "l2",
         rows, cols = rows[order], cols[order]
         cols = cols[np.flatnonzero(np.diff(rows, prepend=-1))]
     return dist, cols
+
+
+def small_sets(sizes) -> np.ndarray:
+    """Whether each of these set sizes is small: the distance matrix
+    between two small sets has at most GROUP_MAX entries, a kernel group's
+    size, so a map between them is cheap to fill for every point."""
+    return np.asarray(sizes) ** 2 <= GROUP_MAX
 
 
 def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str,

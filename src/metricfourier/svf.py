@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DEDUP_TOL, GROUP_MAX, TIE_TOL, PointSet, _dedup,
-                       as_point, enumerate_metric_chains, hausdorff,
-                       project_groups, row_norms)
+from .geometry import (DEDUP_TOL, TIE_TOL, PointSet, _dedup, as_point,
+                       enumerate_metric_chains, hausdorff, project_groups,
+                       row_norms, small_sets)
 
 # Seed values must lie in F(x_hat) within this tolerance.
 SEED_TOL = 1e-7
@@ -169,9 +169,9 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     the same object or have bitwise equal points, and a map is keyed by
     its pair of labels, so a run of one set reuses one map (which may move
     a point within a cluster spaced below tie_tol: the chain drifts one
-    step a node, as when built alone).  Maps between sets of at most
-    sqrt(GROUP_MAX) points are filled for every point, all by one
-    `project_groups` call.  A map touching a larger set is filled only at
+    step a node, as when built alone).  Maps between sets that
+    `geometry.small_sets` calls small are filled for every point, all by
+    one `project_groups` call.  A map touching a larger set is filled only at
     the indices chains reach, by one call per wave that reaches new ones,
     into a sorted cache; no map of a large set is stored densely.
 
@@ -207,7 +207,7 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     label = np.cumsum([0] + changed)
     limg = [images[i] for i in np.flatnonzero(np.diff(label, prepend=-1))]
     lsize = np.array([len(S) for S in limg])
-    small = lsize ** 2 <= GROUP_MAX
+    small = small_sets(lsize)
     labs = [label[np.searchsorted(union, chi.nodes)] for chi in chis]
     # The steps of each partition into nodes 1..n-1 (rightward), then into
     # nodes 0..n-2 (leftward), as label pairs; a map per distinct pair.
@@ -276,39 +276,32 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     head, sign, base, length = (a[order] for a in (head, sign, base, length))
     cur = np.concatenate([idx0, idx0])[order]
     span = max(1, _WAVE_ENTRIES // len(head))
-    lazy = not dense.all()
     for w0 in range(1, length[0] + 1, span):
         w = np.arange(w0, min(w0 + span, length[0] + 1))[:, None]
         live = w <= length
         p = pid[np.where(live, base + sign * w, 0)]
         off = np.where(live, moff[p], width.sum())
         steps = np.empty(p.shape, dtype=np.intp)
-        if not lazy:
-            for t in range(len(w)):
-                cur = steps[t] = maps[off[t] + cur]
-        else:
-            large = ~dense[p] & live
-            pk = p * top
-            # A wave on the maps of the wave before, which fixed every
-            # index, fixes them again (a run of one large set).
-            again = np.zeros(len(w), dtype=bool)
-            again[1:] = (pk[1:] == pk[:-1]).all(axis=1)
+        large = ~dense[p] & live
+        pk = p * top
+        fixed = False
+        for t, (c, k) in enumerate(zip(live.sum(axis=1).tolist(),
+                                       large.sum(axis=1).tolist())):
+            if k == c:
+                # A wave on the maps of the wave before, which fixed every
+                # index, fixes them again (a run of one large set).
+                if not (fixed and (pk[t, :c] == pk[t - 1, :c]).all()):
+                    nxt = step_large(pk[t, :c] + cur[:c])
+                    fixed = (nxt == cur[:c]).all()
+                    cur[:c] = nxt
+                steps[t] = cur
+                continue
             fixed = False
-            for t, (c, k) in enumerate(zip(live.sum(axis=1).tolist(),
-                                           large.sum(axis=1).tolist())):
-                if k == c:
-                    if not (fixed and again[t]):
-                        nxt = step_large(pk[t, :c] + cur[:c])
-                        fixed = (nxt == cur[:c]).all()
-                        cur[:c] = nxt
-                    steps[t] = cur
-                    continue
-                fixed = False
-                nxt = maps[off[t] + cur]
-                if k:
-                    big = large[t]
-                    nxt[big] = step_large(pk[t][big] + cur[big])
-                cur = steps[t] = nxt
+            nxt = maps[off[t] + cur]
+            if k:
+                big = large[t]
+                nxt[big] = step_large(pk[t][big] + cur[big])
+            cur = steps[t] = nxt
         idx[(head + sign * w)[live]] = steps[live]
     # Values: small sets' from their joined points.  A large set's nodes
     # form one run in each partition, the same for every job on it, so its
@@ -478,12 +471,15 @@ def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
 
 def _values(g, xs):
     """g at each x: a list of PointSets, or an (m, d) array of points
-    (scalars become 1-d points).  Non-finite or ragged samples raise
-    ValueError."""
+    (scalars become 1-d points, also among 1-d vectors).  Non-finite or
+    ragged samples raise ValueError."""
     vals = [g(x) for x in xs]
     if isinstance(vals[0], PointSet):
         return vals
-    arr = np.array(vals, dtype=float)
+    try:
+        arr = np.array(vals, dtype=float)
+    except ValueError:      # mixed scalars and vectors, or ragged vectors
+        arr = np.array([as_point(v) for v in vals])
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] == 0:

@@ -417,6 +417,8 @@ def test_analyzer_samples_are_one_array():
     assert got.shape == (3, 1) and got[:, 0].tolist() == [0.0, 0.75, 1.5]
     vec = svf._values(lambda t: (t, -t), xs)
     assert np.array_equal(vec, np.array([as_point((t, -t)) for t in xs]))
+    mixed = svf._values(lambda t: np.array([t]) if t else 0.0, xs)
+    assert np.array_equal(mixed, np.array([[0.0], [0.25], [0.5]]))
     for g in (lambda t: math.inf if t else 0.0,
               lambda t: [t, math.nan],
               lambda t: [t] * (1 + (t > 0.25)),
@@ -554,19 +556,14 @@ H = 2.0 ** -31
 DRIFT = constant_set_fixture([0.0, H, 2 * H, 3 * H, 5.0], -1.0, 1.0)
 
 
-def seeded_jobs(F):
-    jobs = []
-    for depth in (1, 3, 4):
-        for x_hat in (F.a, 0.5, F.b, 0.5):      # 0.5 twice: duplicates
-            chi = Partition.dyadic(F.a, F.b, depth, (x_hat, 0.5))
-            jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
-    return jobs
-
-
 @pytest.mark.parametrize("kdtree_min", [0, 10 ** 9])
 def test_batched_chains_match_chains_built_alone(kdtree_min):
     for F in (lines_fixture(), DRIFT):
-        jobs = seeded_jobs(F)
+        jobs = []
+        for depth in (1, 3, 4):
+            for x_hat in (F.a, 0.5, F.b, 0.5):      # 0.5 twice: duplicates
+                chi = Partition.dyadic(F.a, F.b, depth, (x_hat, 0.5))
+                jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
         with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
             chains = svf._greedy_chains(F, jobs, "l2")
             for (chi, seed), ch in zip(jobs, chains):
@@ -583,6 +580,17 @@ def test_batched_chains_match_chains_built_alone(kdtree_min):
 DRIFT7 = constant_set_fixture([k * H for k in range(7)] + [5.0], -1.0, 1.0)
 
 
+def seeded_jobs(F):
+    """Chains from every point of F at both ends and at 0.5 (twice), on
+    dyadic partitions of depths 1, 3 and 4."""
+    jobs = []
+    for depth in (1, 3, 4):
+        for x_hat in (F.a, 0.5, F.b, 0.5):
+            chi = Partition.dyadic(F.a, F.b, depth, (x_hat, 0.5))
+            jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
+    return jobs
+
+
 def test_lazy_maps_match_chains_built_alone():
     """The same jobs with every map filled lazily (GROUP_MAX 0), on the
     tree and on `cdist`: a run of one set is skipped while its map fixes
@@ -592,8 +600,7 @@ def test_lazy_maps_match_chains_built_alone():
         for F in (lines_fixture(), DRIFT, DRIFT7):
             jobs = seeded_jobs(F)
             with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min), \
-                    mock.patch.object(geometry, "GROUP_MAX", 0), \
-                    mock.patch.object(svf, "GROUP_MAX", 0):
+                    mock.patch.object(geometry, "GROUP_MAX", 0):
                 chains = svf._greedy_chains(F, jobs, "l2")
                 for (chi, seed), ch in zip(jobs, chains):
                     ref = oracle_greedy_chain(F, chi, seed, "l2")
@@ -643,8 +650,7 @@ def test_index_maps_match_the_reference_chains(F, norm, kdtree_min,
         x_hat = chi.nodes[min(k, len(chi) - 1)]
         jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
     with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min), \
-            mock.patch.object(geometry, "GROUP_MAX", group_max), \
-            mock.patch.object(svf, "GROUP_MAX", group_max):
+            mock.patch.object(geometry, "GROUP_MAX", group_max):
         chains = svf._greedy_chains(F, jobs, norm)
         for (chi, seed), ch in zip(jobs, chains):
             ref = oracle_greedy_chain(F, chi, seed, norm)
