@@ -11,15 +11,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixtures as fx
-from .fourier import (delta_grid, family_coefficients, fit_K, limit_set_AF,
-                      metric_fourier, min_djordan_bound, quasi_moduli,
-                      svf_bound_rhs, svf_jump_omega, trig_eval)
+from .fourier import (PERIOD_TOL, delta_grid, family_coefficients, fit_K,
+                      limit_set_AF, metric_fourier, min_djordan_bound,
+                      quasi_moduli, svf_bound_rhs, svf_jump_omega, trig_eval)
 from .geometry import PointSet, dist_point_set, hausdorff, is_metric_pair, metric_average
 from .metric_integral import (WeightFunction, aumann_integral_convex,
                               inclusion_check, weighted_metric_integral)
 from .svf import Partition, approximate_selection, selection_family
 
 PI = math.pi
+# `selection_depth` stays within [DEPTH_MIN, DEPTH_MAX].
+DEPTH_MIN = 6
+DEPTH_MAX = 12
 
 
 class ConfigError(ValueError):
@@ -72,17 +75,14 @@ class ExperimentConfig:
             val = getattr(cfg, key)
             if val is not None and not isinstance(val, kind):
                 raise ConfigError(f"{key} must be a {kind.__name__}")
-        if not _is_number(cfg.eps):
-            raise ConfigError("eps must be a number")
+        if not _is_number(cfg.eps) or not cfg.eps > 0:
+            raise ConfigError("eps must be a positive number")
         parse_weight(cfg.weight)
         return cfg
 
     def build_svf(self):
         if self.svf is not None:
-            try:
-                return fx.parse_svf(self.svf)
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ConfigError(f"malformed svf description: {exc!r}") from exc
+            return fx.parse_svf(self.svf)
         if self.fixture is None:
             raise ConfigError("config needs 'fixture' or 'svf'")
         if self.fixture == "balls":
@@ -105,10 +105,11 @@ class ExperimentConfig:
         return list(np.linspace(F.a + margin, F.b - margin, count))
 
 
-def selection_depth(n: int, base: int = 4, lo: int = 6, hi: int = 12) -> int:
+def selection_depth(n: int, base: int = 4) -> int:
     """Refinement depth paired with kernel order n: the piecewise-constant
     resolution must outpace the kernel so discretization decays with n."""
-    return min(hi, max(lo, base + math.ceil(math.log2(max(n, 2)))))
+    return min(DEPTH_MAX,
+               max(DEPTH_MIN, base + math.ceil(math.log2(max(n, 2)))))
 
 
 def _fmt(v) -> str:
@@ -177,6 +178,8 @@ def parse_weight(spec: dict | None) -> WeightFunction:
 
 def run_convergence(cfg: ExperimentConfig) -> list[tuple]:
     F = cfg.build_svf()
+    if max(abs(F.a + PI), abs(F.b - PI)) > PERIOD_TOL:
+        raise ConfigError("convergence needs the domain [-pi, pi]")
     xs = cfg.grid(F)
     jumps = set(float(j) for j in F.jump_points)
     orders = sorted(int(n) for n in cfg.orders)
@@ -373,8 +376,13 @@ def main(argv=None) -> int:
                 raise ConfigError("hausdorff config needs set_a and set_b")
             if data.get("norm", "l2") not in ("l1", "l2", "linf"):
                 raise ConfigError("norm must be one of l1, l2, linf")
-            A = PointSet.of(data["set_a"])
-            B = PointSet.of(data["set_b"])
+            try:
+                A, B = PointSet.of(data["set_a"]), PointSet.of(data["set_b"])
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"set_a and set_b must be nonempty lists of "
+                                  f"finite points: {exc}") from exc
+            if A.dim != B.dim:
+                raise ConfigError("set_a and set_b differ in dimension")
             sys.stdout.write(_fmt(hausdorff(A, B, data.get("norm", "l2"))) + "\n")
             return 0
         cfg = _load_config(args)

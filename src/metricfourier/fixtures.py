@@ -4,6 +4,7 @@ parser used by the CLI."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,10 +267,20 @@ class DescriptionError(ValueError):
     """Malformed inline SVF description."""
 
 
-def _check_keys(d: dict, allowed: set, where: str) -> None:
+def _check_keys(d, allowed: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise DescriptionError(f"{where} must be an object")
     extra = set(d) - allowed
     if extra:
         raise DescriptionError(f"unknown keys {sorted(extra)} in {where}")
+
+
+def _number(v, where: str) -> float:
+    """v as a float, if it is a finite real number (not a bool)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not abs(v) <= sys.float_info.max:
+        raise DescriptionError(f"{where} must be a finite number")
+    return float(v)
 
 
 def _piece_evaluator(piece: dict, where: str):
@@ -278,17 +289,36 @@ def _piece_evaluator(piece: dict, where: str):
         raise DescriptionError(f"{where} needs exactly one of points/curve/disc")
     kind = kinds[0]
     if kind == "points":
-        S = PointSet.of(piece["points"])
+        try:
+            S = PointSet.of(piece["points"])
+        except (ValueError, TypeError) as exc:
+            raise DescriptionError(f"{where}.points: {exc}") from exc
         return lambda t: S
     if kind == "disc":
         d = piece["disc"]
         _check_keys(d, {"center", "radius", "eps"}, where + ".disc")
-        S = disc_net(d["center"], float(d["radius"]), float(d["eps"]))
+        center = d.get("center")
+        if not isinstance(center, list) or len(center) != 2:
+            raise DescriptionError(f"{where}.disc.center must be [x, y]")
+        r, e = (_number(d.get(k), f"{where}.disc.{k}")
+                for k in ("radius", "eps"))
+        if r <= 0 or e <= 0:
+            raise DescriptionError(f"{where}.disc needs radius, eps > 0")
+        S = disc_net([_number(c, where + ".disc.center") for c in center], r, e)
         return lambda t: S
-    branches = []
-    for expr in piece["curve"]:
-        coords = expr if isinstance(expr, list) else [expr]
-        branches.append([compile(str(e), where, "eval") for e in coords])
+    curve = piece["curve"]
+    if not isinstance(curve, list) or not curve:
+        raise DescriptionError(f"{where}.curve must be a nonempty list")
+    branches = [expr if isinstance(expr, list) else [expr] for expr in curve]
+    if len({len(br) for br in branches}) != 1 or not branches[0] or not all(
+            isinstance(e, (str, int, float)) for br in branches for e in br):
+        raise DescriptionError(f"{where}.curve branches must be expressions, "
+                               "all of one dimension")
+    try:
+        branches = [[compile(str(e), where, "eval") for e in br]
+                    for br in branches]
+    except (SyntaxError, ValueError) as exc:
+        raise DescriptionError(f"{where}.curve: {exc}") from exc
 
     def fn(t):
         pts = [[eval(code, {"__builtins__": {}}, dict(_EVAL_NS, t=t))
@@ -303,16 +333,17 @@ def parse_svf(desc: dict) -> SetValuedFunction:
 
     Pieces cover [a, b) left-to-right via their 'end' breakpoints; each piece
     and each 'at' override holds a finite point list, a parametric curve
-    (expressions in t), or a disc epsilon-net spec."""
+    (expressions in t), or a disc epsilon-net spec.  Every defect visible
+    before a curve is evaluated raises DescriptionError."""
     _check_keys(desc, {"domain", "pieces", "at"}, "description")
-    try:
-        a, b = float(desc["domain"][0]), float(desc["domain"][1])
-    except (KeyError, IndexError, TypeError) as exc:
-        raise DescriptionError("domain must be [a, b]") from exc
+    domain = desc.get("domain")
+    if not isinstance(domain, list) or len(domain) != 2:
+        raise DescriptionError("domain must be [a, b]")
+    a, b = (_number(v, "domain") for v in domain)
     if not a < b:
         raise DescriptionError("domain must satisfy a < b")
     pieces = desc.get("pieces")
-    if not pieces:
+    if not isinstance(pieces, list) or not pieces:
         raise DescriptionError("at least one piece required")
     ends = []
     evals = []
@@ -322,21 +353,28 @@ def parse_svf(desc: dict) -> SetValuedFunction:
         last = i == len(pieces) - 1
         if last:
             end = b
-            if "end" in piece and abs(float(piece["end"]) - b) > 1e-12:
+            if "end" in piece and abs(_number(piece["end"], where + ".end")
+                                      - b) > 1e-12:
                 raise DescriptionError("last piece must end at b")
         else:
             if "end" not in piece:
                 raise DescriptionError(f"{where} missing 'end'")
-            end = float(piece["end"])
+            end = _number(piece["end"], where + ".end")
             if not a < end < b or (ends and end <= ends[-1]):
                 raise DescriptionError(f"{where} 'end' out of order")
         ends.append(end)
         evals.append(_piece_evaluator(piece, where))
+    at = desc.get("at", [])
+    if not isinstance(at, list):
+        raise DescriptionError("at must be a list")
     overrides = {}
-    for i, entry in enumerate(desc.get("at", [])):
+    for i, entry in enumerate(at):
         where = f"at[{i}]"
         _check_keys(entry, {"x", "points", "curve", "disc"}, where)
-        overrides[float(entry["x"])] = _piece_evaluator(entry, where)
+        x = _number(entry.get("x"), where + ".x")
+        if not a <= x <= b:
+            raise DescriptionError(f"{where}.x outside the domain")
+        overrides[x] = _piece_evaluator(entry, where)
     jump_list = tuple(sorted(set(ends[:-1]) | set(overrides)))
 
     def fn(t):

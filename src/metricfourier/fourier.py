@@ -20,7 +20,10 @@ from .geometry import PointSet, as_point
 from .svf import (MetricChain, MetricSelection, SelectionFamily,
                   SetValuedFunction, one_sided_moduli, total_variation)
 
+# Absolute and relative accuracy of every adaptive quadrature.
 QTOL = 1e-10
+# Chains, and so coefficients, need a domain within this of [-pi, pi].
+PERIOD_TOL = 1e-9
 # Kernel-integral constant in the refined Dirichlet-Jordan bound.
 C_KERNEL = 2.0
 # Threshold below which sin(x/2) is treated as a removable singularity.
@@ -74,10 +77,14 @@ def modified_dirichlet_antiderivative(n: int, x):
             - np.sin(n * np.asarray(x, dtype=float)) / (2.0 * n))
 
 
-def fourier_coefficients(f, n: int, breakpoints=(), qtol: float = QTOL):
+def fourier_coefficients(f, n: int, breakpoints=()):
     """(a_0..a_n, b_0..b_n) of f on [-pi, pi]: one adaptive `quad_vec` per
     smooth panel integrates [cos(kt) f(t), sin(kt) f(t)] for every k at once.
-    A scalar f gives (n+1,) arrays, a point-valued f (n+1, d) arrays."""
+    A scalar f gives (n+1,) arrays, a point-valued f (n+1, d) arrays.
+
+    A panel that misses QTOL warns, but a kink of f not declared in
+    `breakpoints` can miss it silently (by up to 1.3e-6 over 2,000 random
+    kinked f, mostly in a_0): declare every kink and jump."""
     cuts = sorted({-math.pi, math.pi} | {float(t) for t in breakpoints
                                          if -math.pi < t < math.pi})
     ks = np.arange(n + 1)
@@ -88,7 +95,7 @@ def fourier_coefficients(f, n: int, breakpoints=(), qtol: float = QTOL):
 
     total = 0.0
     for u, v in zip(cuts, cuts[1:]):
-        val, _, info = quad_vec(integrand, u, v, epsabs=qtol, epsrel=qtol,
+        val, _, info = quad_vec(integrand, u, v, epsabs=QTOL, epsrel=QTOL,
                                 norm="max", full_output=True)
         if not info.success:
             warnings.warn(f"{info.message} on [{u}, {v}]", IntegrationWarning)
@@ -123,7 +130,7 @@ def chain_coefficients(c: MetricChain, n: int):
     on [t_i, t_{i+1}): a_k = (1/pi k) sum_i y_i (sin k t_{i+1} - sin k t_i),
     b_k the same with -cos."""
     t = c.nodes
-    if abs(t[0] + math.pi) > 1e-9 or abs(t[-1] - math.pi) > 1e-9:
+    if max(abs(t[0] + math.pi), abs(t[-1] - math.pi)) > PERIOD_TOL:
         raise ValueError("chain must be defined on [-pi, pi]")
     # The value at the last node only holds on a measure-zero set.
     y = c.values[:-1]

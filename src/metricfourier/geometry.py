@@ -6,7 +6,7 @@ about such sets carries a tolerance of the order of the net parameter.
 
 Every nearest-point query (`min_dists`, `hausdorff`, `dist_point_set`,
 `project`) is one call of `_nearest`: the distance from each query row to a
-`PointSet` and, on request, every witness within a tie tolerance of it.
+`PointSet` and, on request, every witness within TIE_TOL of it.
 Projections (`project_groups`, and `project_rows`, its one-set case) and
 the metric pairs of `_pair_indices` go through the grouped query
 `_nearest_groups`, whose rows each have their own set.  Its groups (the
@@ -44,7 +44,7 @@ from scipy.spatial.distance import cdist
 TIE_TOL = 1e-9
 # Two points closer than DEDUP_TOL are considered the same point.
 DEDUP_TOL = 1e-12
-# Exact chain enumeration refuses beyond this many chains.
+# Chain enumeration and Minkowski products refuse beyond this many chains.
 CHAIN_LIMIT = 10 ** 6
 # Sets of more points than this are queried through a KD-tree, smaller ones
 # by brute force.  Measured cost of one `dist_point_set` call (2 shared
@@ -235,11 +235,10 @@ def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
     return kept
 
 
-def _nearest(P: np.ndarray, B: PointSet, norm: str,
-             tie_tol: float | None = None):
-    """Distance from each row of the (m, d) array P to B.  Given a tie_tol,
+def _nearest(P: np.ndarray, B: PointSet, norm: str, witnesses: bool = False):
+    """Distance from each row of the (m, d) array P to B.  With witnesses,
     also the witnesses as index pairs (rows[k], cols[k]), sorted: every b_j
-    within tie_tol of row i's distance gives one pair (i, j).
+    within TIE_TOL of row i's distance gives one pair (i, j).
 
     The one choice of path: B's cached KD-tree when B has more than
     KDTREE_MIN points, brute-force `cdist` blocks of at most _BLOCK entries
@@ -249,15 +248,15 @@ def _nearest(P: np.ndarray, B: PointSet, norm: str,
     m, n = P.shape[0], len(B)
     if n > KDTREE_MIN:
         order = _NORM_ORD[norm]
-        if tie_tol is None:
+        if not witnesses:
             return B.tree.query(P, p=order)[0]
         # The two nearest points settle the usual untied row in one query.
         d, i = B.tree.query(P, k=2, p=order)
         dist, cols = d[:, 0], i[:, 0]
         counts = np.ones(m, dtype=np.intp)
-        tied = d[:, 1] <= dist + tie_tol
+        tied = d[:, 1] <= dist + TIE_TOL
         if tied.any():
-            balls = B.tree.query_ball_point(P[tied], dist[tied] + tie_tol,
+            balls = B.tree.query_ball_point(P[tied], dist[tied] + TIE_TOL,
                                             p=order, return_sorted=True)
             counts[tied] = [len(ball) for ball in balls]
             cols = np.repeat(cols, counts)
@@ -267,8 +266,8 @@ def _nearest(P: np.ndarray, B: PointSet, norm: str,
     if m > step:
         # Blocks of rows, each of at most _BLOCK entries (or one row).
         ks = range(0, m, step)
-        parts = [_nearest(P[k:k + step], B, norm, tie_tol) for k in ks]
-        if tie_tol is None:
+        parts = [_nearest(P[k:k + step], B, norm, witnesses) for k in ks]
+        if not witnesses:
             return np.concatenate(parts)
         dist, rows, cols = zip(*parts)
         return (np.concatenate(dist),
@@ -276,9 +275,9 @@ def _nearest(P: np.ndarray, B: PointSet, norm: str,
                 np.concatenate(cols))
     D = cdist(P, B.points, metric=_CDIST_METRIC[norm])
     dist = D.min(axis=1)
-    if tie_tol is None:
+    if not witnesses:
         return dist
-    return (dist, *np.nonzero(D <= dist[:, None] + tie_tol))
+    return (dist, *np.nonzero(D <= dist[:, None] + TIE_TOL))
 
 
 def min_dists(P: np.ndarray, Q: np.ndarray, norm: str = "l2") -> np.ndarray:
@@ -286,38 +285,36 @@ def min_dists(P: np.ndarray, Q: np.ndarray, norm: str = "l2") -> np.ndarray:
     return _nearest(P, PointSet(Q), norm)
 
 
-def dist_point_set(p, B: PointSet, norm: str = "l2",
-                   tie_tol: float = TIE_TOL) -> tuple[float, PointSet]:
+def dist_point_set(p, B: PointSet, norm: str = "l2") -> tuple[float, PointSet]:
     """Distance from p to B plus the witness set of near-minimizers."""
-    dist, _, cols = _nearest(as_point(p)[None, :], B, norm, tie_tol)
+    dist, _, cols = _nearest(as_point(p)[None, :], B, norm, witnesses=True)
     witnesses = B.points[cols]
     # Rows of a validated set: mark them read-only instead of re-validating.
     witnesses.setflags(write=False)
     return float(dist[0]), PointSet(witnesses)
 
 
-def project(p, B: PointSet, norm: str = "l2", tie_tol: float = TIE_TOL) -> PointSet:
+def project(p, B: PointSet, norm: str = "l2") -> PointSet:
     """Nearest-point projection of p onto B (all tied witnesses)."""
-    return dist_point_set(p, B, norm, tie_tol)[1]
+    return dist_point_set(p, B, norm)[1]
 
 
-def project_rows(P: np.ndarray, B: PointSet, norm: str = "l2",
-                 tie_tol: float = TIE_TOL) -> tuple[np.ndarray, np.ndarray]:
+def project_rows(P: np.ndarray, B: PointSet,
+                 norm: str = "l2") -> tuple[np.ndarray, np.ndarray]:
     """`dist_point_set` for every row of the (m, d) array P in one query:
     the distances to B and, per row, the index in B of the
     lexicographically smallest of the tied witnesses (the points of B
-    within tie_tol of the distance).  The one-set case of
+    within TIE_TOL of the distance).  The one-set case of
     `project_groups`."""
-    return project_groups(P, np.zeros(len(P), dtype=np.intp), [B], norm,
-                          tie_tol)
+    return project_groups(P, np.zeros(len(P), dtype=np.intp), [B], norm)
 
 
-def project_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str = "l2",
-                   tie_tol: float = TIE_TOL) -> tuple[np.ndarray, np.ndarray]:
+def project_groups(P: np.ndarray, owner: np.ndarray, sets,
+                   norm: str = "l2") -> tuple[np.ndarray, np.ndarray]:
     """`project_rows` for rows that each have their own set: the distance
     from row i of the (m, d) array P to sets[owner[i]], and the index there
     of its lexicographically smallest tied witness."""
-    dist, rows, cols, wit = _nearest_groups(P, owner, sets, norm, tie_tol)
+    dist, rows, cols, wit = _nearest_groups(P, owner, sets, norm)
     if cols.size > len(P):
         # Some row is tied: order each row's witnesses by their coordinates,
         # equal points by index, as `PointSet.lex_order` does, and take the
@@ -335,8 +332,7 @@ def small_sets(sizes) -> np.ndarray:
     return np.asarray(sizes) ** 2 <= GROUP_MAX
 
 
-def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str,
-                    tie_tol: float):
+def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str):
     """`_nearest` with witnesses for rows that each have their own set: row
     i of the (m, d) array P against sets[owner[i]].  Returns the distances,
     the witness pairs (rows[k], cols[k]) sorted by row and then by col, with
@@ -370,12 +366,12 @@ def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str,
             for k in range(0, rows.size, step):
                 r = rows[k:k + step]
                 dist[r], i, j, wit = _padded_nearest(
-                    P[r], pts, start[inv[r]], size[inv[r]], norm, tie_tol)
+                    P[r], pts, start[inv[r]], size[inv[r]], norm)
                 parts.append((r[i], j, wit))
     for g in np.flatnonzero(~small):
         r = np.flatnonzero(inv == g)
         B = sets[groups[g]]
-        dist[r], i, j = _nearest(P[r], B, norm, tie_tol)
+        dist[r], i, j = _nearest(P[r], B, norm, witnesses=True)
         parts.append((r[i], j, B.points[j]))
     rows, cols, wit = (np.concatenate(x) for x in zip(*parts))
     if len(parts) > 1:
@@ -386,7 +382,7 @@ def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str,
 
 
 def _padded_nearest(P: np.ndarray, pts: np.ndarray, start: np.ndarray,
-                    size: np.ndarray, norm: str, tie_tol: float):
+                    size: np.ndarray, norm: str):
     """The distance from each row i of P to the set pts[start[i]:start[i] +
     size[i]], and its witnesses as in `_nearest`, with their coordinates.
 
@@ -412,7 +408,7 @@ def _padded_nearest(P: np.ndarray, pts: np.ndarray, start: np.ndarray,
     if norm == "l2":
         D = np.sqrt(D)
     dist = D.min(axis=1)
-    rows, cols = np.nonzero((D <= dist[:, None] + tie_tol)
+    rows, cols = np.nonzero((D <= dist[:, None] + TIE_TOL)
                             & (slot < size[:, None]))
     return dist, rows, cols, pts[idx[rows, cols]]
 
@@ -468,26 +464,24 @@ class MetricPairList:
         return len(self.pairs)
 
 
-def metric_pairs(A: PointSet, B: PointSet, norm: str = "l2",
-                 tie_tol: float = TIE_TOL) -> MetricPairList:
+def metric_pairs(A: PointSet, B: PointSet, norm: str = "l2") -> MetricPairList:
     """All metric pairs of (A, B); symmetric duplicates counted once."""
-    (i, j), = _pair_indices([A, B], norm, tie_tol)
+    (i, j), = _pair_indices([A, B], norm)
     return MetricPairList(tuple(zip(A.points[i], B.points[j])))
 
 
-def is_metric_pair(a, b, A: PointSet, B: PointSet, norm: str = "l2",
-                   tie_tol: float = TIE_TOL) -> bool:
+def is_metric_pair(a, b, A: PointSet, B: PointSet, norm: str = "l2") -> bool:
     """Membership test that avoids enumerating all pairs of large sets."""
     a = as_point(a)
     b = as_point(b)
-    da, _ = dist_point_set(b, A, norm, tie_tol)
-    db, _ = dist_point_set(a, B, norm, tie_tol)
+    da, _ = dist_point_set(b, A, norm)
+    db, _ = dist_point_set(a, B, norm)
     gap = vec_norm(a - b, norm)
-    return gap <= da + tie_tol or gap <= db + tie_tol
+    return gap <= da + TIE_TOL or gap <= db + TIE_TOL
 
 
-def _pair_indices(sets: list[PointSet], norm: str,
-                  tie_tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _pair_indices(sets: list[PointSet],
+                  norm: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """The metric pairs (a_i, b_j) of each two consecutive sets (A, B) of
     the list, as index arrays (i, j), sorted: b_j is a near-nearest point
     of a_i in B, or a_i one of b_j in A.  The union of the witnesses of the
@@ -504,7 +498,7 @@ def _pair_indices(sets: list[PointSet], norm: str,
     blocks = np.concatenate([size[:-1], size[1:]])
     local = np.arange(len(P)) - np.repeat(np.cumsum(blocks) - blocks, blocks)
     fwd = np.arange(len(P)) < size[:-1].sum()
-    _, rows, cols, _ = _nearest_groups(P, link + fwd, sets, norm, tie_tol)
+    _, rows, cols, _ = _nearest_groups(P, link + fwd, sets, norm)
     k = link[rows]
     i = np.where(fwd[rows], local[rows], cols)
     j = np.where(fwd[rows], cols, local[rows])
@@ -519,13 +513,12 @@ def _pair_indices(sets: list[PointSet], norm: str,
 
 
 def enumerate_metric_chains(sets: list[PointSet], norm: str = "l2",
-                            tie_tol: float = TIE_TOL,
                             limit: int = CHAIN_LIMIT) -> np.ndarray:
     """All metric chains (a_0, ..., a_n) of an ordered list of sets, as one
     (chains, n+1, d) array in lexicographic order of the point indices."""
     if len(sets) < 2:
         raise ValueError("need at least two sets")
-    links = _pair_indices(sets, norm, tie_tol)
+    links = _pair_indices(sets, norm)
     # Count before materializing to catch explosions cheaply.
     counts = np.ones(len(sets[-1]))
     for A, (i, j) in zip(reversed(sets[:-1]), reversed(links)):
@@ -545,21 +538,19 @@ def enumerate_metric_chains(sets: list[PointSet], norm: str = "l2",
     return np.stack([S.points[idx[:, k]] for k, S in enumerate(sets)], axis=1)
 
 
-def metric_linear_combination(lambdas, sets: list[PointSet], norm: str = "l2",
-                              tie_tol: float = TIE_TOL,
-                              limit: int = CHAIN_LIMIT) -> PointSet:
+def metric_linear_combination(lambdas, sets: list[PointSet],
+                              norm: str = "l2") -> PointSet:
     """{sum lambda_i a_i} over all metric chains; order of the sets matters."""
     lambdas = [float(l) for l in lambdas]
     if len(lambdas) != len(sets):
         raise ValueError("weights and sets must have equal length")
     if len(sets) == 1:
         return PointSet.of(lambdas[0] * sets[0].points)
-    chains = enumerate_metric_chains(sets, norm, tie_tol, limit)
+    chains = enumerate_metric_chains(sets, norm)
     return PointSet.of(sum(l * chains[:, i] for i, l in enumerate(lambdas)))
 
 
-def minkowski_combination(lambdas, sets: list[PointSet],
-                          limit: int = CHAIN_LIMIT) -> PointSet:
+def minkowski_combination(lambdas, sets: list[PointSet]) -> PointSet:
     """All sums over the full Cartesian product: the convexifying baseline."""
     lambdas = [float(l) for l in lambdas]
     if len(lambdas) != len(sets):
@@ -567,19 +558,19 @@ def minkowski_combination(lambdas, sets: list[PointSet],
     count = 1
     for s in sets:
         count *= len(s)
-        if count > limit:
-            raise ChainExplosion(f"product size exceeds limit {limit}")
+        if count > CHAIN_LIMIT:
+            raise ChainExplosion(f"product size exceeds limit {CHAIN_LIMIT}")
     sums = [sum(l * a for l, a in zip(lambdas, combo))
             for combo in itertools.product(*(s.points for s in sets))]
     return PointSet.of(sums)
 
 
-def metric_average(t: float, A: PointSet, B: PointSet, norm: str = "l2",
-                   tie_tol: float = TIE_TOL) -> PointSet:
+def metric_average(t: float, A: PointSet, B: PointSet,
+                   norm: str = "l2") -> PointSet:
     """{(1-t)a + t b : (a,b) a metric pair of (A, B)} for t in [0,1]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    pairs = metric_pairs(A, B, norm, tie_tol)
+    pairs = metric_pairs(A, B, norm)
     return PointSet.of([(1.0 - t) * a + t * b for a, b in pairs.pairs])
 
 

@@ -7,11 +7,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .geometry import (CHAIN_LIMIT, PointSet, convex_hull, hull_contains,
+from .fourier import QTOL
+from .geometry import (PointSet, convex_hull, hull_contains,
                        metric_linear_combination, min_dists)
 from .svf import Partition, SelectionFamily, SetValuedFunction
 
-QTOL = 1e-10
+# `inclusion_check`: F is sampled at INCLUSION_GRID points and its jumps,
+# the intersection holds within INTER_TOL, the inclusions within MEMBER_TOL.
+INCLUSION_GRID = 129
+INTER_TOL = 1e-9
+MEMBER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,7 @@ class WeightFunction:
                               antiderivative=lambda x: c * x)
 
 
-def integrate_weight(k: WeightFunction, u: float, v: float,
-                     qtol: float = QTOL) -> float:
+def integrate_weight(k: WeightFunction, u: float, v: float) -> float:
     """Integral of k over [u, v], exact when an antiderivative is declared."""
     if u == v:
         return 0.0
@@ -48,7 +52,7 @@ def integrate_weight(k: WeightFunction, u: float, v: float,
     cuts = sorted({u, v} | {d for d in k.discontinuities if u < d < v})
     total = 0.0
     for s, t in zip(cuts, cuts[1:]):
-        val, _ = quad(k.fn, s, t, epsabs=qtol, epsrel=qtol, limit=200)
+        val, _ = quad(k.fn, s, t, epsabs=QTOL, epsrel=QTOL, limit=200)
         total += val
     return total
 
@@ -64,7 +68,6 @@ def weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
                                 chi: Partition, mode: str = "exact",
                                 family: SelectionFamily | None = None,
                                 norm: str = "l2",
-                                limit: int = CHAIN_LIMIT,
                                 side: str = "left") -> PointSet:
     """Weighted metric Riemann sums {sum (x_{i+1}-x_i) k(t_i) y_i} with
     tags t_i = x_i (side="left") or t_i = x_{i+1} (side="right").
@@ -78,8 +81,7 @@ def weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
     tags = nodes[:-1] if side == "left" else nodes[1:]
     weights = np.diff(nodes) * np.array([k(x) for x in tags])
     if mode == "exact":
-        return metric_linear_combination(weights, [F(x) for x in tags], norm,
-                                         limit=limit)
+        return metric_linear_combination(weights, [F(x) for x in tags], norm)
     if mode == "family":
         if family is None:
             raise ValueError("family mode requires a SelectionFamily")
@@ -90,16 +92,14 @@ def weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
 def right_weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
                                       chi: Partition, mode: str = "exact",
                                       family: SelectionFamily | None = None,
-                                      norm: str = "l2",
-                                      limit: int = CHAIN_LIMIT) -> PointSet:
+                                      norm: str = "l2") -> PointSet:
     """Right-endpoint sums {sum (x_{i+1}-x_i) k(x_{i+1}) y_{i+1}}."""
-    return weighted_metric_riemann_sum(F, k, chi, mode, family, norm, limit,
+    return weighted_metric_riemann_sum(F, k, chi, mode, family, norm,
                                        side="right")
 
 
 def weighted_metric_integral(F: SetValuedFunction, k: WeightFunction,
-                             family: SelectionFamily,
-                             qtol: float = QTOL) -> IntegralResult:
+                             family: SelectionFamily) -> IntegralResult:
     """{integral of k*s : s in family}; each s is piecewise constant on its
     fine partition, so the integral reduces to exact subinterval k-integrals."""
     if len(family) == 0:
@@ -109,7 +109,7 @@ def weighted_metric_integral(F: SetValuedFunction, k: WeightFunction,
     for s in family.selections:
         nodes = s.nodes
         pnorm = max(pnorm, float(np.diff(nodes).max()))
-        cells = np.array([integrate_weight(k, float(u), float(v), qtol)
+        cells = np.array([integrate_weight(k, float(u), float(v))
                           for u, v in zip(nodes[:-1], nodes[1:])])
         sums.append(cells @ s.values[:-1])
     return IntegralResult(PointSet.of(sums), "selection_family", pnorm)
@@ -157,12 +157,12 @@ class InclusionReport:
 
 
 def inclusion_check(F: SetValuedFunction, k: WeightFunction,
-                    family: SelectionFamily, grid: int = 129,
-                    member_tol: float = 1e-6, inter_tol: float = 1e-9,
+                    family: SelectionFamily,
                     norm: str = "l2") -> InclusionReport:
     """Check intersection(F) subset normalized integral subset hull(union F)
     for k >= 0 with nonzero mass, on a dense x-grid."""
-    xs = sorted(set(np.linspace(F.a, F.b, grid)) | set(map(float, F.jump_points)))
+    xs = sorted(set(np.linspace(F.a, F.b, INCLUSION_GRID))
+                | set(map(float, F.jump_points)))
     mass = integrate_weight(k, F.a, F.b)
     if mass == 0.0:
         raise ValueError("weight must have nonzero integral")
@@ -170,7 +170,7 @@ def inclusion_check(F: SetValuedFunction, k: WeightFunction,
     cands = F(F.a).points
     keep = np.ones(len(cands), dtype=bool)
     for S in sampled:
-        keep &= min_dists(cands, S.points, norm) <= inter_tol
+        keep &= min_dists(cands, S.points, norm) <= INTER_TOL
     intersection = PointSet.of(cands[keep], dedup_tol=0) if keep.any() else None
     value = weighted_metric_integral(F, k, family).value_set
     normalized = PointSet.of(value.points / mass, dedup_tol=0)
@@ -181,11 +181,11 @@ def inclusion_check(F: SetValuedFunction, k: WeightFunction,
         lower_ok, lower_margin = True, np.inf
     else:
         gaps = min_dists(intersection.points, normalized.points, norm)
-        lower_margin = float(member_tol - gaps.max())
-        lower_ok = bool(gaps.max() <= member_tol)
-    upper_ok = all(hull_contains(union_hull, p, member_tol)
+        lower_margin = float(MEMBER_TOL - gaps.max())
+        lower_ok = bool(gaps.max() <= MEMBER_TOL)
+    upper_ok = all(hull_contains(union_hull, p, MEMBER_TOL)
                    for p in normalized.points)
-    upper_margin = float(member_tol) if upper_ok else float("-inf")
+    upper_margin = MEMBER_TOL if upper_ok else float("-inf")
     return InclusionReport(intersection, normalized, union_hull,
                            lower_ok, upper_ok, lower_margin, upper_margin,
                            vacuous)

@@ -15,12 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DEDUP_TOL, TIE_TOL, PointSet, _dedup, as_point,
+from .geometry import (DEDUP_TOL, PointSet, _dedup, as_point,
                        enumerate_metric_chains, hausdorff, project_groups,
                        row_norms, small_sets)
 
 # Seed values must lie in F(x_hat) within this tolerance.
 SEED_TOL = 1e-7
+# Depth of the dyadic probe grid on which selections are compared.
+PROBE_DEPTH = 6
+# `exhaustive_chain_family` refuses beyond this many chains.
+EXHAUSTIVE_LIMIT = 10 ** 5
+# `total_variation` stops once two refinements in a row move it by < VTOL.
+VTOL = 1e-9
+# `one_sided_value` extrapolates from the offsets h and 2h, where
+# h = LIMIT_DELTA * 2**-LIMIT_HALVINGS, or less near the ends of [lo, hi].
+LIMIT_DELTA = 1e-3
+LIMIT_HALVINGS = 20
+# Uniform probes on each window of the moduli.
+PROBES = 48
 # `_greedy_chains` steps its chains in chunks of waves of at most this many
 # (wave, half-chain) entries, which bounds its step matrices.
 _WAVE_ENTRIES = 1 << 13
@@ -144,17 +156,15 @@ class MetricChain:
 
 
 def greedy_chain(F: SetValuedFunction, chi: Partition, seed,
-                 norm: str = "l2", tie_tol: float = TIE_TOL,
-                 sets: dict | None = None) -> MetricChain:
+                 norm: str = "l2", sets: dict | None = None) -> MetricChain:
     """Chain through the seed, projecting outward node by node.
 
     `sets` memoizes F at the nodes (node -> F(node)); calls that share it
     evaluate F once per node."""
-    return _greedy_chains(F, [(chi, seed)], norm, tie_tol, sets)[0]
+    return _greedy_chains(F, [(chi, seed)], norm, sets)[0]
 
 
 def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
-                   tie_tol: float = TIE_TOL,
                    sets: dict | None = None) -> list[MetricChain]:
     """The greedy chains of many (partition, seed) jobs, built together.
 
@@ -168,7 +178,7 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     picks it.  Consecutive union nodes share a label when their sets are
     the same object or have bitwise equal points, and a map is keyed by
     its pair of labels, so a run of one set reuses one map (which may move
-    a point within a cluster spaced below tie_tol: the chain drifts one
+    a point within a cluster spaced below TIE_TOL: the chain drifts one
     step a node, as when built alone).  Maps between sets that
     `geometry.small_sets` calls small are filled for every point, all by
     one `project_groups` call.  A map touching a larger set is filled only at
@@ -229,7 +239,7 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     rows = np.repeat(loff[src_lab] - moff, width) + np.arange(width.sum())
     top = int(lsize.max())
     maps = np.concatenate([project_groups(pts[rows], np.repeat(dst_lab, width),
-                                          limg, norm, tie_tol)[1],
+                                          limg, norm)[1],
                            np.zeros(top, dtype=np.intp)])
     moff = np.where(dense, moff, width.sum())
     # A map touching a large set: a sorted cache of its entries (pair p,
@@ -247,7 +257,7 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
             cut = np.flatnonzero(np.diff(p)) + 1
             P = np.concatenate([limg[src_lab[q[0]]].points[i] for q, i
                                 in zip(np.split(p, cut), np.split(k, cut))])
-            got = project_groups(P, dst_lab[p], limg, norm, tie_tol)[1]
+            got = project_groups(P, dst_lab[p], limg, norm)[1]
             where = np.searchsorted(ks, new)
             cache[:] = np.insert(ks, where, new), np.insert(vs, where, got)
             ks, vs = cache
@@ -256,7 +266,7 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
 
     # The seed step.
     seed_lab = np.array([labs[p][i] for p, i in zip(part, i0)])
-    dist, idx0 = project_groups(seeds, seed_lab, limg, norm, tie_tol)
+    dist, idx0 = project_groups(seeds, seed_lab, limg, norm)
     if dist.max() > SEED_TOL:
         raise GreedySeedError(
             f"seed value is {dist.max():.3g} away from F(x_hat)")
@@ -358,15 +368,13 @@ class MetricSelection(MetricChain):
 
 
 def approximate_selection(F: SetValuedFunction, seed, depth: int,
-                          probe: Partition | None = None,
                           norm: str = "l2") -> MetricSelection:
     """Greedy chain on the dyadic partition of the given depth; the chain one
     level coarser only feeds `cauchy_defect`."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     forced = (float(seed[0]),) + tuple(F.jump_points)
-    if probe is None:
-        probe = Partition.dyadic(F.a, F.b, min(depth, 6), forced)
+    probe = Partition.dyadic(F.a, F.b, min(depth, PROBE_DEPTH), forced)
     sets: dict = {}
     last = greedy_chain(F, Partition.dyadic(F.a, F.b, depth, forced), seed,
                         norm, sets=sets)
@@ -408,8 +416,7 @@ class SelectionFamily:
 
 
 def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
-                     depth: int, norm: str = "l2",
-                     probe: Partition | None = None) -> SelectionFamily:
+                     depth: int, norm: str = "l2") -> SelectionFamily:
     """Selections seeded on a uniform x-grid (plus jumps) crossed with up to
     y_seeds points of each F(x_hat), or every point if y_seeds is "all",
     deduplicated on a probe grid.
@@ -420,8 +427,7 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
     if x_seeds < 1 or not every and y_seeds < 1:
         raise ValueError("seed counts must be positive")
     xs = sorted(set(np.linspace(F.a, F.b, x_seeds)) | {float(j) for j in F.jump_points})
-    if probe is None:
-        probe = Partition.dyadic(F.a, F.b, 6, tuple(F.jump_points))
+    probe = Partition.dyadic(F.a, F.b, PROBE_DEPTH, tuple(F.jump_points))
     # The seed picks read F(x_hat) through the engine's node memo, and take
     # evenly spaced ranks of its cached lexicographic order.
     sets: dict = {}
@@ -451,7 +457,7 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
 
 
 def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
-                            norm: str = "l2", limit: int = 10 ** 5) -> SelectionFamily:
+                            norm: str = "l2") -> SelectionFamily:
     """Every metric chain over F sampled at the partition nodes, as a family.
 
     For piecewise-constant F whose pieces are resolved by `chi` this is the
@@ -459,7 +465,7 @@ def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
     that mix projection directions, so oracle-equivalence tests use this.
     """
     sets = [F(x) for x in chi.nodes]
-    chains = enumerate_metric_chains(sets, norm=norm, limit=limit)
+    chains = enumerate_metric_chains(sets, norm, EXHAUSTIVE_LIMIT)
     return SelectionFamily(tuple(
         MetricSelection(chi, ch, (chi.a, ch[0]), 0, 0.0) for ch in chains))
 
@@ -513,7 +519,7 @@ def variation_on_partition(g, chi: Partition, norm: str = "l2") -> float:
 
 
 def total_variation(g, a: float | None = None, b: float | None = None,
-                    depth: int = 12, vtol: float = 1e-9, forced=(),
+                    depth: int = 12, forced=(),
                     norm: str = "l2") -> tuple[float, bool]:
     """Variation on refining dyadic partitions; a lower bound in general,
     exact once the refinement stabilizes (piecewise-monotone fixtures)."""
@@ -533,25 +539,25 @@ def total_variation(g, a: float | None = None, b: float | None = None,
         v = variation_on_partition(g, chi, norm)
         history.append(v)
         # Two successive agreements guard against single-level plateaus.
-        if len(history) >= 3 and abs(history[-1] - history[-2]) < vtol \
-                and abs(history[-2] - history[-3]) < vtol:
+        if len(history) >= 3 and abs(history[-1] - history[-2]) < VTOL \
+                and abs(history[-2] - history[-3]) < VTOL:
             return v, True
     return history[-1], False
 
 
-def one_sided_value(g, x: float, side: str, delta: float = 1e-3,
-                    lo: float | None = None, hi: float | None = None,
-                    probes: int = 20):
+def one_sided_value(g, x: float, side: str, lo: float | None = None,
+                    hi: float | None = None):
     """g(x-0) or g(x+0): the linear (Richardson) extrapolation of g at the
-    offsets 2h and h, h = delta*2^-probes; exact for locally linear
-    scalar/vector g.  A set-valued g gives its value at offset h."""
+    offsets 2h and h; exact for locally linear scalar/vector g.  A
+    set-valued g gives its value at offset h."""
     sgn = -1.0 if side == "-" else 1.0
+    delta = LIMIT_DELTA
     if lo is not None and hi is not None:
         room = (x - lo) if side == "-" else (hi - x)
         if room <= 0:
             raise ValueError("no room on the requested side")
         delta = min(delta, room / 2.0)
-    h = sgn * delta * 2.0 ** -probes
+    h = sgn * delta * 2.0 ** -LIMIT_HALVINGS
     v_prev, v_last = _values(g, [x + 2.0 * h, x + h])
     if isinstance(v_last, PointSet):
         return v_last
@@ -567,18 +573,17 @@ class LocalModuli:
     right_quasi: float
 
 
-def _probe_grid(x_star: float, u: float, v: float, probes: int) -> np.ndarray:
-    """Uniform probes on [u, v], clustered geometrically near x* so that
-    one-sided behaviour is resolved."""
-    lin = np.linspace(u, v, probes)
+def _probe_grid(x_star: float, u: float, v: float) -> np.ndarray:
+    """PROBES uniform probes on [u, v], and probes clustered geometrically
+    near x* so that one-sided behaviour is resolved."""
+    lin = np.linspace(u, v, PROBES)
     geo_l = x_star - (x_star - u) * 2.0 ** -np.arange(1, 12)
     geo_r = x_star + (v - x_star) * 2.0 ** -np.arange(1, 12)
     return np.unique(np.clip(np.concatenate([lin, geo_l, geo_r]), u, v))
 
 
 def one_sided_moduli(g, x_star: float, delta: float, lo: float, hi: float,
-                     side: str, probes: int = 48,
-                     norm: str = "l2") -> tuple[float, float]:
+                     side: str, norm: str = "l2") -> tuple[float, float]:
     """(plain, quasi) modulus of g at x* on one side ('-' or '+').
 
     plain: sup rho(g(x), g(x*)) over [x*-delta, x*] or [x*, x*+delta];
@@ -592,12 +597,12 @@ def one_sided_moduli(g, x_star: float, delta: float, lo: float, hi: float,
     if side == "-":
         if x_star <= lo:
             return 0.0, 0.0
-        xs = _probe_grid(x_star, max(lo, x_star - delta), x_star, probes)
+        xs = _probe_grid(x_star, max(lo, x_star - delta), x_star)
         inner = slice(None, np.searchsorted(xs, x_star - 1e-13))
     elif side == "+":
         if x_star >= hi:
             return 0.0, 0.0
-        xs = _probe_grid(x_star, x_star, min(hi, x_star + delta), probes)
+        xs = _probe_grid(x_star, x_star, min(hi, x_star + delta))
         inner = slice(np.searchsorted(xs, x_star + 1e-13, side="right"), None)
     else:
         raise ValueError("side must be '-' or '+'")
@@ -609,18 +614,16 @@ def one_sided_moduli(g, x_star: float, delta: float, lo: float, hi: float,
 
 
 def local_moduli(g, x_star: float, delta: float, lo: float, hi: float,
-                 probes: int = 48, norm: str = "l2") -> LocalModuli:
+                 norm: str = "l2") -> LocalModuli:
     """Suprema of the defining expressions over probe grids.
 
     left/right and their quasi variants come from `one_sided_moduli`;
     two_sided is sup rho(g(x), g(x')) over the window [x*-delta/2, x*+delta/2].
     """
-    left, left_quasi = one_sided_moduli(g, x_star, delta, lo, hi, "-",
-                                        probes, norm)
-    right, right_quasi = one_sided_moduli(g, x_star, delta, lo, hi, "+",
-                                          probes, norm)
+    left, left_quasi = one_sided_moduli(g, x_star, delta, lo, hi, "-", norm)
+    right, right_quasi = one_sided_moduli(g, x_star, delta, lo, hi, "+", norm)
     window = _probe_grid(x_star, max(lo, x_star - delta / 2.0),
-                         min(hi, x_star + delta / 2.0), probes)
+                         min(hi, x_star + delta / 2.0))
     w_vals = _values(g, window)
     two_sided = max((float(_rhos(w_vals[i + 1:], w_vals[i], norm).max())
                      for i in range(len(window) - 1)), default=0.0)

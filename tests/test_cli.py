@@ -220,12 +220,40 @@ def test_exit_code_2_hausdorff_unknown_key(tmp_path, capsys):
     assert main(["hausdorff", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("set_a, set_b", [
+    ([[0.0], [0.0, 1.0]], [[1.0]]),           # ragged
+    ([], [[1.0]]),                            # empty
+    ([[float("nan")]], [[1.0]]),              # non-finite
+    ([[0.0, 0.0]], [[1.0]]),                  # different dimensions
+])
+def test_exit_code_2_hausdorff_invalid_points(tmp_path, capsys, set_a, set_b):
+    cfg = write_cfg(tmp_path, "h.json", {"set_a": set_a, "set_b": set_b})
+    assert main(["hausdorff", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_config_rejects_malformed_types():
     for bad in ({"orders": [4.5]}, {"orders": ["16"]}, {"orders": 16},
                 {"x_grid": "9"}, {"x_grid": [0.0, "1"]}, {"depth": "4"},
-                {"weight": {"kind": "poly"}}):
+                {"weight": {"kind": "poly"}}, {"fixture": "balls", "eps": 0},
+                {"fixture": "balls", "eps": -0.5}, {"eps": float("nan")}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
+
+
+def test_convergence_needs_the_period_domain(tmp_path, capsys):
+    """Coefficients are taken on [-pi, pi], so `convergence` refuses another
+    domain (exit 2); `integral` and `selections` take any domain."""
+    svf = {"domain": [-1.0, 1.0], "pieces": [{"points": [[-1.0], [1.0]]}]}
+    cfg = {"svf": svf, "orders": [4], "x_grid": [0.0], "x_seeds": 3,
+           "y_seeds": 2, "depth": 2}
+    with pytest.raises(ConfigError, match="domain"):
+        cli.run_convergence(ExperimentConfig.from_dict(cfg))
+    path = write_cfg(tmp_path, "short.json", cfg)
+    assert main(["convergence", "--config", path]) == 2
+    assert "domain" in capsys.readouterr().err
+    for verb in ("integral", "selections"):
+        assert main([verb, "--config", path]) == 0
 
 
 def test_exit_code_2_missing_weight_coeffs(tmp_path, capsys):
@@ -320,16 +348,41 @@ def test_parse_svf_rejects_unknown_keys():
 
 
 def test_parse_svf_validates_structure():
-    with pytest.raises(DescriptionError):
-        parse_svf({"domain": [1, 0], "pieces": [{"points": [[0]]}]})
-    with pytest.raises(DescriptionError):
-        parse_svf({"domain": [0, 1], "pieces": []})
-    with pytest.raises(DescriptionError):
-        parse_svf({"domain": [0, 1],
-                   "pieces": [{"points": [[0]], "curve": ["t"]}]})
-    with pytest.raises(DescriptionError):
-        parse_svf({"domain": [0, 1],
-                   "pieces": [{"points": [[0]]}, {"points": [[1]]}]})
+    """Every defect visible before a curve is evaluated."""
+    disc = {"center": [0, 0], "radius": 1, "eps": 0.5}
+    for bad in (
+            {"domain": [1, 0], "pieces": [{"points": [[0]]}]},
+            {"domain": [0, 1], "pieces": []},
+            {"domain": [0, 1], "pieces": [{"points": [[0]], "curve": ["t"]}]},
+            {"domain": [0, 1], "pieces": [{"points": [[0]]},
+                                          {"points": [[1]]}]},
+            {"domain": ["a", 1], "pieces": [{"points": [[0]]}]},
+            {"domain": [0, 1], "pieces": 5},
+            {"domain": [0, 1], "pieces": [{"points": [[float("nan")]]}]},
+            {"domain": [0, 1], "pieces": [{"points": [[0], [0, 1]]}]},
+            {"domain": [0, 1], "pieces": [{"curve": ["t +"]}]},
+            {"domain": [0, 1], "pieces": [{"curve": ["t", ["t", "t"]]}]},
+            {"domain": [0, 1], "pieces": [{"end": "a", "points": [[0]]},
+                                          {"points": [[1]]}]},
+            {"domain": [0, 1], "pieces": [{"disc": {**disc, "eps": 0}}]},
+            {"domain": [0, 1], "pieces": [{"disc": {**disc, "radius": -1}}]},
+            {"domain": [0, 1], "pieces": [{"disc": {"center": [0, 0],
+                                                    "eps": 0.5}}]},
+            {"domain": [0, 1], "pieces": [{"disc": {**disc, "center": [0]}}]},
+            {"domain": [0, 1], "pieces": [{"points": [[0]]}],
+             "at": [{"points": [[1]]}]},
+            {"domain": [0, 1], "pieces": [{"points": [[0]]}],
+             "at": [{"x": 2, "points": [[1]]}]}):
+        with pytest.raises(DescriptionError):
+            parse_svf(bad)
+
+
+def test_exit_code_2_malformed_svf(tmp_path, capsys):
+    svf = {"domain": [-PI, PI], "pieces": [
+        {"disc": {"center": [0, 0], "radius": 1, "eps": 0}}]}
+    cfg = write_cfg(tmp_path, "svf.json", {"svf": svf, "orders": [4]})
+    assert main(["convergence", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_inline_svf_through_cli(tmp_path, capsys):

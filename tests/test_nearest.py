@@ -137,9 +137,9 @@ def test_row_blocks_match_one_block(block):
     B = PointSet.of(rng.integers(-3, 4, (40, 2)) * 0.5, dedup_tol=0)
     P = rng.integers(-3, 4, (30, 2)) * 0.5
     with mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
-        one = geometry._nearest(P, B, "l2", geometry.TIE_TOL)
+        one = geometry._nearest(P, B, "l2", witnesses=True)
         with mock.patch.object(geometry, "_BLOCK", block):
-            blocks = geometry._nearest(P, B, "l2", geometry.TIE_TOL)
+            blocks = geometry._nearest(P, B, "l2", witnesses=True)
             assert np.array_equal(geometry._nearest(P, B, "l2"), one[0])
     assert one[1].size > len(P)
     for a, b in zip(one, blocks):
@@ -225,7 +225,7 @@ def test_grouped_query_matches_queries_per_group(inst, norm, group_max):
     psets = [PointSet.of(S, dedup_tol=0) for S in sets]
     with mock.patch.object(geometry, "GROUP_MAX", group_max):
         dist, rows, cols, wit = geometry._nearest_groups(P, owner, psets,
-                                                         norm, TIE)
+                                                         norm)
         pdist, picks = geometry.project_groups(P, owner, psets, norm)
     assert np.array_equal(dist, pdist)
     assert np.array_equal(wit, np.concatenate(
@@ -237,7 +237,7 @@ def test_grouped_query_matches_queries_per_group(inst, norm, group_max):
             mine = np.flatnonzero(owner == g)
             if not mine.size:
                 continue
-            d, i, j = geometry._nearest(P[mine], B, norm, TIE)
+            d, i, j = geometry._nearest(P[mine], B, norm, witnesses=True)
             assert np.array_equal(dist[mine], d)
             got = np.isin(rows, mine)
             assert np.array_equal(rows[got], mine[i])
@@ -262,7 +262,7 @@ def test_grouped_query_ties_at_the_tolerance():
     for group_max in (0, 10 ** 9):
         with mock.patch.object(geometry, "GROUP_MAX", group_max):
             _, rows, cols, _ = geometry._nearest_groups(
-                P, np.array([0, 1]), sets, "l2", TIE)
+                P, np.array([0, 1]), sets, "l2")
             _, picks = geometry.project_groups(P, np.array([0, 1]), sets)
         assert rows.tolist() == [0, 0, 1] and cols.tolist() == [0, 1, 0]
         assert picks.tolist() == [1, 0]
@@ -281,7 +281,7 @@ def test_kernel_distances_equal_cdist_bitwise(dim):
                 for _ in range(4)]
         owner = np.arange(20) % 4
         for norm in NORMS:
-            dist = geometry._nearest_groups(P, owner, sets, norm, TIE)[0]
+            dist = geometry._nearest_groups(P, owner, sets, norm)[0]
             for g, B in enumerate(sets):
                 assert np.array_equal(dist[owner == g],
                                       oracle_min_dists(P[owner == g],
@@ -409,7 +409,7 @@ def test_pairs_and_chains_match_oracle(insts, path):
     psets = [PointSet.of(S, dedup_tol=0) for S in sets]
     with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
         for A, B, S, T in zip(psets, psets[1:], sets, sets[1:]):
-            (i, j), = geometry._pair_indices([A, B], "l2", geometry.TIE_TOL)
+            (i, j), = geometry._pair_indices([A, B], "l2")
             assert list(zip(i.tolist(), j.tolist())) == sorted(_pairs(S, T))
         chains = enumerate_metric_chains(psets)
     ref = _all_chains(sets, limit=10 ** 6)
@@ -432,11 +432,11 @@ def test_batched_links_match_links_alone(insts, norm, group_max):
     sets.append(insts[-1][1])
     psets = [PointSet.of(S, dedup_tol=0) for S in sets]
     with mock.patch.object(geometry, "GROUP_MAX", group_max):
-        links = geometry._pair_indices(psets, norm, geometry.TIE_TOL)
+        links = geometry._pair_indices(psets, norm)
         chains = enumerate_metric_chains(psets, norm)
     with mock.patch.object(geometry, "GROUP_MAX", 0), \
             mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
-        alone = [geometry._pair_indices([A, B], norm, geometry.TIE_TOL)[0]
+        alone = [geometry._pair_indices([A, B], norm)[0]
                  for A, B in zip(psets, psets[1:])]
     assert len(links) == len(alone) == len(sets) - 1
     for (i, j), (i2, j2) in zip(links, alone):
