@@ -18,9 +18,8 @@ from .metric_integral import (InclusionReport, IntegralResult, WeightFunction,
                               integrate_weight, right_weighted_metric_riemann_sum,
                               weighted_metric_integral,
                               weighted_metric_riemann_sum)
-from .fourier import (BoundParams, ClassReport, FourierApproximant,
-                      chain_coefficients, class_membership,
-                      classical_partial_sum, delta_grid, dirichlet,
+from .fourier import (BoundParams, ClassReport, chain_coefficients,
+                      class_membership, delta_grid, dirichlet,
                       dirichlet_antiderivative, dirichlet_cos_sum,
                       djordan_bound_rhs, family_coefficients, fit_K,
                       fourier_coefficients, limit_set_AF, metric_fourier,

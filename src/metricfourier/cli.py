@@ -17,7 +17,7 @@ from .fourier import (PERIOD_TOL, delta_grid, family_coefficients, fit_K,
 from .geometry import PointSet, dist_point_set, hausdorff, is_metric_pair, metric_average
 from .metric_integral import (WeightFunction, aumann_integral_convex,
                               inclusion_check, weighted_metric_integral)
-from .svf import Partition, approximate_selection, selection_family
+from .svf import X_TOL, Partition, approximate_selection, selection_family
 
 PI = math.pi
 # `selection_depth` stays within [DEPTH_MIN, DEPTH_MAX].
@@ -169,10 +169,10 @@ def parse_weight(spec: dict | None) -> WeightFunction:
         if not _is_int(m) or m == 0:
             raise ConfigError("weight.k must be a nonzero integer")
         if kind == "cos":
-            return WeightFunction(lambda x: math.cos(m * x), 4.0 * m, 1.0,
-                                  antiderivative=lambda x: math.sin(m * x) / m)
-        return WeightFunction(lambda x: math.sin(m * x), 4.0 * m, 1.0,
-                              antiderivative=lambda x: -math.cos(m * x) / m)
+            return WeightFunction(lambda x: np.cos(m * x), 4.0 * m, 1.0,
+                                  antiderivative=lambda x: np.sin(m * x) / m)
+        return WeightFunction(lambda x: np.sin(m * x), 4.0 * m, 1.0,
+                              antiderivative=lambda x: -np.cos(m * x) / m)
     raise ConfigError(f"unknown weight kind {kind!r}")
 
 
@@ -195,8 +195,8 @@ def run_convergence(cfg: ExperimentConfig) -> list[tuple]:
             families[d] = fam, family_coefficients(F, top[d], fam)
         fam, coeffs = families[d]
         for x in xs:
-            approx = metric_fourier(F, n, x, fam, coeffs).value_set
-            if any(abs(x - j) < 1e-12 for j in jumps):
+            approx = metric_fourier(F, n, x, fam, coeffs)
+            if any(abs(x - j) < X_TOL for j in jumps):
                 target, kind = limit_set_AF(F, x, fam), "A_F"
             else:
                 target, kind = F(x), "F"
@@ -234,7 +234,7 @@ def run_bound_check(cfg: ExperimentConfig) -> list[tuple]:
     for n in orders:
         fam = selection_family(F, cfg.x_seeds, cfg.y_seeds,
                                selection_depth(n, cfg.depth), cfg.norm)
-        approx = metric_fourier(F, n, x, fam).value_set
+        approx = metric_fourier(F, n, x, fam)
         target = limit_set_AF(F, x, fam)
         observed = hausdorff(approx, target, cfg.norm)
         bracket = min(svf_bound_rhs(V, n, d, omega, 1.0) for d in deltas)

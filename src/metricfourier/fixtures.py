@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointSet
-from .svf import SetValuedFunction
+from .svf import NODE_TOL, X_TOL, SetValuedFunction
 
 PI = math.pi
 
@@ -354,7 +354,7 @@ def parse_svf(desc: dict) -> SetValuedFunction:
         if last:
             end = b
             if "end" in piece and abs(_number(piece["end"], where + ".end")
-                                      - b) > 1e-12:
+                                      - b) > X_TOL:
                 raise DescriptionError("last piece must end at b")
         else:
             if "end" not in piece:
@@ -379,7 +379,7 @@ def parse_svf(desc: dict) -> SetValuedFunction:
 
     def fn(t):
         for x_at, ev in overrides.items():
-            if abs(t - x_at) <= 1e-13:
+            if abs(t - x_at) <= NODE_TOL:
                 return ev(t)
         for end, ev in zip(ends, evals):
             if t < end:

@@ -1,12 +1,15 @@
-"""Dirichlet kernels, classical partial sums, the refined Dirichlet-Jordan
-bound, the metric Fourier approximant S_nF, and the limit set A_F(x).
+"""Dirichlet kernels, Fourier coefficients and partial sums, the refined
+Dirichlet-Jordan bound, the metric Fourier approximant S_nF, and the limit
+set A_F(x).
 
 Every partial sum is `trig_eval` of Fourier coefficients.  A piecewise-
-constant selection has exact closed-form coefficients, so no quadrature
-error enters the set-valued approximants.  A single-valued selection takes
-one adaptive vector quadrature per smooth panel, which serves every
-harmonic and every coordinate.  A family's coefficients form one
-(n+1, S, d) matrix that serves every order up to n and every x."""
+constant selection has exact coefficients: its `MetricChain.integral`
+against the trigonometric antiderivatives, the one chain path that the
+weighted metric integral takes too, so no quadrature error enters the
+set-valued approximants.  A single-valued selection takes one adaptive
+vector quadrature per smooth panel, which serves every harmonic and every
+coordinate.  A family's coefficients form one (n+1, S, d) matrix that
+serves every order up to n and every x."""
 from __future__ import annotations
 
 import math
@@ -117,28 +120,18 @@ def trig_eval(a, b, x, n: int | None = None):
     return float(out) if a.ndim == 1 else out
 
 
-def classical_partial_sum(f, n: int, x: float, coeffs=None,
-                          breakpoints=()) -> float:
-    """S_n f(x) via Fourier coefficients."""
-    if coeffs is None:
-        coeffs = fourier_coefficients(f, n, breakpoints)
-    return trig_eval(*coeffs, x, n)
-
-
 def chain_coefficients(c: MetricChain, n: int):
-    """Exact (a, b), each (n+1, d), of a chain on [-pi, pi] with values y_i
-    on [t_i, t_{i+1}): a_k = (1/pi k) sum_i y_i (sin k t_{i+1} - sin k t_i),
-    b_k the same with -cos."""
-    t = c.nodes
-    if max(abs(t[0] + math.pi), abs(t[-1] - math.pi)) > PERIOD_TOL:
+    """Exact (a, b), each (n+1, d), of a chain on [-pi, pi]: its integrals
+    against the antiderivatives t, sin(kt) and -cos(kt), scaled by 1/pi and
+    1/(pi k).  One antiderivative at a time keeps one (N, n) temporary."""
+    if max(abs(c.nodes[0] + math.pi), abs(c.nodes[-1] - math.pi)) > PERIOD_TOL:
         raise ValueError("chain must be defined on [-pi, pi]")
-    # The value at the last node only holds on a measure-zero set.
-    y = c.values[:-1]
     ks = np.arange(1, n + 1)
-    kt, scale = np.multiply.outer(ks, t), (math.pi * ks)[:, None]
-    a0 = np.diff(t) @ y / math.pi
-    return (np.vstack([a0, np.diff(np.sin(kt), axis=1) @ y / scale]),
-            np.vstack([np.zeros_like(a0), -np.diff(np.cos(kt), axis=1) @ y / scale]))
+    scale = (math.pi * ks)[:, None]
+    a0 = c.integral(lambda t: t) / math.pi
+    a = c.integral(lambda t: np.sin(np.multiply.outer(t, ks))) / scale
+    b = c.integral(lambda t: -np.cos(np.multiply.outer(t, ks))) / scale
+    return np.vstack([a0, a]), np.vstack([np.zeros_like(a0), b])
 
 
 def selection_coefficients(s: MetricSelection, n: int, breakpoints=()):
@@ -170,22 +163,13 @@ def partial_sum_of_selection(s: MetricSelection, n: int, x: float,
     return trig_eval(*selection_coefficients(s, n, breakpoints), x)
 
 
-@dataclass(frozen=True)
-class FourierApproximant:
-    x: float
-    n: int
-    value_set: PointSet
-    family_size: int
-
-
 def metric_fourier(F: SetValuedFunction, n: int, x: float,
-                   family: SelectionFamily, coeffs=None) -> FourierApproximant:
+                   family: SelectionFamily, coeffs=None) -> PointSet:
     """S_nF(x) = {S_n s(x) : s in the selection family}, deduplicated.
     `coeffs` is the family's `family_coefficients` at any order >= n."""
     if coeffs is None:
         coeffs = family_coefficients(F, n, family)
-    vals = trig_eval(*coeffs, x, n)
-    return FourierApproximant(x, n, PointSet.of(vals), len(family))
+    return PointSet.of(trig_eval(*coeffs, x, n))
 
 
 def limit_set_AF(F: SetValuedFunction, x: float,

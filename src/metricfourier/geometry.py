@@ -7,21 +7,21 @@ about such sets carries a tolerance of the order of the net parameter.
 Every nearest-point query (`min_dists`, `hausdorff`, `dist_point_set`,
 `project`) is one call of `_nearest`: the distance from each query row to a
 `PointSet` and, on request, every witness within TIE_TOL of it.
-Projections (`project_groups`, and `project_rows`, its one-set case) and
-the metric pairs of `_pair_indices` go through the grouped query
-`_nearest_groups`, whose rows each have their own set.  Its groups (the
-rows of one set) of at most GROUP_MAX distance entries are computed
-together in one padded numpy kernel, which removes the cost of a call per
-small set and sums coordinates in order, as `cdist` does, so it gives the
-same floats; a larger group is one `_nearest` call.  `small_sets` tells
-which sets pair within that size, for callers that fill whole maps
-between sets.  `_nearest` is the one place that chooses the path: a set
-of more than KDTREE_MIN points goes through a `scipy.spatial.cKDTree` in
-the l1, l2 or linf norm, which `PointSet.tree` builds on first use with
-sliding-midpoint splits and keeps with the frozen set, so a net that is
-queried many times builds one tree.  Smaller sets take brute-force
-`cdist` blocks of at most _BLOCK entries, which is faster there.  Both
-paths give the same distances and the same witnesses, in index order.
+Projections of many rows (`project_groups`) and the metric pairs of
+`_pair_indices` go through the grouped query `_nearest_groups`, whose rows
+each have their own set.  Its groups (the rows of one set) of at most
+GROUP_MAX distance entries are computed together in one padded numpy
+kernel, which removes the cost of a call per small set and sums coordinates
+in order, as `cdist` does, so it gives the same floats; a larger group is
+one `_nearest` call.  `small_sets` tells which sets pair within that size,
+for callers that fill whole maps between sets.  `_nearest` is the one place
+that chooses the path: a set of more than KDTREE_MIN points goes through a
+`scipy.spatial.cKDTree` in the l1, l2 or linf norm, which `PointSet.tree`
+builds on first use with sliding-midpoint splits and keeps with the frozen
+set, so a net that is queried many times builds one tree.  Smaller sets
+take brute-force `cdist` blocks of at most _BLOCK entries, which is faster
+there.  Both paths give the same distances and the same witnesses, in index
+order.
 
 Sets of more than KDTREE_MIN points also take two shortcuts that leave the
 answer unchanged.  `hausdorff` queries only the rows of such a set that can
@@ -299,21 +299,12 @@ def project(p, B: PointSet, norm: str = "l2") -> PointSet:
     return dist_point_set(p, B, norm)[1]
 
 
-def project_rows(P: np.ndarray, B: PointSet,
-                 norm: str = "l2") -> tuple[np.ndarray, np.ndarray]:
-    """`dist_point_set` for every row of the (m, d) array P in one query:
-    the distances to B and, per row, the index in B of the
-    lexicographically smallest of the tied witnesses (the points of B
-    within TIE_TOL of the distance).  The one-set case of
-    `project_groups`."""
-    return project_groups(P, np.zeros(len(P), dtype=np.intp), [B], norm)
-
-
 def project_groups(P: np.ndarray, owner: np.ndarray, sets,
                    norm: str = "l2") -> tuple[np.ndarray, np.ndarray]:
-    """`project_rows` for rows that each have their own set: the distance
-    from row i of the (m, d) array P to sets[owner[i]], and the index there
-    of its lexicographically smallest tied witness."""
+    """`dist_point_set` for every row of the (m, d) array P in one grouped
+    query, each row against its own set: the distance from row i to
+    sets[owner[i]], and the index there of the lexicographically smallest
+    of its tied witnesses (the points within TIE_TOL of the distance)."""
     dist, rows, cols, wit = _nearest_groups(P, owner, sets, norm)
     if cols.size > len(P):
         # Some row is tied: order each row's witnesses by their coordinates,

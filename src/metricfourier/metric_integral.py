@@ -25,6 +25,8 @@ class WeightFunction:
 
     `antiderivative`, when declared, makes subinterval integrals exact
     (polynomial/trig weights); otherwise adaptive quadrature at QTOL is used.
+    It must accept an array of points and return their values, as
+    `MetricChain.integral` evaluates it at all the nodes of a chain at once.
     """
 
     fn: object
@@ -98,20 +100,26 @@ def right_weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
                                        side="right")
 
 
+def _antiderivative(k: WeightFunction):
+    """k's declared antiderivative, or one from the quadrature: at an array
+    of nodes, the running sum of `integrate_weight` over their cells."""
+    if k.antiderivative is not None:
+        return k.antiderivative
+    return lambda nodes: np.cumsum([0.0] + [
+        integrate_weight(k, float(u), float(v))
+        for u, v in zip(nodes[:-1], nodes[1:])])
+
+
 def weighted_metric_integral(F: SetValuedFunction, k: WeightFunction,
                              family: SelectionFamily) -> IntegralResult:
     """{integral of k*s : s in family}; each s is piecewise constant on its
-    fine partition, so the integral reduces to exact subinterval k-integrals."""
+    fine partition, so the integral is its `MetricChain.integral` against
+    the declared antiderivative of k, or a quadrature one."""
     if len(family) == 0:
         raise ValueError("family must be nonempty")
-    sums = []
-    pnorm = 0.0
-    for s in family.selections:
-        nodes = s.nodes
-        pnorm = max(pnorm, float(np.diff(nodes).max()))
-        cells = np.array([integrate_weight(k, float(u), float(v))
-                          for u, v in zip(nodes[:-1], nodes[1:])])
-        sums.append(cells @ s.values[:-1])
+    K = _antiderivative(k)
+    sums = [s.integral(K) for s in family.selections]
+    pnorm = max(s.partition.norm for s in family.selections)
     return IntegralResult(PointSet.of(sums), "selection_family", pnorm)
 
 

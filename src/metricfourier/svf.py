@@ -21,6 +21,15 @@ from .geometry import (DEDUP_TOL, PointSet, _dedup, as_point,
 
 # Seed values must lie in F(x_hat) within this tolerance.
 SEED_TOL = 1e-7
+# Abscissa tolerances, all absolute (in units of x, not of the domain length).
+# A function or chain is evaluated up to X_TOL outside its domain (clamped),
+# and a node or jump within X_TOL of x is at x.
+X_TOL = 1e-12
+# Forced nodes within NODE_TOL of the grid or of a kept forced node are
+# dropped; a probe or an `at` point within NODE_TOL of x is x.
+NODE_TOL = 1e-13
+# A seed abscissa within SEED_NODE_TOL of a partition node is that node.
+SEED_NODE_TOL = 1e-9
 # Depth of the dyadic probe grid on which selections are compared.
 PROBE_DEPTH = 6
 # `exhaustive_chain_family` refuses beyond this many chains.
@@ -64,16 +73,16 @@ class Partition:
     @staticmethod
     def dyadic(a: float, b: float, depth: int, forced=()) -> "Partition":
         """The uniform grid of 2**depth cells plus every interior forced
-        point farther than 1e-13 from the grid and from the forced points
+        point farther than NODE_TOL from the grid and from the forced points
         kept before it."""
         grid = np.linspace(a, b, 2 ** depth + 1)
         xs = np.array([float(x) for x in forced if a < float(x) < b])
         # The grid is sorted, so its nearest node is a searchsorted neighbour.
         i = np.clip(np.searchsorted(grid, xs), 1, grid.size - 1)
-        far = np.minimum(np.abs(xs - grid[i - 1]), np.abs(xs - grid[i])) > 1e-13
+        gap = np.minimum(np.abs(xs - grid[i - 1]), np.abs(xs - grid[i]))
         kept = []
-        for x in xs[far]:
-            if all(abs(x - y) > 1e-13 for y in kept):
+        for x in xs[gap > NODE_TOL]:
+            if all(abs(x - y) > NODE_TOL for y in kept):
                 kept.append(x)
         return Partition.of(np.concatenate([grid, kept]))
 
@@ -111,7 +120,7 @@ class SetValuedFunction:
     variation_function: object | None = None
 
     def __call__(self, x: float) -> PointSet:
-        if not (self.a - 1e-12 <= x <= self.b + 1e-12):
+        if not (self.a - X_TOL <= x <= self.b + X_TOL):
             raise ValueError(f"{x} outside domain [{self.a}, {self.b}]")
         return self.fn(min(max(x, self.a), self.b))
 
@@ -149,10 +158,17 @@ class MetricChain:
         """The value at x, or the (m, d) values at an array of m points."""
         nodes = self.nodes
         x = np.asarray(x, dtype=float)
-        if np.any((x < nodes[0] - 1e-12) | (x > nodes[-1] + 1e-12)):
+        if np.any((x < nodes[0] - X_TOL) | (x > nodes[-1] + X_TOL)):
             raise ValueError(f"{x} outside [{nodes[0]}, {nodes[-1]}]")
         i = np.searchsorted(nodes, x, side="right") - 1
         return self.values[np.clip(i, 0, len(nodes) - 1)]
+
+    def integral(self, K) -> np.ndarray:
+        """The integral of k times the chain, sum_i (K(x_{i+1}) - K(x_i))
+        values[i], for an antiderivative K of k that maps the (N,) nodes to
+        (N,) values, giving a (d,) point, or to (N, m) values, giving (m, d).
+        The value at the last node holds on a null set: it has no weight."""
+        return np.diff(K(self.nodes), axis=0).T @ self.values[:-1]
 
 
 def greedy_chain(F: SetValuedFunction, chi: Partition, seed,
@@ -174,7 +190,7 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     After its seed step, a chain's value at a node is a point of F there,
     so a chain is a sequence of point indices and a greedy step is a fixed
     index map from F(t_i) to F(t_j): each point goes to the
-    lexicographically smallest of its nearest points, as `project_rows`
+    lexicographically smallest of its nearest points, as `project_groups`
     picks it.  Consecutive union nodes share a label when their sets are
     the same object or have bitwise equal points, and a map is keyed by
     its pair of labels, so a run of one set reuses one map (which may move
@@ -204,7 +220,7 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     i0 = np.empty(len(jobs), dtype=np.intp)
     for k, (chi, seed) in enumerate(jobs):
         i0[k] = np.argmin(np.abs(chi.nodes - float(seed[0])))
-        if abs(chi.nodes[i0[k]] - float(seed[0])) > 1e-9:
+        if abs(chi.nodes[i0[k]] - float(seed[0])) > SEED_NODE_TOL:
             raise ValueError("seed abscissa must be a partition node")
     union = np.unique(np.concatenate([chi.nodes for chi in chis]))
     for x in union:
@@ -355,9 +371,9 @@ class MetricSelection(MetricChain):
         branch motion, which covers all regression fixtures)."""
         nodes, vals = self.nodes, self.values
         if side == "-":
-            picks = np.flatnonzero(nodes < x - 1e-12)[-2:]
+            picks = np.flatnonzero(nodes < x - X_TOL)[-2:]
         elif side == "+":
-            picks = np.flatnonzero(nodes > x + 1e-12)[:2]
+            picks = np.flatnonzero(nodes > x + X_TOL)[:2]
         else:
             raise ValueError("side must be '-' or '+'")
         if picks.size < 2:
@@ -598,12 +614,12 @@ def one_sided_moduli(g, x_star: float, delta: float, lo: float, hi: float,
         if x_star <= lo:
             return 0.0, 0.0
         xs = _probe_grid(x_star, max(lo, x_star - delta), x_star)
-        inner = slice(None, np.searchsorted(xs, x_star - 1e-13))
+        inner = slice(None, np.searchsorted(xs, x_star - NODE_TOL))
     elif side == "+":
         if x_star >= hi:
             return 0.0, 0.0
         xs = _probe_grid(x_star, x_star, min(hi, x_star + delta))
-        inner = slice(np.searchsorted(xs, x_star + 1e-13, side="right"), None)
+        inner = slice(np.searchsorted(xs, x_star + NODE_TOL, "right"), None)
     else:
         raise ValueError("side must be '-' or '+'")
     vals = _values(g, xs)

@@ -200,7 +200,7 @@ def test_criterion_07_oracle_equivalence(report):
 
 def test_criterion_08_riemann_discrepancy_bound(report):
     const1 = WeightFunction.constant(1.0)
-    cosw = WeightFunction(math.cos, 4.0, 1.0, antiderivative=math.sin)
+    cosw = WeightFunction(np.cos, 4.0, 1.0, antiderivative=np.sin)
     cases = [fx.lines_fixture(), fx.two_branch_sine(), fx.zero_union_sine(),
              fx.step_svf(), fx.constant_set_fixture([-1.0, 1.0])]
     for F in cases:
@@ -242,7 +242,7 @@ def test_criterion_10_convergence(report):
     errs = {}
     for n in (16, 256):
         fam = selection_family(F, 7, 4, selection_depth(n))
-        approx = metric_fourier(F, n, 0.5, fam).value_set
+        approx = metric_fourier(F, n, 0.5, fam)
         errs[n] = hausdorff(approx, limit_set_AF(F, 0.5, fam))
     assert errs[256] < 0.5 * errs[16], errs
     G = fx.two_branch_sine()
@@ -250,7 +250,7 @@ def test_criterion_10_convergence(report):
     maxerr = {}
     for n in (16, 256):
         fam = selection_family(G, 7, 4, selection_depth(n))
-        maxerr[n] = max(hausdorff(metric_fourier(G, n, float(x), fam).value_set,
+        maxerr[n] = max(hausdorff(metric_fourier(G, n, float(x), fam),
                                   G(float(x))) for x in grid)
     elapsed = time.perf_counter() - start
     assert maxerr[256] < maxerr[16]
@@ -268,7 +268,7 @@ def test_criterion_11_singleton_reproduction(report):
     worst = 0.0
     for n in range(8, 2, -1):
         for x in np.linspace(-2.9, 2.9, 9):
-            approx = metric_fourier(F, n, float(x), fam).value_set
+            approx = metric_fourier(F, n, float(x), fam)
             worst = max(worst,
                         hausdorff(approx, PointSet.of([f.fn(float(x))])))
     assert worst < 1e-8

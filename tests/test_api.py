@@ -1,7 +1,9 @@
 """The public API takes no tolerance or probe count per call.  Each is a
 module constant, so every caller shares one notion of nearest point, one
 quadrature accuracy and one set of probe grids."""
+import importlib
 import inspect
+from pathlib import Path
 
 import metricfourier
 from metricfourier import (cli, fixtures, fourier, geometry, metric_integral,
@@ -40,3 +42,16 @@ def test_no_callable_takes_a_tolerance_or_probe_count():
     found = sorted(f"{label}({p})" for label, fn in exported()
                    for p in inspect.signature(fn).parameters if p in KNOBS)
     assert not found, found
+
+
+def test_benchmark_tracer_finds_every_traced_function(monkeypatch):
+    """perfbench's tracer looks up the functions it traces by name when it
+    installs, so deleting or renaming one must fail here, not only in its
+    own self-test."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

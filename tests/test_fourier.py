@@ -13,8 +13,8 @@ from metricfourier.fixtures import (SCALAR_FIXTURES, constant_set_fixture,
                                     singleton_fixture, square_wave,
                                     step_fixture, trig_poly, two_branch_sine)
 from metricfourier.fourier import (BoundParams, class_membership,
-                                   classical_partial_sum, delta_grid,
-                                   dirichlet, dirichlet_antiderivative,
+                                   delta_grid, dirichlet,
+                                   dirichlet_antiderivative,
                                    dirichlet_cos_sum, djordan_bound_rhs,
                                    family_coefficients, fit_K,
                                    fourier_coefficients, limit_set_AF,
@@ -130,21 +130,20 @@ def test_trig_polynomial_reproduction():
     f = trig_poly()
     for n in (3, 5):
         for x in np.linspace(-2.9, 2.9, 7):
-            got = classical_partial_sum(f.fn, n, float(x),
-                                        coeffs=f.coefficients(n))
+            got = trig_eval(*f.coefficients(n), float(x), n)
             assert abs(got - f.fn(x)) < 1e-12
 
 
 def test_square_wave_odd_symmetry_at_zero():
     f = square_wave()
     for n in (1, 9, 33):
-        got = classical_partial_sum(f.fn, n, 0.0, coeffs=f.coefficients(n))
+        got = trig_eval(*f.coefficients(n), 0.0, n)
         assert abs(got) < 1e-12
 
 
 def test_partial_sum_matches_dense_quadrature_oracle():
     f = square_wave()
-    got = classical_partial_sum(f.fn, 9, PI / 10.0, coeffs=f.coefficients(9))
+    got = trig_eval(*f.coefficients(9), PI / 10.0, 9)
     ref = oracle_fourier(f.fn, 9, PI / 10.0, breakpoints=f.breakpoints)
     assert abs(got - ref) < 1e-6
 
@@ -336,7 +335,7 @@ def test_metric_fourier_constant_set():
     for n in (1, 8):
         for x in (-1.0, 0.5):
             approx = metric_fourier(F, n, x, fam)
-            assert hausdorff(approx.value_set, F(x)) < 1e-9
+            assert hausdorff(approx, F(x)) < 1e-9
 
 
 def test_metric_fourier_singleton_trig_poly():
@@ -345,7 +344,7 @@ def test_metric_fourier_singleton_trig_poly():
     fam = selection_family(F, 3, 2, 6)
     for x in (-2.0, 0.0, 1.3):
         approx = metric_fourier(F, 4, x, fam)
-        assert hausdorff(approx.value_set, PointSet.of([f.fn(x)])) < 1e-8
+        assert hausdorff(approx, PointSet.of([f.fn(x)])) < 1e-8
 
 
 @pytest.mark.parametrize("F", [two_branch_sine(),
@@ -354,8 +353,8 @@ def test_metric_fourier_reuses_higher_order_coefficients(F):
     fam = selection_family(F, 3, 2, 6)
     coeffs = family_coefficients(F, 64, fam)
     for x in (-2.0, 0.0, 1.3):
-        got = metric_fourier(F, 16, x, fam, coeffs=coeffs).value_set.points
-        want = metric_fourier(F, 16, x, fam).value_set.points
+        got = metric_fourier(F, 16, x, fam, coeffs=coeffs).points
+        want = metric_fourier(F, 16, x, fam).points
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-13
 

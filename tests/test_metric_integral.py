@@ -1,12 +1,18 @@
 """Unit tests for weighted metric Riemann sums, the weighted metric integral,
 the Aumann baseline, and the inclusion report."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metricfourier import metric_integral
 from metricfourier.fixtures import (constant_set_fixture, lines_fixture,
                                     singleton_fixture, zero_union_sine)
+from metricfourier.fourier import (dirichlet, dirichlet_antiderivative,
+                                   metric_fourier)
 from metricfourier.geometry import hausdorff, hull_contains, set_norm
 from metricfourier.metric_integral import (WeightFunction,
                                            aumann_integral_convex,
@@ -14,8 +20,8 @@ from metricfourier.metric_integral import (WeightFunction,
                                            right_weighted_metric_riemann_sum,
                                            weighted_metric_integral,
                                            weighted_metric_riemann_sum)
-from metricfourier.svf import (Partition, exhaustive_chain_family,
-                               selection_family)
+from metricfourier.svf import (MetricSelection, Partition, SelectionFamily,
+                               exhaustive_chain_family, selection_family)
 
 PI = math.pi
 ATOL = 1e-12
@@ -32,8 +38,8 @@ def test_constant_weight():
 
 def test_integrate_weight_quadrature_matches_closed_form():
     # Same cosine with and without a declared antiderivative.
-    exact = WeightFunction(math.cos, 4.0, 1.0, antiderivative=math.sin)
-    quad_only = WeightFunction(math.cos, 4.0, 1.0)
+    exact = WeightFunction(np.cos, 4.0, 1.0, antiderivative=np.sin)
+    quad_only = WeightFunction(np.cos, 4.0, 1.0)
     for u, v in [(0.0, 1.0), (-1.2, 2.3)]:
         assert abs(integrate_weight(exact, u, v)
                    - integrate_weight(quad_only, u, v)) < 1e-9
@@ -142,6 +148,68 @@ def test_integral_matches_fine_riemann_sum():
     # Selections are chains on chi; the integral replaces dx by exact cell
     # masses, identical here because k is constant.
     assert hausdorff(exact, res.value_set) < 1e-9
+
+
+@st.composite
+def chain_families(draw):
+    """1-4 selections of one dimension d in {1, 2}, each a chain on a random
+    partition of [-pi, pi] with random values."""
+    d = draw(st.sampled_from([1, 2]))
+    coord = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    selections = []
+    for _ in range(draw(st.integers(1, 4))):
+        inner = draw(st.lists(st.floats(-PI, PI, exclude_min=True,
+                                        exclude_max=True), max_size=30))
+        chi = Partition.of(sorted({-PI, PI, *inner}))
+        vals = np.array(draw(st.lists(coord, min_size=len(chi) * d,
+                                      max_size=len(chi) * d)))
+        vals = vals.reshape(len(chi), d)
+        selections.append(MetricSelection(chi, vals, (-PI, vals[0]), 0, 0.0))
+    return d, SelectionFamily(tuple(selections))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_families(), st.integers(1, 512), st.floats(-PI, PI))
+def test_metric_fourier_is_the_dirichlet_weighted_integral(dfam, n, x):
+    """S_nF(x) is the weighted metric integral of F against D_n(x - .)/pi,
+    whose antiderivative in t is -Phi_n(x - t)/pi."""
+    d, fam = dfam
+    F = constant_set_fixture([[0.0] * d])
+    k = WeightFunction(
+        lambda t: dirichlet(n, x - t) / PI, 0.0, (n + 0.5) / PI,
+        antiderivative=lambda t: -dirichlet_antiderivative(n, x - t) / PI)
+    approx = metric_fourier(F, n, x, fam)
+    assert hausdorff(approx, weighted_metric_integral(F, k, fam).value_set) \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("fn,K,jumps", [
+    (np.cos, np.sin, ()),
+    (lambda t: 1.0 + t * t, lambda t: t + t ** 3 / 3.0, ()),
+    (lambda t: float(t >= 0.5), lambda t: np.maximum(t - 0.5, 0.0), (0.5,)),
+])
+def test_integral_quadrature_matches_declared_antiderivative(fn, K, jumps):
+    F = lines_fixture()
+    fam = selection_family(F, 7, 4, 6)
+    exact = weighted_metric_integral(
+        F, WeightFunction(fn, 1.0, 1.0, jumps, antiderivative=K), fam)
+    quad = weighted_metric_integral(F, WeightFunction(fn, 1.0, 1.0, jumps),
+                                    fam)
+    assert exact.value_set.points.shape == quad.value_set.points.shape
+    assert np.max(np.abs(exact.value_set.points
+                         - quad.value_set.points)) <= 1e-9
+
+
+def test_declared_antiderivative_takes_no_quadrature():
+    F = lines_fixture()
+    fam = selection_family(F, 7, 4, 6)
+    with mock.patch.object(metric_integral, "integrate_weight",
+                           wraps=integrate_weight) as spy:
+        weighted_metric_integral(
+            F, WeightFunction(np.cos, 4.0, 1.0, antiderivative=np.sin), fam)
+        assert spy.call_count == 0
+        weighted_metric_integral(F, WeightFunction(np.cos, 4.0, 1.0), fam)
+        assert spy.call_count > 0
 
 
 def test_integral_diameter_bound():
@@ -261,7 +329,7 @@ def test_riemann_sum_rejects_unknown_side():
 def test_right_sum_is_the_right_side():
     F = lines_fixture()
     chi = Partition.dyadic(F.a, F.b, 3, forced=(0.5,))
-    k = WeightFunction(math.cos, 4.0, 1.0, antiderivative=math.sin)
+    k = WeightFunction(np.cos, 4.0, 1.0, antiderivative=np.sin)
     fam = exhaustive_chain_family(F, chi)
     for mode in ("exact", "family"):
         right = right_weighted_metric_riemann_sum(F, k, chi, mode, fam)

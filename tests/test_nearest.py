@@ -18,7 +18,7 @@ from metricfourier import geometry
 from metricfourier.fixtures import disc_net
 from metricfourier.geometry import (PointSet, dist_point_set,
                                     enumerate_metric_chains, hausdorff,
-                                    min_dists, project_rows)
+                                    min_dists, project_groups)
 from metricfourier.oracle import (_all_chains, _pairs, oracle_dedup,
                                   oracle_dist_point_set, oracle_min_dists)
 
@@ -65,12 +65,13 @@ def test_dist_point_set_matches_oracle(inst, norm, path):
 @given(dims.flatmap(tied_instance), st.sampled_from(NORMS),
        st.sampled_from(sorted(FORCE)))
 def test_project_rows_matches_oracle(inst, norm, path):
-    """Each row's distance and the index of its lexicographically smallest
-    witness."""
+    """Projection onto one set: each row's distance and the index of its
+    lexicographically smallest witness."""
     q, Q = inst
     P = np.vstack([q, Q[:3], q[::-1] if q.size > 1 else -q])
     with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
-        dist, picks = project_rows(P, PointSet.of(Q, dedup_tol=0), norm)
+        dist, picks = project_groups(P, np.zeros(len(P), dtype=np.intp),
+                                     [PointSet.of(Q, dedup_tol=0)], norm)
     for p, d, pick in zip(P, dist, Q[picks]):
         ref_d, ref_idx = oracle_dist_point_set(p, Q, norm)
         w = Q[ref_idx]
@@ -219,7 +220,7 @@ PADDED = (np.array([[2.25], [0.0]]), np.array([0, 1]),
 def test_grouped_query_matches_queries_per_group(inst, norm, group_max):
     """`_nearest_groups` and `project_groups`, with groups sent to the
     padded kernel or to `_nearest` by the patched GROUP_MAX, against
-    `_nearest` and `project_rows` on each group alone through `cdist`:
+    `_nearest` and `project_groups` on each group alone through `cdist`:
     the same distances, witnesses and picks, bit for bit."""
     P, owner, sets = inst
     psets = [PointSet.of(S, dedup_tol=0) for S in sets]
@@ -242,7 +243,7 @@ def test_grouped_query_matches_queries_per_group(inst, norm, group_max):
             got = np.isin(rows, mine)
             assert np.array_equal(rows[got], mine[i])
             assert np.array_equal(cols[got], j)
-            d, k = project_rows(P[mine], B, norm)
+            d, k = project_groups(P[mine], np.zeros_like(mine), [B], norm)
             assert np.array_equal(pdist[mine], d)
             assert np.array_equal(picks[mine], k)
     for p, g, d, k in zip(P, owner, pdist, picks):
