@@ -298,8 +298,8 @@ def run_integral(cfg: ExperimentConfig) -> list[tuple]:
     F = cfg.build_svf()
     k = parse_weight(cfg.weight)
     fam = selection_family(F, cfg.x_seeds, cfg.y_seeds, cfg.depth, cfg.norm)
-    result = weighted_metric_integral(F, k, fam)
-    rows = [("metric",) + tuple(map(float, p)) for p in result.value_set.points]
+    rows = [("metric",) + tuple(map(float, p))
+            for p in weighted_metric_integral(F, k, fam).points]
     chi = Partition.uniform(F.a, F.b, 256)
     for p in aumann_integral_convex(F, k, chi).points:
         rows.append(("aumann_vertex",) + tuple(map(float, p)))
@@ -311,7 +311,7 @@ def run_selections(cfg: ExperimentConfig) -> list[tuple]:
     fam = selection_family(F, cfg.x_seeds, cfg.y_seeds, cfg.depth, cfg.norm)
     xs = cfg.grid(F)
     return [(i, float(x)) + tuple(map(float, v))
-            for i, s in enumerate(fam.selections) for x, v in zip(xs, s(xs))]
+            for i, s in enumerate(fam) for x, v in zip(xs, s(xs))]
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -341,16 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Metric Fourier approximation experiments")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    for verb in ("convergence", "bound-check", "integral", "selections"):
+        p = sub.add_parser(verb)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--norm", choices=["l1", "l2", "linf"])
         p.add_argument("--seed-grid", dest="seed_grid", metavar="X,Y")
         p.add_argument("--depth", type=int)
-
-    for verb in ("convergence", "bound-check", "integral", "selections",
-                 "hausdorff"):
-        common(sub.add_parser(verb))
+    sub.add_parser("hausdorff").add_argument(
+        "--config", help="JSON object with set_a, set_b and optional norm")
     px = sub.add_parser("example")
     px.add_argument("name", choices=["balls", "lines", "integral-inclusion"])
     px.add_argument("--eps", type=float, default=1e-3)

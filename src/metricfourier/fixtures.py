@@ -3,6 +3,7 @@ with closed-form Fourier coefficients, and an inline piecewise description
 parser used by the CLI."""
 from __future__ import annotations
 
+import ast
 import math
 import sys
 from dataclasses import dataclass
@@ -261,10 +262,42 @@ SVF_FIXTURES = {
 
 _EVAL_NS = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
             "exp": math.exp, "sqrt": math.sqrt, "abs": abs, "pi": PI}
+_CALLS = {name for name, v in _EVAL_NS.items() if callable(v)}
+_OPS = (ast.UAdd, ast.USub, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 class DescriptionError(ValueError):
     """Malformed inline SVF description."""
+
+
+def _in_language(node) -> bool:
+    """Whether a parsed curve expression uses only numbers, t, pi, unary
+    + and -, binary + - * / **, and keyword-free calls of _CALLS."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Name):
+        return node.id in ("t", "pi")
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, _OPS) and _in_language(node.operand)
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, _OPS) and _in_language(node.left) \
+            and _in_language(node.right)
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id in _CALLS and not node.keywords \
+        and all(map(_in_language, node.args))
+
+
+def _compile_expression(expr, where: str):
+    """The checked code of one curve expression.  Nesting too deep for the
+    parser or compiler raises RecursionError or MemoryError."""
+    try:
+        tree = ast.parse(str(expr), where, "eval")
+        if _in_language(tree.body):
+            return compile(tree, where, "eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise DescriptionError(f"{where}.curve: {exc}") from exc
+    raise DescriptionError(f"{where}.curve: {expr!r} is outside the "
+                           "expression language")
 
 
 def _check_keys(d, allowed: set, where: str) -> None:
@@ -314,11 +347,7 @@ def _piece_evaluator(piece: dict, where: str):
             isinstance(e, (str, int, float)) for br in branches for e in br):
         raise DescriptionError(f"{where}.curve branches must be expressions, "
                                "all of one dimension")
-    try:
-        branches = [[compile(str(e), where, "eval") for e in br]
-                    for br in branches]
-    except (SyntaxError, ValueError) as exc:
-        raise DescriptionError(f"{where}.curve: {exc}") from exc
+    branches = [[_compile_expression(e, where) for e in br] for br in branches]
 
     def fn(t):
         pts = [[eval(code, {"__builtins__": {}}, dict(_EVAL_NS, t=t))

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad_vec
 
 from .geometry import PointSet, as_point
-from .svf import (MetricChain, MetricSelection, SelectionFamily,
-                  SetValuedFunction, one_sided_moduli, total_variation)
+from .svf import (MetricChain, MetricSelection, SetValuedFunction,
+                  one_sided_moduli, total_variation)
 
 # Absolute and relative accuracy of every adaptive quadrature.
 QTOL = 1e-10
@@ -143,12 +143,10 @@ def selection_coefficients(s: MetricSelection, n: int, breakpoints=()):
                                 breakpoints)
 
 
-def family_coefficients(F: SetValuedFunction, n: int,
-                        family: SelectionFamily):
+def family_coefficients(F: SetValuedFunction, n: int, family: tuple):
     """(a, b), each (n+1, S, d): the coefficients of every selection,
     stacked along axis 1, after the harmonics."""
-    pairs = [selection_coefficients(s, n, F.jump_points)
-             for s in family.selections]
+    pairs = [selection_coefficients(s, n, F.jump_points) for s in family]
     return tuple(np.stack(c, axis=1) for c in zip(*pairs))
 
 
@@ -164,7 +162,7 @@ def partial_sum_of_selection(s: MetricSelection, n: int, x: float,
 
 
 def metric_fourier(F: SetValuedFunction, n: int, x: float,
-                   family: SelectionFamily, coeffs=None) -> PointSet:
+                   family: tuple, coeffs=None) -> PointSet:
     """S_nF(x) = {S_n s(x) : s in the selection family}, deduplicated.
     `coeffs` is the family's `family_coefficients` at any order >= n."""
     if coeffs is None:
@@ -172,13 +170,12 @@ def metric_fourier(F: SetValuedFunction, n: int, x: float,
     return PointSet.of(trig_eval(*coeffs, x, n))
 
 
-def limit_set_AF(F: SetValuedFunction, x: float,
-                 family: SelectionFamily) -> PointSet:
+def limit_set_AF(F: SetValuedFunction, x: float, family: tuple) -> PointSet:
     """A_F(x) = {(s(x+0) + s(x-0))/2 : s in the family}."""
     if not (F.a < x < F.b):
         raise ValueError("A_F is defined at interior points only")
     mids = [(s.one_sided_limit(x, "-") + s.one_sided_limit(x, "+")) / 2.0
-            for s in family.selections]
+            for s in family]
     return PointSet.of(mids, dedup_tol=1e-9)
 
 
@@ -187,36 +184,22 @@ def delta_grid(lo: float = 1e-3, hi: float = math.pi, m: int = 32) -> np.ndarray
     return np.geomspace(lo, hi, m + 1)[1:]
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs of the refined Dirichlet-Jordan bound."""
-
-    B: float
-    delta: float
-    omega: object
-    C: float = C_KERNEL
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= math.pi:
-            raise ValueError("delta must lie in (0, pi]")
-        if self.B < 0:
-            raise ValueError("variation budget must be nonnegative")
+def djordan_bound_rhs(B: float, n: int, delta: float, omega) -> float:
+    """(2B / (pi n)) (1 + 6 cot(delta/2)) + 8 C_KERNEL omega(delta)."""
+    if not 0.0 < delta <= math.pi:
+        raise ValueError("delta must lie in (0, pi]")
+    if B < 0:
+        raise ValueError("variation budget must be nonnegative")
+    cot = math.cos(delta / 2.0) / math.sin(delta / 2.0)
+    return (2.0 * B / (math.pi * n)) * (1.0 + 6.0 * cot) \
+        + 8.0 * C_KERNEL * float(omega(delta))
 
 
-def djordan_bound_rhs(p: BoundParams, n: int) -> float:
-    """(2B / (pi n)) (1 + 6 cot(delta/2)) + 8 C omega(delta)."""
-    cot = math.cos(p.delta / 2.0) / math.sin(p.delta / 2.0)
-    return (2.0 * p.B / (math.pi * n)) * (1.0 + 6.0 * cot) \
-        + 8.0 * p.C * float(p.omega(p.delta))
-
-
-def min_djordan_bound(B: float, omega, n: int, C: float = C_KERNEL,
-                      deltas=None) -> float:
+def min_djordan_bound(B: float, omega, n: int, deltas=None) -> float:
     """Bound minimized over the delta grid."""
     if deltas is None:
         deltas = delta_grid()
-    return min(djordan_bound_rhs(BoundParams(B, d, omega, C), n)
-               for d in deltas)
+    return min(djordan_bound_rhs(B, n, d, omega) for d in deltas)
 
 
 def svf_bound_rhs(V: float, n: int, delta: float, omega, K: float) -> float:

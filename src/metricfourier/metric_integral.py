@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from .fourier import QTOL
 from .geometry import (PointSet, convex_hull, hull_contains,
                        metric_linear_combination, min_dists)
-from .svf import Partition, SelectionFamily, SetValuedFunction
+from .svf import Partition, SetValuedFunction
 
 # `inclusion_check`: F is sampled at INCLUSION_GRID points and its jumps,
 # the intersection holds within INTER_TOL, the inclusions within MEMBER_TOL.
@@ -59,45 +59,31 @@ def integrate_weight(k: WeightFunction, u: float, v: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    value_set: PointSet
-    method: str
-    partition_norm: float
-
-
 def weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
-                                chi: Partition, mode: str = "exact",
-                                family: SelectionFamily | None = None,
+                                chi: Partition, family: tuple | None = None,
                                 norm: str = "l2",
                                 side: str = "left") -> PointSet:
     """Weighted metric Riemann sums {sum (x_{i+1}-x_i) k(t_i) y_i} with
     tags t_i = x_i (side="left") or t_i = x_{i+1} (side="right").
 
-    exact: the metric linear combination of (F(t_0), ..., F(t_{n-1}));
-    family: along each selection's chain restricted to the tags.
-    """
+    family=None: the metric linear combination of (F(t_0), ..., F(t_{n-1}));
+    a family: along each selection's chain restricted to the tags."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
     nodes = chi.nodes
     tags = nodes[:-1] if side == "left" else nodes[1:]
     weights = np.diff(nodes) * np.array([k(x) for x in tags])
-    if mode == "exact":
+    if family is None:
         return metric_linear_combination(weights, [F(x) for x in tags], norm)
-    if mode == "family":
-        if family is None:
-            raise ValueError("family mode requires a SelectionFamily")
-        return PointSet.of([weights @ s(tags) for s in family.selections])
-    raise ValueError(f"unknown mode {mode!r}")
+    return PointSet.of([weights @ s(tags) for s in family])
 
 
 def right_weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
-                                      chi: Partition, mode: str = "exact",
-                                      family: SelectionFamily | None = None,
+                                      chi: Partition,
+                                      family: tuple | None = None,
                                       norm: str = "l2") -> PointSet:
     """Right-endpoint sums {sum (x_{i+1}-x_i) k(x_{i+1}) y_{i+1}}."""
-    return weighted_metric_riemann_sum(F, k, chi, mode, family, norm,
-                                       side="right")
+    return weighted_metric_riemann_sum(F, k, chi, family, norm, side="right")
 
 
 def _antiderivative(k: WeightFunction):
@@ -111,16 +97,14 @@ def _antiderivative(k: WeightFunction):
 
 
 def weighted_metric_integral(F: SetValuedFunction, k: WeightFunction,
-                             family: SelectionFamily) -> IntegralResult:
+                             family: tuple) -> PointSet:
     """{integral of k*s : s in family}; each s is piecewise constant on its
     fine partition, so the integral is its `MetricChain.integral` against
     the declared antiderivative of k, or a quadrature one."""
     if len(family) == 0:
         raise ValueError("family must be nonempty")
     K = _antiderivative(k)
-    sums = [s.integral(K) for s in family.selections]
-    pnorm = max(s.partition.norm for s in family.selections)
-    return IntegralResult(PointSet.of(sums), "selection_family", pnorm)
+    return PointSet.of([s.integral(K) for s in family])
 
 
 def aumann_integral_convex(F: SetValuedFunction, k: WeightFunction,
@@ -156,7 +140,6 @@ class InclusionReport:
     lower_ok: bool
     upper_ok: bool
     lower_margin: float
-    upper_margin: float
     vacuous: bool
 
     @property
@@ -165,8 +148,7 @@ class InclusionReport:
 
 
 def inclusion_check(F: SetValuedFunction, k: WeightFunction,
-                    family: SelectionFamily,
-                    norm: str = "l2") -> InclusionReport:
+                    family: tuple, norm: str = "l2") -> InclusionReport:
     """Check intersection(F) subset normalized integral subset hull(union F)
     for k >= 0 with nonzero mass, on a dense x-grid."""
     xs = sorted(set(np.linspace(F.a, F.b, INCLUSION_GRID))
@@ -180,7 +162,7 @@ def inclusion_check(F: SetValuedFunction, k: WeightFunction,
     for S in sampled:
         keep &= min_dists(cands, S.points, norm) <= INTER_TOL
     intersection = PointSet.of(cands[keep], dedup_tol=0) if keep.any() else None
-    value = weighted_metric_integral(F, k, family).value_set
+    value = weighted_metric_integral(F, k, family)
     normalized = PointSet.of(value.points / mass, dedup_tol=0)
     union_hull = convex_hull(PointSet.of(np.vstack([S.points for S in sampled]),
                                          dedup_tol=1e-9))
@@ -193,7 +175,5 @@ def inclusion_check(F: SetValuedFunction, k: WeightFunction,
         lower_ok = bool(gaps.max() <= MEMBER_TOL)
     upper_ok = all(hull_contains(union_hull, p, MEMBER_TOL)
                    for p in normalized.points)
-    upper_margin = MEMBER_TOL if upper_ok else float("-inf")
     return InclusionReport(intersection, normalized, union_hull,
-                           lower_ok, upper_ok, lower_margin, upper_margin,
-                           vacuous)
+                           lower_ok, upper_ok, lower_margin, vacuous)

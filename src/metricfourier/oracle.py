@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 
 from .geometry import PointSet
 from .svf import (SEED_TOL, GreedySeedError, MetricChain, MetricSelection,
-                  Partition, SelectionFamily, SetValuedFunction)
+                  Partition, SetValuedFunction)
 
 _TIE = 1e-9
 # Tolerance of the reference quadrature, tighter than the library's QTOL:
@@ -91,7 +91,7 @@ def oracle_greedy_chain(F: SetValuedFunction, chi: Partition, seed,
 
 def oracle_selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
                             depth: int, norm: str = "l2",
-                            probe: Partition | None = None) -> SelectionFamily:
+                            probe: Partition | None = None) -> tuple:
     """`svf.selection_family` seed by seed: two greedy chains per seed (at
     `depth` and `depth - 1`), the singleton test on fresh evaluations of F,
     then dedup on the probe grid."""
@@ -128,7 +128,7 @@ def oracle_selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
                 last.partition, last.values,
                 (float(x_hat), np.atleast_1d(np.asarray(y_hat, float))),
                 depth, defect, smooth))
-    return SelectionFamily(tuple(selections))
+    return tuple(selections)
 
 
 def _argmins(p: np.ndarray, pts: np.ndarray) -> list[int]:

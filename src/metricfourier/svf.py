@@ -421,21 +421,11 @@ def _selection(F: SetValuedFunction, seed, depth: int, last: MetricChain,
                            smooth)
 
 
-@dataclass(frozen=True)
-class SelectionFamily:
-    """Computational stand-in for the family of all metric selections."""
-
-    selections: tuple
-
-    def __len__(self) -> int:
-        return len(self.selections)
-
-
 def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
-                     depth: int, norm: str = "l2") -> SelectionFamily:
+                     depth: int, norm: str = "l2") -> tuple:
     """Selections seeded on a uniform x-grid (plus jumps) crossed with up to
     y_seeds points of each F(x_hat), or every point if y_seeds is "all",
-    deduplicated on a probe grid.
+    deduplicated on a probe grid: the stand-in for all metric selections.
 
     The depth-`depth` and depth-`depth - 1` chains of all seeds are built
     together by one `_greedy_chains` sweep."""
@@ -466,14 +456,13 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
     sigs = np.stack([last(probe.nodes).ravel()
                      for last in chains[:len(seeds)]])
     kept = _dedup(sigs, DEDUP_TOL)
-    selections = [_selection(F, seed, depth, last, prev, probe, norm, sets)
-                  for seed, last, prev, keep in zip(seeds, chains, prevs, kept)
-                  if keep]
-    return SelectionFamily(tuple(selections))
+    return tuple(_selection(F, seed, depth, last, prev, probe, norm, sets)
+                 for seed, last, prev, keep in zip(seeds, chains, prevs, kept)
+                 if keep)
 
 
 def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
-                            norm: str = "l2") -> SelectionFamily:
+                            norm: str = "l2") -> tuple:
     """Every metric chain over F sampled at the partition nodes, as a family.
 
     For piecewise-constant F whose pieces are resolved by `chi` this is the
@@ -482,8 +471,8 @@ def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
     """
     sets = [F(x) for x in chi.nodes]
     chains = enumerate_metric_chains(sets, norm, EXHAUSTIVE_LIMIT)
-    return SelectionFamily(tuple(
-        MetricSelection(chi, ch, (chi.a, ch[0]), 0, 0.0) for ch in chains))
+    return tuple(MetricSelection(chi, ch, (chi.a, ch[0]), 0, 0.0)
+                 for ch in chains)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from metricfourier import fixtures as fx
 from metricfourier.cli import selection_depth
-from metricfourier.fourier import (BoundParams, delta_grid, dirichlet,
+from metricfourier.fourier import (delta_grid, dirichlet,
                                    dirichlet_antiderivative,
                                    dirichlet_cos_sum, djordan_bound_rhs,
                                    limit_set_AF, metric_fourier,
@@ -120,8 +120,8 @@ def test_criterion_04_refined_jump_bound(report):
         for n in orders:
             observed = abs(trig_eval_trunc(a, b, fixture.jump, n)
                            - fixture.midpoint)
-            bound = min(djordan_bound_rhs(
-                BoundParams(fixture.variation, d, omega), n) for d in deltas)
+            bound = min(djordan_bound_rhs(fixture.variation, n, d, omega)
+                        for d in deltas)
             assert observed <= bound, (fixture.name, n, observed, bound)
     report("PASS: criterion 4 refined jump bound with C=2 on square wave, "
           "sawtooth, step (n in 8..512)")
@@ -186,8 +186,7 @@ def test_criterion_07_oracle_equivalence(report):
         k = step_weight(inst)
         exact = weighted_metric_riemann_sum(F, k, chi)
         fam = exhaustive_chain_family(F, chi)
-        via_family = weighted_metric_riemann_sum(F, k, chi, mode="family",
-                                                 family=fam)
+        via_family = weighted_metric_riemann_sum(F, k, chi, family=fam)
         ref = PointSet.of(oracle_riemann_set(inst))
         worst = max(worst, hausdorff(exact, via_family),
                     hausdorff(exact, ref))
@@ -305,8 +304,8 @@ def test_criterion_12_selection_invariants(report):
     for F, x_star in CASES:
         vf = F.variation_function
         fam = selection_family(F, 5, 3, 8)
-        chi_norm = max(float(np.diff(s.nodes).max()) for s in fam.selections)
-        for s in fam.selections:
+        chi_norm = max(float(np.diff(s.nodes).max()) for s in fam)
+        for s in fam:
             # Chain variation and sup-norm dominated by those of F.
             v_s, _ = total_variation(s)
             assert v_s <= F.variation_hint + TOL

@@ -1,6 +1,8 @@
 """The public API takes no tolerance or probe count per call.  Each is a
 module constant, so every caller shares one notion of nearest point, one
-quadrature accuracy and one set of probe grids."""
+quadrature accuracy and one set of probe grids.  Nor does it take the
+deleted knobs: a Riemann sum's `mode` (a `family` argument says it) and
+the bound's kernel constant `C` (`fourier.C_KERNEL`)."""
 import importlib
 import inspect
 from pathlib import Path
@@ -12,7 +14,7 @@ from metricfourier import (cli, fixtures, fourier, geometry, metric_integral,
 MODULES = (metricfourier, cli, fixtures, fourier, geometry, metric_integral,
            svf)
 KNOBS = {"tie_tol", "qtol", "vtol", "probe", "probes", "member_tol",
-         "inter_tol"}
+         "inter_tol", "mode", "C"}
 
 
 def exported():

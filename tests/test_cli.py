@@ -165,6 +165,22 @@ def test_hausdorff_verb_norm_key(tmp_path, capsys):
     assert abs(float(capsys.readouterr().out) - 2.0) < 1e-15
 
 
+@pytest.mark.parametrize("flags", [["--norm", "linf"], ["--out", "f.csv"],
+                                   ["--seed-grid", "3,2"], ["--depth", "5"]])
+def test_hausdorff_verb_rejects_experiment_flags(tmp_path, capsys,
+                                                 monkeypatch, flags):
+    """hausdorff takes only --config; its norm is the config's `norm` key,
+    so a flag it would ignore is a usage error (exit 2), not silence."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "h.json",
+                    {"set_a": [[0.0, 0.0]], "set_b": [[3.0, 4.0]]})
+    with pytest.raises(SystemExit) as exc:
+        main(["hausdorff", "--config", cfg, *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "f.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -347,6 +363,15 @@ def test_parse_svf_rejects_unknown_keys():
                    "pieces": [{"points": [[0]], "speed": 3}]})
 
 
+# Curve expressions outside the language: numbers, t, pi, unary + and -,
+# binary + - * / ** and keyword-free calls of the listed functions.
+OUTSIDE_THE_LANGUAGE = (
+    "().__class__.__mro__[1].__subclasses__().__len__()", "log(t)",
+    "__import__('os')", "t.real", "[t][0]", "(lambda: t)()", "sin(x=t)",
+    "sin(*[t])", "pi(t)", "sin", "t % 2", "t // 2", "t < 1", "1j", "True",
+    "'t'", "1+" * 5000 + "t", "-" * 100000 + "t")
+
+
 def test_parse_svf_validates_structure():
     """Every defect visible before a curve is evaluated."""
     disc = {"center": [0, 0], "radius": 1, "eps": 0.5}
@@ -372,9 +397,32 @@ def test_parse_svf_validates_structure():
             {"domain": [0, 1], "pieces": [{"points": [[0]]}],
              "at": [{"points": [[1]]}]},
             {"domain": [0, 1], "pieces": [{"points": [[0]]}],
-             "at": [{"x": 2, "points": [[1]]}]}):
+             "at": [{"x": 2, "points": [[1]]}]},
+            *({"domain": [0, 1], "pieces": [{"curve": [expr]}]} for expr in
+              OUTSIDE_THE_LANGUAGE)):
         with pytest.raises(DescriptionError):
             parse_svf(bad)
+
+
+def test_parse_svf_accepts_the_whole_language():
+    expr = "-t + +2 * pi / 4 ** 2 - abs(sin(t)) + sqrt(exp(cos(tan(t)))) + 1e-3"
+    F = parse_svf({"domain": [0, 1], "pieces": [{"curve": [[expr, 3]]}]})
+    t = 0.25
+    want = (-t + 2 * PI / 16 - abs(math.sin(t))
+            + math.sqrt(math.exp(math.cos(math.tan(t)))) + 1e-3)
+    assert np.array_equal(F(t).points, [[want, 3.0]])
+
+
+@pytest.mark.parametrize("expr", [
+    "().__class__.__mro__[1].__subclasses__().__len__()", "log(t)"])
+def test_exit_code_2_curve_outside_the_language(tmp_path, capsys, expr):
+    """A curve expression is checked before anything evaluates it: the
+    payload that counts the loaded classes and an unknown function are
+    config errors, not code that runs or a traceback."""
+    svf = {"domain": [-PI, PI], "pieces": [{"curve": [[expr, "t"]]}]}
+    cfg = write_cfg(tmp_path, "svf.json", {"svf": svf, "orders": [4]})
+    assert main(["convergence", "--config", cfg]) == 2
+    assert "outside the expression language" in capsys.readouterr().err
 
 
 def test_exit_code_2_malformed_svf(tmp_path, capsys):

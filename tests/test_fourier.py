@@ -12,8 +12,7 @@ from metricfourier.fixtures import (SCALAR_FIXTURES, constant_set_fixture,
                                     lines_fixture, sawtooth,
                                     singleton_fixture, square_wave,
                                     step_fixture, trig_poly, two_branch_sine)
-from metricfourier.fourier import (BoundParams, class_membership,
-                                   delta_grid, dirichlet,
+from metricfourier.fourier import (class_membership, delta_grid, dirichlet,
                                    dirichlet_antiderivative,
                                    dirichlet_cos_sum, djordan_bound_rhs,
                                    family_coefficients, fit_K,
@@ -396,34 +395,34 @@ def test_limit_set_inside_minkowski_average():
 # bounds
 
 def test_djordan_rhs_omega_zero_delta_pi():
-    p = BoundParams(B=3.0, delta=PI, omega=lambda d: 0.0)
-    assert abs(djordan_bound_rhs(p, 10) - 2.0 * 3.0 / (PI * 10)) < 1e-12
+    assert abs(djordan_bound_rhs(3.0, 10, PI, lambda d: 0.0)
+               - 2.0 * 3.0 / (PI * 10)) < 1e-12
 
 
 def test_djordan_rhs_zero_variation():
-    p = BoundParams(B=0.0, delta=0.5, omega=lambda d: d)
-    assert abs(djordan_bound_rhs(p, 7) - 8.0 * 2.0 * 0.5) < 1e-12
+    assert abs(djordan_bound_rhs(0.0, 7, 0.5, lambda d: d)
+               - 8.0 * 2.0 * 0.5) < 1e-12
 
 
 def test_djordan_rhs_pinned_formula():
-    p = BoundParams(B=2.0, delta=PI / 4.0, omega=lambda d: d / 10.0)
     n = 100
     cot = math.cos(PI / 8.0) / math.sin(PI / 8.0)
     expect = (4.0 / (PI * n)) * (1.0 + 6.0 * cot) + 16.0 * PI / 40.0
-    assert abs(djordan_bound_rhs(p, n) - expect) < 1e-12
+    assert abs(djordan_bound_rhs(2.0, n, PI / 4.0, lambda d: d / 10.0)
+               - expect) < 1e-12
 
 
 def test_bound_params_validation():
     with pytest.raises(ValueError):
-        BoundParams(B=1.0, delta=4.0, omega=lambda d: 0.0)
+        djordan_bound_rhs(1.0, 10, 4.0, lambda d: 0.0)
     with pytest.raises(ValueError):
-        BoundParams(B=-1.0, delta=1.0, omega=lambda d: 0.0)
+        djordan_bound_rhs(-1.0, 10, 1.0, lambda d: 0.0)
 
 
 def test_min_djordan_bound_improves_on_fixed_delta():
     omega = lambda d: d
     best = min_djordan_bound(4.0, omega, 64)
-    assert best <= djordan_bound_rhs(BoundParams(4.0, PI, omega), 64) + 1e-12
+    assert best <= djordan_bound_rhs(4.0, 64, PI, omega) + 1e-12
 
 
 def test_svf_bound_rhs_monotone_in_n():

@@ -20,7 +20,7 @@ from metricfourier.metric_integral import (WeightFunction,
                                            right_weighted_metric_riemann_sum,
                                            weighted_metric_integral,
                                            weighted_metric_riemann_sum)
-from metricfourier.svf import (MetricSelection, Partition, SelectionFamily,
+from metricfourier.svf import (MetricSelection, Partition,
                                exhaustive_chain_family, selection_family)
 
 PI = math.pi
@@ -88,25 +88,13 @@ def test_left_right_gap_exactly_one_over_n():
         assert abs(hausdorff(left, right) - 1.0 / n) < ATOL
 
 
-def test_family_mode_requires_family():
-    F = constant_set_fixture([1.0], 0.0, 1.0)
-    chi = Partition.uniform(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        weighted_metric_riemann_sum(F, WeightFunction.constant(1.0), chi,
-                                    mode="family")
-    with pytest.raises(ValueError):
-        weighted_metric_riemann_sum(F, WeightFunction.constant(1.0), chi,
-                                    mode="nope")
-
-
 def test_family_mode_matches_exact_on_exhaustive_chains():
     F = lines_fixture()
     chi = Partition.dyadic(F.a, F.b, 3, forced=(0.5,))
     k = WeightFunction.constant(1.0)
     exact = weighted_metric_riemann_sum(F, k, chi)
     fam = exhaustive_chain_family(F, chi)
-    via_family = weighted_metric_riemann_sum(F, k, chi, mode="family",
-                                             family=fam)
+    via_family = weighted_metric_riemann_sum(F, k, chi, family=fam)
     assert hausdorff(exact, via_family) < 1e-9
 
 
@@ -127,15 +115,14 @@ def test_integral_singleton():
     F = constant_set_fixture([2.0], 0.0, 1.0)
     fam = selection_family(F, 3, 2, 4)
     res = weighted_metric_integral(F, WeightFunction.constant(1.0), fam)
-    assert np.allclose(res.value_set.points, [[2.0]])
-    assert res.method == "selection_family"
+    assert np.allclose(res.points, [[2.0]])
 
 
 def test_integral_two_branches():
     F = constant_set_fixture([-1.0, 1.0], 0.0, 1.0)
     fam = selection_family(F, 3, 2, 4)
     res = weighted_metric_integral(F, WeightFunction.constant(1.0), fam)
-    assert np.allclose(np.sort(res.value_set.points[:, 0]), [-1.0, 1.0])
+    assert np.allclose(np.sort(res.points[:, 0]), [-1.0, 1.0])
 
 
 def test_integral_matches_fine_riemann_sum():
@@ -147,7 +134,7 @@ def test_integral_matches_fine_riemann_sum():
     res = weighted_metric_integral(F, k, fam)
     # Selections are chains on chi; the integral replaces dx by exact cell
     # masses, identical here because k is constant.
-    assert hausdorff(exact, res.value_set) < 1e-9
+    assert hausdorff(exact, res) < 1e-9
 
 
 @st.composite
@@ -165,7 +152,7 @@ def chain_families(draw):
                                       max_size=len(chi) * d)))
         vals = vals.reshape(len(chi), d)
         selections.append(MetricSelection(chi, vals, (-PI, vals[0]), 0, 0.0))
-    return d, SelectionFamily(tuple(selections))
+    return d, tuple(selections)
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,8 +166,7 @@ def test_metric_fourier_is_the_dirichlet_weighted_integral(dfam, n, x):
         lambda t: dirichlet(n, x - t) / PI, 0.0, (n + 0.5) / PI,
         antiderivative=lambda t: -dirichlet_antiderivative(n, x - t) / PI)
     approx = metric_fourier(F, n, x, fam)
-    assert hausdorff(approx, weighted_metric_integral(F, k, fam).value_set) \
-        <= 1e-12
+    assert hausdorff(approx, weighted_metric_integral(F, k, fam)) <= 1e-12
 
 
 @pytest.mark.parametrize("fn,K,jumps", [
@@ -195,9 +181,8 @@ def test_integral_quadrature_matches_declared_antiderivative(fn, K, jumps):
         F, WeightFunction(fn, 1.0, 1.0, jumps, antiderivative=K), fam)
     quad = weighted_metric_integral(F, WeightFunction(fn, 1.0, 1.0, jumps),
                                     fam)
-    assert exact.value_set.points.shape == quad.value_set.points.shape
-    assert np.max(np.abs(exact.value_set.points
-                         - quad.value_set.points)) <= 1e-9
+    assert exact.points.shape == quad.points.shape
+    assert np.max(np.abs(exact.points - quad.points)) <= 1e-9
 
 
 def test_declared_antiderivative_takes_no_quadrature():
@@ -216,7 +201,7 @@ def test_integral_diameter_bound():
     F = constant_set_fixture([-1.0, 1.0], 0.0, 1.0)
     fam = selection_family(F, 3, 2, 4)
     res = weighted_metric_integral(F, WeightFunction.constant(1.0), fam)
-    diam = 2.0 * set_norm(res.value_set)
+    diam = 2.0 * set_norm(res)
     assert diam <= (1.0 - 0.0) * 1.0 * 1.0 * 2.0 + 1e-9
 
 
@@ -262,8 +247,7 @@ def test_convexification_witness():
     # the whole interval [-1,1] -- it contains 0 while the metric one does not.
     F = constant_set_fixture([-1.0, 1.0], 0.0, 1.0)
     fam = selection_family(F, 3, 2, 4)
-    metric = weighted_metric_integral(F, WeightFunction.constant(1.0),
-                                      fam).value_set
+    metric = weighted_metric_integral(F, WeightFunction.constant(1.0), fam)
     chi = Partition.uniform(0.0, 1.0, 64)
     aumann = aumann_integral_convex(F, WeightFunction.constant(1.0), chi)
     assert len(metric) == 2
@@ -315,7 +299,7 @@ def test_singleton_sine_integral_value():
     fam = selection_family(F, 5, 2, 8)
     res = weighted_metric_integral(F, WeightFunction.constant(1.0), fam)
     # Riemann sum of sin over [0, pi] at depth 8: within one-cell error of 2.
-    assert abs(float(res.value_set.points[0, 0]) - 2.0) < 0.05
+    assert abs(float(res.points[0, 0]) - 2.0) < 0.05
 
 
 def test_riemann_sum_rejects_unknown_side():
@@ -331,10 +315,9 @@ def test_right_sum_is_the_right_side():
     chi = Partition.dyadic(F.a, F.b, 3, forced=(0.5,))
     k = WeightFunction(np.cos, 4.0, 1.0, antiderivative=np.sin)
     fam = exhaustive_chain_family(F, chi)
-    for mode in ("exact", "family"):
-        right = right_weighted_metric_riemann_sum(F, k, chi, mode, fam)
-        sided = weighted_metric_riemann_sum(F, k, chi, mode, fam, side="right")
+    for family in (None, fam):
+        right = right_weighted_metric_riemann_sum(F, k, chi, family)
+        sided = weighted_metric_riemann_sum(F, k, chi, family, side="right")
         assert np.array_equal(right.points, sided.points)
     assert hausdorff(right_weighted_metric_riemann_sum(F, k, chi),
-                     right_weighted_metric_riemann_sum(F, k, chi, "family",
-                                                       fam)) < 1e-9
+                     right_weighted_metric_riemann_sum(F, k, chi, fam)) < 1e-9

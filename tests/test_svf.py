@@ -179,7 +179,7 @@ def test_family_constant_two_branches():
     F = constant_set_fixture([-1.0, 1.0])
     fam = selection_family(F, 5, 3, 4)
     assert len(fam) == 2
-    vals = sorted(float(s(0.0)[0]) for s in fam.selections)
+    vals = sorted(float(s(0.0)[0]) for s in fam)
     assert np.allclose(vals, [-1.0, 1.0])
 
 
@@ -188,7 +188,7 @@ def test_family_lines_contains_lower_branch_selection():
     fam = selection_family(F, 7, 5, 7)
     chi_norm = 2.0 * PI / 2 ** 7
     found = False
-    for s in fam.selections:
+    for s in fam:
         if abs(s(0.0)[0]) < ATOL and abs(s(2.0)[0] - 0.5) <= chi_norm:
             found = True
     assert found
@@ -527,7 +527,7 @@ def svf_instance(draw):
 
 def assert_same_family(got, ref):
     assert len(got) == len(ref)
-    for s, r in zip(got.selections, ref.selections):
+    for s, r in zip(got, ref):
         assert np.array_equal(s.nodes, r.nodes)
         assert np.array_equal(s.values, r.values)
         assert s.cauchy_defect == r.cauchy_defect
