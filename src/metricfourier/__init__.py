@@ -1,8 +1,8 @@
 """Metric Fourier approximation of set-valued functions of bounded variation."""
 
 from .geometry import (CHAIN_LIMIT, DEDUP_TOL, TIE_TOL, ChainExplosion,
-                       DimensionMismatch, MetricPairList, PointSet,
-                       convex_hull, dist_point_set, enumerate_metric_chains,
+                       DimensionMismatch, PointSet, convex_hull,
+                       dist_point_set, enumerate_metric_chains,
                        hausdorff, hull_contains, is_metric_pair,
                        metric_average, metric_linear_combination, metric_pairs,
                        minkowski_combination, project, row_norms, set_norm,

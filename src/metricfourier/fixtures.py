@@ -288,13 +288,19 @@ def _in_language(node) -> bool:
 
 
 def _compile_expression(expr, where: str):
-    """The checked code of one curve expression.  Nesting too deep for the
-    parser or compiler raises RecursionError or MemoryError."""
+    """The checked code of one curve expression, int literals made floats
+    so that `**` builds no huge int (one past the float range overflows).
+    Nesting too deep for the parser or compiler raises RecursionError or
+    MemoryError."""
     try:
         tree = ast.parse(str(expr), where, "eval")
         if _in_language(tree.body):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant):
+                    node.value = float(node.value)
             return compile(tree, where, "eval")
-    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError,
+            MemoryError) as exc:
         raise DescriptionError(f"{where}.curve: {exc}") from exc
     raise DescriptionError(f"{where}.curve: {expr!r} is outside the "
                            "expression language")
@@ -350,9 +356,12 @@ def _piece_evaluator(piece: dict, where: str):
     branches = [[_compile_expression(e, where) for e in br] for br in branches]
 
     def fn(t):
-        pts = [[eval(code, {"__builtins__": {}}, dict(_EVAL_NS, t=t))
-                for code in br] for br in branches]
-        return PointSet.of(pts)
+        try:
+            return PointSet.of([[eval(code, {"__builtins__": {}},
+                                      dict(_EVAL_NS, t=t))
+                                 for code in br] for br in branches])
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise DescriptionError(f"{where}.curve at t={t!r}: {exc}") from exc
 
     return fn
 

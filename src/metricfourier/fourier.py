@@ -224,11 +224,8 @@ def svf_jump_omega(vf, x: float, lo: float, hi: float, norm: str = "l2"):
     """The modulus entering the set-valued jump bound, as a function of delta."""
 
     def omega(delta: float) -> float:
-        left = one_sided_moduli(vf, x, min(2.0 * delta, x - lo), lo, hi, "-",
-                                norm=norm)[1] if x > lo else 0.0
-        right = one_sided_moduli(vf, x, min(delta, hi - x), lo, hi, "+",
-                                 norm=norm)[1] if x < hi else 0.0
-        return max(left, right)
+        return max(one_sided_moduli(vf, x, 2.0 * delta, lo, hi, "-", norm)[1],
+                   one_sided_moduli(vf, x, delta, lo, hi, "+", norm)[1])
 
     return omega
 

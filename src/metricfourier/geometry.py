@@ -444,21 +444,11 @@ def set_norm(A: PointSet, norm: str = "l2") -> float:
     return float(row_norms(A.points, norm).max())
 
 
-@dataclass(frozen=True, eq=False)
-class MetricPairList:
-    """Pairs (a, b) where one point projects onto the opposite set.
-    Equality and hashing are by identity, as for `PointSet`."""
-
-    pairs: tuple
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def metric_pairs(A: PointSet, B: PointSet, norm: str = "l2") -> MetricPairList:
-    """All metric pairs of (A, B); symmetric duplicates counted once."""
+def metric_pairs(A: PointSet, B: PointSet, norm: str = "l2") -> tuple:
+    """All metric pairs (a, b) of (A, B), where one point projects onto the
+    opposite set; symmetric duplicates counted once."""
     (i, j), = _pair_indices([A, B], norm)
-    return MetricPairList(tuple(zip(A.points[i], B.points[j])))
+    return tuple(zip(A.points[i], B.points[j]))
 
 
 def is_metric_pair(a, b, A: PointSet, B: PointSet, norm: str = "l2") -> bool:
@@ -561,8 +551,8 @@ def metric_average(t: float, A: PointSet, B: PointSet,
     """{(1-t)a + t b : (a,b) a metric pair of (A, B)} for t in [0,1]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    pairs = metric_pairs(A, B, norm)
-    return PointSet.of([(1.0 - t) * a + t * b for a, b in pairs.pairs])
+    return PointSet.of([(1.0 - t) * a + t * b
+                        for a, b in metric_pairs(A, B, norm)])
 
 
 def convex_hull(A: PointSet) -> PointSet:

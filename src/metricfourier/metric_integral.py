@@ -3,6 +3,7 @@ the convexifying Aumann baseline, and the inclusion property report."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -17,6 +18,8 @@ from .svf import Partition, SetValuedFunction
 INCLUSION_GRID = 129
 INTER_TOL = 1e-9
 MEMBER_TOL = 1e-6
+# `aumann_integral_convex` merges edge normals closer than this (radians).
+ANGLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,27 +112,24 @@ def weighted_metric_integral(F: SetValuedFunction, k: WeightFunction,
 
 def aumann_integral_convex(F: SetValuedFunction, k: WeightFunction,
                            chi: Partition) -> PointSet:
-    """Riemann approximation of the Aumann integral of k*F: Minkowski sums of
-    scaled hulls.  Returns interval endpoints (d=1) or hull vertices (d=2)."""
-    nodes = chi.nodes
-    dx = np.diff(nodes)
-    weights = dx * np.array([k(x) for x in nodes[:-1]])
-    d = F(chi.a).dim
-    if d == 1:
-        lo = hi = 0.0
-        for w, x in zip(weights, nodes[:-1]):
-            v = F(x).points[:, 0]
-            lo += min(w * v.min(), w * v.max())
-            hi += max(w * v.min(), w * v.max())
-        return PointSet.of([[lo], [hi]])
-    if d != 2:
-        raise ValueError("Aumann baseline supported only for d <= 2")
-    acc = np.zeros((1, 2))
-    for w, x in zip(weights, nodes[:-1]):
-        verts = convex_hull(F(x)).points * w
-        acc = (acc[:, None, :] + verts[None, :, :]).reshape(-1, 2)
-        acc = convex_hull(PointSet.of(acc)).points
-    return PointSet.of(acc)
+    """Riemann approximation of the Aumann integral of k*F, the Minkowski sum
+    of the hulls w_i conv F(x_i): its vertex in each direction between two
+    consecutive edge normals (±1 in d=1) sums the hulls' support points."""
+    nodes = chi.nodes[:-1]
+    weights = np.diff(chi.nodes) * np.array([k(x) for x in nodes])
+    hull = cache(convex_hull)   # sets compare by identity; F may repeat one
+    hulls = [w * hull(F(x)).points for w, x in zip(weights, nodes)]
+    if hulls[0].shape[1] == 1:
+        dirs = np.array([[-1.0], [1.0]])
+    else:
+        edges = np.vstack([np.roll(H, -1, axis=0) - H for H in hulls])
+        normals = np.sort(np.arctan2(-edges[:, 0], edges[:, 1]))
+        gaps = np.diff(normals, append=normals[0] + 2.0 * np.pi)
+        keep = gaps > ANGLE_TOL
+        mids = normals[keep] + gaps[keep] / 2.0
+        dirs = np.column_stack([np.cos(mids), np.sin(mids)])
+    support = [H[np.argmax(H @ dirs.T, axis=0)] for H in hulls]
+    return convex_hull(PointSet.of(np.cumsum(support, axis=0)[-1]))
 
 
 @dataclass(frozen=True)

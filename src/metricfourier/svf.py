@@ -553,8 +553,8 @@ def total_variation(g, a: float | None = None, b: float | None = None,
 def one_sided_value(g, x: float, side: str, lo: float | None = None,
                     hi: float | None = None):
     """g(x-0) or g(x+0): the linear (Richardson) extrapolation of g at the
-    offsets 2h and h; exact for locally linear scalar/vector g.  A
-    set-valued g gives its value at offset h."""
+    offsets 2h and h; exact for locally linear g.  Sets extrapolate row by
+    row when both samples have as many rows, else give the sample at h."""
     sgn = -1.0 if side == "-" else 1.0
     delta = LIMIT_DELTA
     if lo is not None and hi is not None:
@@ -564,9 +564,11 @@ def one_sided_value(g, x: float, side: str, lo: float | None = None,
         delta = min(delta, room / 2.0)
     h = sgn * delta * 2.0 ** -LIMIT_HALVINGS
     v_prev, v_last = _values(g, [x + 2.0 * h, x + h])
-    if isinstance(v_last, PointSet):
+    if not isinstance(v_last, PointSet):
+        return 2.0 * v_last - v_prev
+    if len(v_last) != len(v_prev):
         return v_last
-    return 2.0 * v_last - v_prev
+    return PointSet.of(2.0 * v_last.points - v_prev.points)
 
 
 @dataclass(frozen=True)

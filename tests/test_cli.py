@@ -300,6 +300,13 @@ def test_example_lines_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_example_balls_passes(capsys):
+    assert main(["example", "balls", "--eps", "0.05"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("ok:") == 3
+    assert "FAIL" not in out
+
+
 def test_cli_does_not_import_the_test_oracle():
     # The worked examples check closed forms; oracle.py serves only tests.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -423,6 +430,25 @@ def test_exit_code_2_curve_outside_the_language(tmp_path, capsys, expr):
     cfg = write_cfg(tmp_path, "svf.json", {"svf": svf, "orders": [4]})
     assert main(["convergence", "--config", cfg]) == 2
     assert "outside the expression language" in capsys.readouterr().err
+
+
+def test_curve_int_literals_are_floats():
+    """`9**9**7` overflows as a float power at the first evaluation of F
+    instead of building a 4.5-million-digit int at every one."""
+    F = parse_svf({"domain": [0, 1],
+                   "pieces": [{"curve": ["9**9**7 * 0 + t"]}]})
+    with pytest.raises(DescriptionError, match=r"pieces\[0\]\.curve at t="):
+        F(0.5)
+
+
+def test_exit_code_2_curve_evaluation_error(tmp_path, capsys):
+    """An error raised while a valid curve is evaluated (sqrt of a negative
+    t) is a config error naming the piece and t, not a traceback."""
+    svf = {"domain": [-1.0, 1.0], "pieces": [{"curve": ["sqrt(t)"]}]}
+    cfg = write_cfg(tmp_path, "svf.json", {"svf": svf, "depth": 2})
+    assert main(["selections", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "pieces[0].curve at t=" in err
 
 
 def test_exit_code_2_malformed_svf(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_metric_pairs_three_vs_two():
     A = pset(-0.25, 0.0, 0.25)
     B = pset(-1.0, 1.0)
     pairs = metric_pairs(A, B)
-    got = {(float(a[0]), float(b[0])) for a, b in pairs.pairs}
+    got = {(float(a[0]), float(b[0])) for a, b in pairs}
     assert got == {(-0.25, -1.0), (0.25, 1.0), (0.0, -1.0), (0.0, 1.0)}
 
 
@@ -123,8 +123,8 @@ def test_metric_pairs_cover_both_sets():
     A = PointSet.of(rng.normal(size=(5, 2)))
     B = PointSet.of(rng.normal(size=(4, 2)))
     pairs = metric_pairs(A, B)
-    a_seen = {tuple(a) for a, _ in pairs.pairs}
-    b_seen = {tuple(b) for _, b in pairs.pairs}
+    a_seen = {tuple(a) for a, _ in pairs}
+    b_seen = {tuple(b) for _, b in pairs}
     assert all(tuple(a) in a_seen for a in A.points)
     assert all(tuple(b) in b_seen for b in B.points)
 
@@ -135,14 +135,14 @@ def test_hausdorff_equals_max_over_pairs():
         A = PointSet.of(rng.normal(size=(rng.integers(1, 6), 2)))
         B = PointSet.of(rng.normal(size=(rng.integers(1, 6), 2)))
         pairs = metric_pairs(A, B)
-        m = max(np.linalg.norm(a - b) for a, b in pairs.pairs)
+        m = max(np.linalg.norm(a - b) for a, b in pairs)
         assert abs(m - hausdorff(A, B)) < 1e-9
 
 
 def test_is_metric_pair_agrees_with_enumeration():
     A = pset(-0.25, 0.0, 0.25)
     B = pset(-1.0, 1.0)
-    pairs = {(float(a[0]), float(b[0])) for a, b in metric_pairs(A, B).pairs}
+    pairs = {(float(a[0]), float(b[0])) for a, b in metric_pairs(A, B)}
     for a in A.points:
         for b in B.points:
             expected = (float(a[0]), float(b[0])) in pairs

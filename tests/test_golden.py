@@ -28,10 +28,8 @@ BOUND_FIXTURES = ("square-wave", "sawtooth", "step", "lines",
                   "step-svf")
 SMALL = {"orders": [4, 16], "x_grid": 3, "depth": 1, "eps": 0.1}
 
-# integral leaves out balls: its Aumann baseline alone runs 11-93 s on the
-# disc nets at eps 0.1-0.5.
 CASES = ([(verb, name) for verb in ("convergence", "integral", "selections")
-          for name in SVF_FIXTURES if (verb, name) != ("integral", "balls")]
+          for name in SVF_FIXTURES]
          + [("bound-check", name) for name in BOUND_FIXTURES])
 
 

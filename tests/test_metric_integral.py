@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricfourier import metric_integral
-from metricfourier.fixtures import (constant_set_fixture, lines_fixture,
-                                    singleton_fixture, zero_union_sine)
+from metricfourier.fixtures import (balls_fixture, constant_set_fixture,
+                                    lines_fixture, singleton_fixture,
+                                    zero_union_sine)
 from metricfourier.fourier import (dirichlet, dirichlet_antiderivative,
                                    metric_fourier)
-from metricfourier.geometry import hausdorff, hull_contains, set_norm
+from metricfourier.geometry import (PointSet, hausdorff, hull_contains,
+                                    set_norm)
 from metricfourier.metric_integral import (WeightFunction,
                                            aumann_integral_convex,
                                            inclusion_check, integrate_weight,
@@ -21,7 +23,8 @@ from metricfourier.metric_integral import (WeightFunction,
                                            weighted_metric_integral,
                                            weighted_metric_riemann_sum)
 from metricfourier.svf import (MetricSelection, Partition,
-                               exhaustive_chain_family, selection_family)
+                               SetValuedFunction, exhaustive_chain_family,
+                               selection_family)
 
 PI = math.pi
 ATOL = 1e-12
@@ -240,6 +243,46 @@ def test_aumann_planar_square():
     got = aumann_integral_convex(F, WeightFunction.constant(1.0), chi)
     assert len(got) == 4
     assert hull_contains(got, (0.5, 0.5))
+
+
+@st.composite
+def planar_cells(draw):
+    """1-6 cells, each with a set of 1-6 points on the quarter grid of
+    [-2, 2]^2 and a weight in [-2, 2] of either sign."""
+    n = draw(st.integers(1, 6))
+    coord = st.integers(-8, 8).map(lambda i: i / 4.0)
+    sets = [PointSet.of(draw(st.lists(st.tuples(coord, coord), min_size=1,
+                                      max_size=6))) for _ in range(n)]
+    weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return sets, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_cells())
+def test_aumann_support_function_is_the_weighted_sum(cells):
+    """The support function of the sum of the w_i conv F(x_i) is the sum of
+    the support functions of the w_i F(x_i), on 360 directions."""
+    sets, weights = cells
+    n = len(sets)
+    F = SetValuedFunction(0.0, float(n), lambda t: sets[min(int(t), n - 1)])
+    k = WeightFunction(lambda t: weights[min(int(t), n - 1)], 2.0, 2.0)
+    chi = Partition.uniform(0.0, float(n), n)
+    got = aumann_integral_convex(F, k, chi)
+    ang = np.linspace(0.0, 2.0 * PI, 360, endpoint=False)
+    U = np.stack([np.cos(ang), np.sin(ang)])
+    w = np.diff(chi.nodes) * np.array(weights)
+    want = sum((wi * S.points @ U).max(axis=0) for wi, S in zip(w, sets))
+    assert np.abs((got.points @ U).max(axis=0) - want).max() <= ATOL
+
+
+def test_aumann_balls_has_the_sixteen_vertices_of_its_hulls():
+    """Both discs' 0.5-nets have 16-gon hulls with the same edge normals,
+    so their Minkowski sum over 256 cells is a 16-gon; rounding leaves no
+    near-collinear vertices."""
+    F = balls_fixture(eps=0.5)
+    got = aumann_integral_convex(F, WeightFunction.constant(1.0),
+                                 Partition.uniform(F.a, F.b, 256))
+    assert len(got) == 16
 
 
 def test_convexification_witness():

@@ -49,7 +49,7 @@ def test_hausdorff_triangle_inequality(A, B, C):
 @given(sets2, sets2)
 def test_hausdorff_equals_max_over_metric_pairs(A, B):
     pairs = metric_pairs(A, B)
-    m = max(float(np.linalg.norm(a - b)) for a, b in pairs.pairs)
+    m = max(float(np.linalg.norm(a - b)) for a, b in pairs)
     assert abs(m - hausdorff(A, B)) < 1e-9
 
 
@@ -66,7 +66,7 @@ def test_metric_average_subset_of_minkowski(A, B):
 @settings(max_examples=60, deadline=None)
 @given(sets2, sets2)
 def test_metric_pairs_are_metric_pairs(A, B):
-    for a, b in metric_pairs(A, B).pairs:
+    for a, b in metric_pairs(A, B):
         assert is_metric_pair(a, b, A, B)
 
 

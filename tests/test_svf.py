@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricfourier.fixtures import (balls_fixture, constant_set_fixture,
@@ -355,18 +355,14 @@ def test_metric_chain_rejects_length_mismatch():
 
 
 def test_equality_is_identity():
-    """Twins with equal arrays (planar metric pairs included) compare
-    unequal without raising, hash, and work with `in`; their contents
-    compare with `np.array_equal`."""
+    """Twins with equal arrays compare unequal without raising, hash, and
+    work with `in`; their contents compare with `np.array_equal`."""
     F = lines_fixture()
     chi = Partition.dyadic(F.a, F.b, 3, (0.5,))
     pairs = [(chi, Partition.of(chi.nodes)),
              (F(0.0), PointSet.of(F(0.0).points))]
     pairs += [tuple(greedy_chain(F, chi, (0.5, 0.0)) for _ in range(2)),
               tuple(approximate_selection(F, (0.5, 0.0), 3) for _ in range(2))]
-    A = PointSet.of([[0.0, 0.0], [1.0, 0.0]])
-    B = PointSet.of([[0.0, 1.0], [2.0, 1.0]])
-    pairs.append(tuple(geometry.metric_pairs(A, B) for _ in range(2)))
     for x, twin in pairs:
         assert x == x and x != twin
         assert hash(x) == hash(x)
@@ -459,13 +455,17 @@ def step_function(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(step_function(), st.integers(-16, 16), st.sampled_from([0.1, 0.5]),
-       st.sampled_from(["l1", "l2", "linf"]))
-def test_analyzers_agree_on_scalars_and_singleton_sets(g, k, delta, norm):
-    # g is piecewise constant, so the scalar one-sided limits (extrapolated)
-    # and the set ones (sampled) are the same value.
+@given(step_function(), st.integers(-16, 16).map(lambda k: k / 16.0),
+       st.sampled_from([0.1, 0.5]), st.sampled_from(["l1", "l2", "linf"]))
+@example(lambda t: 2.0 * t, 0.3, 0.1, "l1")
+@example(lambda t: 2.0 * t, 0.3, 0.1, "l2")
+@example(lambda t: 2.0 * t, 0.3, 0.1, "linf")
+def test_analyzers_agree_on_scalars_and_singleton_sets(g, x, delta, norm):
+    # Scalars and singleton sets take their one-sided limits by the same
+    # extrapolation.  When sets took their sample at offset h, the linear
+    # g gave quasi-moduli 0.2 for g and 0.1999999980926514 for {g}.
     G = lambda t: PointSet.of([g(t)])
-    chi, x = Partition.dyadic(-1.0, 1.0, 5), k / 16.0
+    chi = Partition.dyadic(-1.0, 1.0, 5)
     assert variation_on_partition(g, chi, norm) \
         == variation_on_partition(G, chi, norm)
     assert variation_function_samples(g, chi, norm) \
