@@ -131,6 +131,21 @@ SCALAR_FIXTURES = {
 # ---------------------------------------------------------------------------
 # Set-valued fixtures
 
+def _gather(ts: np.ndarray, owner: np.ndarray, parts) -> list:
+    """The image of each t of ts under its part parts[owner[i]], which is a
+    PointSet (the image of every t) or a batch evaluator, called once on
+    all the t it owns."""
+    out = [None] * len(ts)
+    for k in np.unique(owner).tolist():
+        idx = np.flatnonzero(owner == k)
+        part = parts[k]
+        images = ([part] * idx.size if isinstance(part, PointSet)
+                  else part(ts[idx]))
+        for i, S in zip(idx.tolist(), images):
+            out[i] = S
+    return out
+
+
 def lines_fixture(x0: float = 0.5) -> SetValuedFunction:
     """Three constant points, five values at the jump, then two moving lines."""
     left = PointSet.of([-0.25, 0.0, 0.25])
@@ -143,6 +158,15 @@ def lines_fixture(x0: float = 0.5) -> SetValuedFunction:
             return at
         return PointSet.of([-1.0 + t - x0, 1.0 + t - x0])
 
+    def moving(ts):
+        return PointSet.many(np.stack([-1.0 + ts - x0, 1.0 + ts - x0],
+                                      axis=1)[:, :, None])
+
+    def batch(ts):
+        # 0, 1 or 2 for each t below, at or above x0.
+        side = (ts >= x0).astype(np.intp) + (ts > x0)
+        return _gather(ts, side, (left, at, moving))
+
     def vf(t):
         if t < x0:
             return 0.0
@@ -153,7 +177,7 @@ def lines_fixture(x0: float = 0.5) -> SetValuedFunction:
     return SetValuedFunction(-PI, PI, fn, jump_points=(x0,),
                              variation_hint=1.75 + (PI - x0),
                              sup_hint=1.0 + PI - x0,
-                             variation_function=vf)
+                             variation_function=vf, batch=batch)
 
 
 def disc_net(center, radius: float, eps: float) -> PointSet:
@@ -200,24 +224,33 @@ def _abscos_cum(t: float) -> float:
 
 
 def two_branch_sine() -> SetValuedFunction:
-    """F(t) = {sin t, sin t + 2}: continuous, two well-separated branches."""
+    """F(t) = {sin t, sin t + 2}: continuous, two well-separated branches.
+    `np.sin` gives the same bits on a number and on an array."""
 
     def fn(t):
-        return PointSet.of([math.sin(t), math.sin(t) + 2.0])
+        return PointSet.of([np.sin(t), np.sin(t) + 2.0])
+
+    def batch(ts):
+        s = np.sin(ts)
+        return PointSet.many(np.stack([s, s + 2.0], axis=1)[:, :, None])
 
     return SetValuedFunction(-PI, PI, fn, jump_points=(),
                              variation_hint=4.0, sup_hint=3.0,
-                             variation_function=_abscos_cum)
+                             variation_function=_abscos_cum, batch=batch)
 
 
 def zero_union_sine() -> SetValuedFunction:
     """F(t) = {0} union {2 + sin t}: the constant selection 0 exists."""
 
     def fn(t):
-        return PointSet.of([0.0, 2.0 + math.sin(t)])
+        return PointSet.of([0.0, 2.0 + np.sin(t)])
+
+    def batch(ts):
+        return PointSet.many(np.stack([np.zeros_like(ts), 2.0 + np.sin(ts)],
+                                      axis=1)[:, :, None])
 
     return SetValuedFunction(-PI, PI, fn, jump_points=(),
-                             variation_hint=4.0, sup_hint=3.0)
+                             variation_hint=4.0, sup_hint=3.0, batch=batch)
 
 
 def constant_set_fixture(points, a: float = -PI, b: float = PI) -> SetValuedFunction:
@@ -235,9 +268,10 @@ def singleton_fixture(f, a: float = -PI, b: float = PI,
 
 def step_svf(x0: float = 0.5) -> SetValuedFunction:
     """Singleton step {0} -> {1}; the simplest jump fixture."""
+    lo, hi = PointSet.of([0.0]), PointSet.of([1.0])
 
     def fn(t):
-        return PointSet.of([0.0 if t < x0 else 1.0])
+        return lo if t < x0 else hi
 
     def vf(t):
         return 0.0 if t < x0 else 1.0
@@ -260,10 +294,17 @@ SVF_FIXTURES = {
 # ---------------------------------------------------------------------------
 # Inline piecewise description parser (CLI mini-language)
 
-_EVAL_NS = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
-            "exp": math.exp, "sqrt": math.sqrt, "abs": abs, "pi": PI}
+# The curve language's functions, numpy's: each gives the same bits on a
+# number and on an array, so a curve sampled on an array of t equals the
+# curve at each t.  `**` compiles to a call of `np.power`, which does too
+# (numpy's scalar `**` and Python's do not).  The power is not in the
+# language: no curve can name it.
+_EVAL_NS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+            "sqrt": np.sqrt, "abs": np.abs, "pi": PI}
 _CALLS = {name for name, v in _EVAL_NS.items() if callable(v)}
 _OPS = (ast.UAdd, ast.USub, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_POWER = "power"
+_GLOBALS = {**_EVAL_NS, _POWER: np.power, "__builtins__": {}}
 
 
 class DescriptionError(ValueError):
@@ -272,7 +313,8 @@ class DescriptionError(ValueError):
 
 def _in_language(node) -> bool:
     """Whether a parsed curve expression uses only numbers, t, pi, unary
-    + and -, binary + - * / **, and keyword-free calls of _CALLS."""
+    + and -, binary + - * / **, and one-argument, keyword-free calls of
+    _CALLS."""
     if isinstance(node, ast.Constant):
         return type(node.value) in (int, float)
     if isinstance(node, ast.Name):
@@ -284,20 +326,32 @@ def _in_language(node) -> bool:
             and _in_language(node.right)
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
         and node.func.id in _CALLS and not node.keywords \
-        and all(map(_in_language, node.args))
+        and len(node.args) == 1 and _in_language(node.args[0])
+
+
+class _Numpy(ast.NodeTransformer):
+    """Int literals become floats, so that `**` builds no huge int, and
+    `a ** b` becomes `power(a, b)`."""
+
+    def visit_Constant(self, node):
+        return ast.copy_location(ast.Constant(float(node.value)), node)
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        return ast.copy_location(ast.Call(ast.Name(_POWER, ast.Load()),
+                                          [node.left, node.right], []), node)
 
 
 def _compile_expression(expr, where: str):
-    """The checked code of one curve expression, int literals made floats
-    so that `**` builds no huge int (one past the float range overflows).
-    Nesting too deep for the parser or compiler raises RecursionError or
-    MemoryError."""
+    """The checked code of one curve expression, in numpy's terms (see
+    `_Numpy`).  Nesting too deep for the parser or compiler raises
+    RecursionError or MemoryError."""
     try:
         tree = ast.parse(str(expr), where, "eval")
         if _in_language(tree.body):
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Constant):
-                    node.value = float(node.value)
+            tree = ast.fix_missing_locations(_Numpy().visit(tree))
             return compile(tree, where, "eval")
     except (SyntaxError, ValueError, ArithmeticError, RecursionError,
             MemoryError) as exc:
@@ -322,17 +376,25 @@ def _number(v, where: str) -> float:
     return float(v)
 
 
+def _constant(S: PointSet):
+    """The evaluator of a piece whose image is S at every t."""
+    return lambda t: [S] * len(t) if isinstance(t, np.ndarray) else S
+
+
 def _piece_evaluator(piece: dict, where: str):
+    """The evaluator of one checked piece: its image at a number t, or the
+    list of its images at a 1-d array of t.  A curve is evaluated with
+    every floating-point error but underflow raised; an error becomes a
+    DescriptionError naming the piece and the first t that fails."""
     kinds = [k for k in ("points", "curve", "disc") if k in piece]
     if len(kinds) != 1:
         raise DescriptionError(f"{where} needs exactly one of points/curve/disc")
     kind = kinds[0]
     if kind == "points":
         try:
-            S = PointSet.of(piece["points"])
+            return _constant(PointSet.of(piece["points"]))
         except (ValueError, TypeError) as exc:
             raise DescriptionError(f"{where}.points: {exc}") from exc
-        return lambda t: S
     if kind == "disc":
         d = piece["disc"]
         _check_keys(d, {"center", "radius", "eps"}, where + ".disc")
@@ -343,8 +405,8 @@ def _piece_evaluator(piece: dict, where: str):
                 for k in ("radius", "eps"))
         if r <= 0 or e <= 0:
             raise DescriptionError(f"{where}.disc needs radius, eps > 0")
-        S = disc_net([_number(c, where + ".disc.center") for c in center], r, e)
-        return lambda t: S
+        return _constant(disc_net([_number(c, where + ".disc.center")
+                                   for c in center], r, e))
     curve = piece["curve"]
     if not isinstance(curve, list) or not curve:
         raise DescriptionError(f"{where}.curve must be a nonempty list")
@@ -354,16 +416,43 @@ def _piece_evaluator(piece: dict, where: str):
         raise DescriptionError(f"{where}.curve branches must be expressions, "
                                "all of one dimension")
     branches = [[_compile_expression(e, where) for e in br] for br in branches]
+    errors = (ArithmeticError, TypeError, ValueError)
+
+    def point(t):
+        env = {"t": np.float64(t)}
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return PointSet.of([[eval(code, _GLOBALS, env) for code in br]
+                                    for br in branches])
+        except errors as exc:
+            raise DescriptionError(f"{where}.curve at t={float(t)!r}: "
+                                   f"{exc}") from exc
 
     def fn(t):
+        if not isinstance(t, np.ndarray):
+            return point(t)
+        block = np.empty((t.size, len(branches), len(branches[0])))
+        env = {"t": t}
         try:
-            return PointSet.of([[eval(code, {"__builtins__": {}},
-                                      dict(_EVAL_NS, t=t))
-                                 for code in br] for br in branches])
-        except (ArithmeticError, TypeError, ValueError) as exc:
-            raise DescriptionError(f"{where}.curve at t={t!r}: {exc}") from exc
+            with np.errstate(all="raise", under="ignore"):
+                for i, br in enumerate(branches):
+                    for j, code in enumerate(br):
+                        block[:, i, j] = eval(code, _GLOBALS, env)
+            return PointSet.many(block)
+        except errors:
+            # Point by point, the first t that fails raises.
+            return [point(x) for x in t]
 
     return fn
+
+
+def _dimension(piece: dict, ev) -> int:
+    """The dimension of a checked piece's points, read without evaluating a
+    curve: a curve's is the length of its branches."""
+    if "curve" in piece:
+        first = piece["curve"][0]
+        return len(first) if isinstance(first, list) else 1
+    return ev(0.0).dim
 
 
 def parse_svf(desc: dict) -> SetValuedFunction:
@@ -371,8 +460,9 @@ def parse_svf(desc: dict) -> SetValuedFunction:
 
     Pieces cover [a, b) left-to-right via their 'end' breakpoints; each piece
     and each 'at' override holds a finite point list, a parametric curve
-    (expressions in t), or a disc epsilon-net spec.  Every defect visible
-    before a curve is evaluated raises DescriptionError."""
+    (expressions in t), or a disc epsilon-net spec, all of one dimension.
+    Every defect visible before a curve is evaluated raises
+    DescriptionError."""
     _check_keys(desc, {"domain", "pieces", "at"}, "description")
     domain = desc.get("domain")
     if not isinstance(domain, list) or len(domain) != 2:
@@ -385,6 +475,7 @@ def parse_svf(desc: dict) -> SetValuedFunction:
         raise DescriptionError("at least one piece required")
     ends = []
     evals = []
+    dims = {}
     for i, piece in enumerate(pieces):
         where = f"pieces[{i}]"
         _check_keys(piece, {"end", "points", "curve", "disc"}, where)
@@ -402,6 +493,7 @@ def parse_svf(desc: dict) -> SetValuedFunction:
                 raise DescriptionError(f"{where} 'end' out of order")
         ends.append(end)
         evals.append(_piece_evaluator(piece, where))
+        dims[where] = _dimension(piece, evals[-1])
     at = desc.get("at", [])
     if not isinstance(at, list):
         raise DescriptionError("at must be a list")
@@ -413,15 +505,32 @@ def parse_svf(desc: dict) -> SetValuedFunction:
         if not a <= x <= b:
             raise DescriptionError(f"{where}.x outside the domain")
         overrides[x] = _piece_evaluator(entry, where)
+        dims[where] = _dimension(entry, overrides[x])
+    for where, dim in dims.items():
+        if dim != dims["pieces[0]"]:
+            raise DescriptionError(f"{where} has dimension {dim}, pieces[0] "
+                                   f"has {dims['pieces[0]']}")
     jump_list = tuple(sorted(set(ends[:-1]) | set(overrides)))
 
-    def fn(t):
-        for x_at, ev in overrides.items():
-            if abs(t - x_at) <= NODE_TOL:
-                return ev(t)
-        for end, ev in zip(ends, evals):
-            if t < end:
-                return ev(t)
-        return evals[-1](t)
+    cuts = np.array(ends)
+    # The override points, and one at infinity that no t is near.
+    at_x = np.array([*overrides, np.inf])
+    parts = evals + list(overrides.values())
 
-    return SetValuedFunction(a, b, fn, jump_points=jump_list)
+    def owner(ts):
+        """The index into parts of the evaluator of t, or of each t of an
+        array: the first override within NODE_TOL of t, else the first piece
+        whose end exceeds t, else the last piece."""
+        piece = np.minimum(np.searchsorted(cuts, ts, side="right"),
+                           len(evals) - 1)
+        near = np.abs(np.subtract.outer(ts, at_x)) <= NODE_TOL
+        return np.where(near.any(axis=-1), len(evals) + near.argmax(axis=-1),
+                        piece)
+
+    def fn(t):
+        return parts[int(owner(t))](t)
+
+    def batch(ts):
+        return _gather(ts, owner(ts), parts)
+
+    return SetValuedFunction(a, b, fn, jump_points=jump_list, batch=batch)

@@ -23,11 +23,15 @@ take brute-force `cdist` blocks of at most _BLOCK entries, which is faster
 there.  Both paths give the same distances and the same witnesses, in index
 order.
 
-Sets of more than KDTREE_MIN points also take two shortcuts that leave the
-answer unchanged.  `hausdorff` queries only the rows of such a set that can
-reach its maximum: `PointSet.cells` groups the rows by a grid, and one
-query per cell bounds the rest.  `PointSet.of` finds near duplicates in
-windows of sorted projections instead of an all-pairs search.
+Sets of more than KDTREE_MIN points also take a shortcut that leaves the
+answer unchanged: `hausdorff` queries only the rows of such a set that can
+reach its maximum.  `PointSet.cells` groups the rows by a grid, and one
+query per cell bounds the rest.
+
+`PointSet.of` finds the near duplicates of a set in windows of sorted
+projections instead of an all-pairs search when the search would take more
+than DEDUP_PAIRS_MAX coordinate differences.  `PointSet.many` builds the
+sets of a (T, m, d) block, as `PointSet.of` builds each slice, in one pass.
 """
 from __future__ import annotations
 
@@ -50,9 +54,19 @@ CHAIN_LIMIT = 10 ** 6
 # by brute force.  Measured cost of one `dist_point_set` call (2 shared
 # cores, scipy 1.17, sliding-midpoint tree, fastest of 15 runs): with the
 # cached tree 28-29 us at any size; by brute force 13 us at 5 points, 25 us
-# at 2,048, 30 us at 3,072, 54 us at 8,201.  Such sets also dedup by sorted
-# projections and enter `hausdorff` through their cells.
+# at 2,048, 30 us at 3,072, 54 us at 8,201.  Such sets also enter
+# `hausdorff` through their cells.
 KDTREE_MIN = 2048
+# `PointSet.of` finds the near duplicates of an (m, d) set by all pairs
+# (`_dedup_block`) while the m * m * d coordinate differences that takes
+# are at most this many, else in windows of sorted projections.  Measured
+# cost of one `_dedup` of distinct random rows (2 shared cores, numpy 2.4,
+# fastest of 7 runs): all pairs 9-17 us up to 20 rows (d = 1, 2), 30-45 us
+# at 80 rows (d = 1, 2), 35-96 us at 100 (d = 1 to 3), 44 us at 15 x 65,
+# 1.1 ms at 32 x 132 (a selection family's signatures); windows 35-70 us
+# at every size tried, up to 260 rows and 32 x 132.  They meet near 80
+# rows at d = 2, 140 at d = 1 and 15 rows at d = 65.
+DEDUP_PAIRS_MAX = 12800
 # A group (the rows queried against one set) of at most this many distance
 # entries is computed with all such groups in one padded numpy kernel, a
 # larger one by `_nearest`.  Measured cost per group, many groups a call (2
@@ -127,6 +141,28 @@ class PointSet:
         arr.setflags(write=False)
         return PointSet(arr)
 
+    @staticmethod
+    def many(block) -> list["PointSet"]:
+        """`PointSet.of` of each (m, d) slice of the (T, m, d) array block,
+        with one finiteness check and one keep-first dedup at DEDUP_TOL for
+        the whole block."""
+        arr = np.array(block, dtype=float)
+        if arr.ndim != 3 or not arr.shape[1] or not arr.shape[2]:
+            raise ValueError("a block of PointSets must be a (T, m, d) array "
+                             "with m, d > 0")
+        if not np.isfinite(arr).all():
+            raise ValueError("point has non-finite coordinates")
+        kept = _dedup_block(arr, DEDUP_TOL)
+        # The slices kept whole are read-only views of the block.
+        arr.setflags(write=False)
+        out = []
+        for X, keep, whole in zip(arr, kept, kept.all(axis=1).tolist()):
+            if not whole:
+                X = X[keep]
+                X.setflags(write=False)
+            out.append(PointSet(X))
+        return out
+
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -193,46 +229,76 @@ def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the rows of the (m, d) array arr kept when every row within
     tol (linf) of an earlier kept row is dropped.
 
-    Above KDTREE_MIN rows the candidate pairs come from one sort: for a
-    direction u with |u|_1 = 1, |u.(a - b)| <= |a - b|_inf, so rows within
-    tol lie within tol of each other in the sorted projections.  The window
-    is widened by the rounding of the projections, and every candidate is
-    then checked in linf exactly as `cdist` would."""
+    While m * m * d is at most DEDUP_PAIRS_MAX, `_dedup_block` compares all
+    pairs.  Above, the candidate pairs come from one sort: for a direction
+    u with |u|_1 = 1, |u.(a - b)| <= |a - b|_inf, so rows within tol lie
+    within tol of each other in the sorted projections.  The window is
+    widened by the rounding of the projections, and every candidate is then
+    checked in linf exactly, as all pairs are."""
     m, d = arr.shape
-    if m <= KDTREE_MIN:
-        # The near matrix is symmetric, so its entries (j, i) come in order
-        # of j; those with i < j are the near pairs.
-        j, i = np.nonzero(cdist(arr, arr, metric="chebyshev") <= tol)
-    else:
-        # A fixed direction with no rational relations between its
-        # components, so lattices and lines do not collapse onto it.
-        u = np.random.default_rng(0).uniform(1.0, 2.0, d)
-        proj = arr @ (u / u.sum())
-        order = np.argsort(proj, kind="stable")
-        p = proj[order]
-        # Each projection is a d-term dot product of |u|_1 = 1: its error is
-        # below (d + 2) eps max|a|; the sum and the difference add two more.
-        reach = tol + 4 * (d + 2) * _EPS * (np.abs(arr).max() + tol)
-        fan = np.searchsorted(p, p + reach, side="right") - np.arange(1, m + 1)
-        # The candidates s places apart in sorted order, one s at a time,
-        # so memory stays O(m) however many rows share a window.
-        pairs = [np.empty((2, 0), dtype=np.intp)]
-        for s in range(1, fan.max() + 1):
-            k = np.flatnonzero(fan >= s)
-            ab = np.sort([order[k], order[k + s]], axis=0)
-            near = np.abs(arr[ab[0]] - arr[ab[1]]).max(axis=1) <= tol
-            pairs.append(ab[:, near])
-        i, j = np.concatenate(pairs, axis=1)
-        by_j = np.argsort(j, kind="stable")
-        i, j = i[by_j], j[by_j]
-    # Keep-first over the near pairs in order of j, so kept[i] is final
-    # before it decides about j.
+    if m * m * d <= DEDUP_PAIRS_MAX:
+        return _dedup_block(arr[None], tol)[0]
+    # A fixed direction with no rational relations between its components,
+    # so lattices and lines do not collapse onto it.
+    u = np.random.default_rng(0).uniform(1.0, 2.0, d)
+    proj = arr @ (u / u.sum())
+    order = np.argsort(proj, kind="stable")
+    p = proj[order]
+    # Each projection is a d-term dot product of |u|_1 = 1: its error is
+    # below (d + 2) eps max|a|; the sum and the difference add two more.
+    reach = tol + 4 * (d + 2) * _EPS * (np.abs(arr).max() + tol)
+    fan = np.searchsorted(p, p + reach, side="right") - np.arange(1, m + 1)
+    # The candidates s places apart in sorted order, one s at a time, so
+    # memory stays O(m) however many rows share a window.
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    for s in range(1, fan.max() + 1):
+        k = np.flatnonzero(fan >= s)
+        ab = np.sort([order[k], order[k + s]], axis=0)
+        near = np.abs(arr[ab[0]] - arr[ab[1]]).max(axis=1) <= tol
+        pairs.append(ab[:, near])
+    i, j = np.concatenate(pairs, axis=1)
+    by_j = np.argsort(j, kind="stable")
     kept = np.ones(m, dtype=bool)
-    up = i < j
-    for a, b in zip(i[up].tolist(), j[up].tolist()):
+    _keep_first(kept, i[by_j], j[by_j])
+    return kept
+
+
+def _dedup_block(arr: np.ndarray, tol: float) -> np.ndarray:
+    """`_dedup` of each (m, d) slice of the (T, m, d) array arr, as a (T, m)
+    mask.  While a slice's m * m * d is at most DEDUP_PAIRS_MAX, the linf
+    near matrices of many slices, at most _KERNEL_BLOCK coordinate
+    differences in all, are computed together and keep-first runs over the
+    near pairs of them all; larger slices take `_dedup`'s sorted windows
+    one by one."""
+    T, m, d = arr.shape
+    kept = np.ones((T, m), dtype=bool)
+    if m * m * d > DEDUP_PAIRS_MAX:
+        for X, keep in zip(arr, kept):
+            keep[:] = _dedup(X, tol)
+        return kept
+    step = max(1, _KERNEL_BLOCK // (m * m * d))
+    for k in range(0, T, step):
+        # (slice, coordinate, row): the max runs over whole matrices.
+        X = np.ascontiguousarray(arr[k:k + step].transpose(0, 2, 1))
+        near = np.abs(X[:, :, :, None] - X[:, :, None]).max(axis=1) <= tol
+        if np.count_nonzero(near) == near.shape[0] * m:
+            continue  # the diagonals only: no row is near another
+        # The near matrices are symmetric, so their entries (s, j, i) come
+        # in order of slice, then of j; those with i < j are the near pairs.
+        s, j, i = np.nonzero(near)
+        up = i < j
+        row = (s[up] + k) * m
+        _keep_first(kept.reshape(-1), row + i[up], row + j[up])
+    return kept
+
+
+def _keep_first(kept: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """Drop row j of each near pair (i, j), i < j, whose row i is kept.
+    The pairs come in order of j, so kept[i] is final before it decides
+    about j."""
+    for a, b in zip(i.tolist(), j.tolist()):
         if kept[a]:
             kept[b] = False
-    return kept
 
 
 def _nearest(P: np.ndarray, B: PointSet, norm: str, witnesses: bool = False):

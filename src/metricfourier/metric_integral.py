@@ -9,7 +9,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .fourier import QTOL
-from .geometry import (PointSet, convex_hull, hull_contains,
+from .geometry import (PointSet, _nearest_groups, convex_hull, hull_contains,
                        metric_linear_combination, min_dists)
 from .svf import Partition, SetValuedFunction
 
@@ -77,7 +77,7 @@ def weighted_metric_riemann_sum(F: SetValuedFunction, k: WeightFunction,
     tags = nodes[:-1] if side == "left" else nodes[1:]
     weights = np.diff(nodes) * np.array([k(x) for x in tags])
     if family is None:
-        return metric_linear_combination(weights, [F(x) for x in tags], norm)
+        return metric_linear_combination(weights, F.sample(tags), norm)
     return PointSet.of([weights @ s(tags) for s in family])
 
 
@@ -118,7 +118,7 @@ def aumann_integral_convex(F: SetValuedFunction, k: WeightFunction,
     nodes = chi.nodes[:-1]
     weights = np.diff(chi.nodes) * np.array([k(x) for x in nodes])
     hull = cache(convex_hull)   # sets compare by identity; F may repeat one
-    hulls = [w * hull(F(x)).points for w, x in zip(weights, nodes)]
+    hulls = [w * hull(S).points for w, S in zip(weights, F.sample(nodes))]
     if hulls[0].shape[1] == 1:
         dirs = np.array([[-1.0], [1.0]])
     else:
@@ -150,21 +150,25 @@ class InclusionReport:
 def inclusion_check(F: SetValuedFunction, k: WeightFunction,
                     family: tuple, norm: str = "l2") -> InclusionReport:
     """Check intersection(F) subset normalized integral subset hull(union F)
-    for k >= 0 with nonzero mass, on a dense x-grid."""
+    for k >= 0 with nonzero mass, on a dense x-grid.  The candidates, the
+    points of F(a), meet every distinct sampled set in one grouped query."""
     xs = sorted(set(np.linspace(F.a, F.b, INCLUSION_GRID))
                 | set(map(float, F.jump_points)))
     mass = integrate_weight(k, F.a, F.b)
     if mass == 0.0:
         raise ValueError("weight must have nonzero integral")
-    sampled = [F(x) for x in xs]
-    cands = F(F.a).points
-    keep = np.ones(len(cands), dtype=bool)
-    for S in sampled:
-        keep &= min_dists(cands, S.points, norm) <= INTER_TOL
+    sampled = F.sample(xs)
+    cands = sampled[0].points
+    distinct = list({id(S): S for S in sampled}.values())
+    owner = np.repeat(np.arange(len(distinct)), len(cands))
+    dist = _nearest_groups(np.tile(cands, (len(distinct), 1)), owner,
+                           distinct, norm)[0]
+    keep = (dist.reshape(len(distinct), -1) <= INTER_TOL).all(axis=0)
     intersection = PointSet.of(cands[keep], dedup_tol=0) if keep.any() else None
     value = weighted_metric_integral(F, k, family)
     normalized = PointSet.of(value.points / mass, dedup_tol=0)
-    union_hull = convex_hull(PointSet.of(np.vstack([S.points for S in sampled]),
+    # A repeated set adds only rows that keep-first drops.
+    union_hull = convex_hull(PointSet.of(np.vstack([S.points for S in distinct]),
                                          dedup_tol=1e-9))
     vacuous = intersection is None
     if vacuous:

@@ -108,7 +108,9 @@ class SetValuedFunction:
 
     `jump_points` declares discontinuities so partitions can be forced
     through them.  `variation_function` carries the exact variation
-    function when a fixture knows it in closed form.
+    function when a fixture knows it in closed form.  `batch`, when given,
+    maps a 1-d array of points of [a, b] to the list of their images, each
+    equal bit for bit to `fn`'s; `sample` uses it.
     """
 
     a: float
@@ -118,11 +120,28 @@ class SetValuedFunction:
     variation_hint: float | None = None
     sup_hint: float | None = None
     variation_function: object | None = None
+    batch: object | None = None
 
     def __call__(self, x: float) -> PointSet:
         if not (self.a - X_TOL <= x <= self.b + X_TOL):
             raise ValueError(f"{x} outside domain [{self.a}, {self.b}]")
         return self.fn(min(max(x, self.a), self.b))
+
+    def sample(self, xs) -> list[PointSet]:
+        """F at each of the points xs, `[F(x) for x in xs]` bit for bit: the
+        same domain check and clamping, then one call of `batch`, or of
+        `fn` per point when there is no batch evaluator."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 1:
+            raise ValueError("sample takes a 1-d array of points")
+        out = ~((xs >= self.a - X_TOL) & (xs <= self.b + X_TOL))
+        if out.any():
+            raise ValueError(f"{xs[out][0]} outside domain "
+                             f"[{self.a}, {self.b}]")
+        ts = np.clip(xs, self.a, self.b)
+        if self.batch is None or not ts.size:
+            return [self.fn(t) for t in ts]
+        return self.batch(ts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +242,8 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
         if abs(chi.nodes[i0[k]] - float(seed[0])) > SEED_NODE_TOL:
             raise ValueError("seed abscissa must be a partition node")
     union = np.unique(np.concatenate([chi.nodes for chi in chis]))
-    for x in union:
-        if x not in sets:
-            sets[x] = F(x)
+    new = [x for x in union.tolist() if x not in sets]
+    sets.update(zip(new, F.sample(new)))
     images = [sets[x] for x in union]
     changed = [A is not B and (len(A) != len(B)
                                or A.points.tobytes() != B.points.tobytes())
@@ -436,10 +454,10 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
     probe = Partition.dyadic(F.a, F.b, PROBE_DEPTH, tuple(F.jump_points))
     # The seed picks read F(x_hat) through the engine's node memo, and take
     # evenly spaced ranks of its cached lexicographic order.
-    sets: dict = {}
+    sets = dict(zip(xs, F.sample(xs)))
     seeds = []
     for x_hat in xs:
-        S = sets[x_hat] = F(x_hat)
+        S = sets[x_hat]
         picks = S.lex_order
         if not every and len(S) > y_seeds:
             picks = picks[np.linspace(0, len(S) - 1, y_seeds).round().astype(int)]
@@ -469,8 +487,8 @@ def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,
     complete set of selections; seed-grid greedy chaining cannot reach chains
     that mix projection directions, so oracle-equivalence tests use this.
     """
-    sets = [F(x) for x in chi.nodes]
-    chains = enumerate_metric_chains(sets, norm, EXHAUSTIVE_LIMIT)
+    chains = enumerate_metric_chains(F.sample(chi.nodes), norm,
+                                     EXHAUSTIVE_LIMIT)
     return tuple(MetricSelection(chi, ch, (chi.a, ch[0]), 0, 0.0)
                  for ch in chains)
 
@@ -484,6 +502,8 @@ def _values(g, xs):
     """g at each x: a list of PointSets, or an (m, d) array of points
     (scalars become 1-d points, also among 1-d vectors).  Non-finite or
     ragged samples raise ValueError."""
+    if isinstance(g, SetValuedFunction):
+        return g.sample(xs)
     vals = [g(x) for x in xs]
     if isinstance(vals[0], PointSet):
         return vals

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -376,7 +377,7 @@ OUTSIDE_THE_LANGUAGE = (
     "().__class__.__mro__[1].__subclasses__().__len__()", "log(t)",
     "__import__('os')", "t.real", "[t][0]", "(lambda: t)()", "sin(x=t)",
     "sin(*[t])", "pi(t)", "sin", "t % 2", "t // 2", "t < 1", "1j", "True",
-    "'t'", "1+" * 5000 + "t", "-" * 100000 + "t")
+    "'t'", "1+" * 5000 + "t", "-" * 100000 + "t", "sin(t, t)", "abs()")
 
 
 def test_parse_svf_validates_structure():
@@ -449,6 +450,36 @@ def test_exit_code_2_curve_evaluation_error(tmp_path, capsys):
     assert main(["selections", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "pieces[0].curve at t=" in err
+
+
+# Descriptions whose pieces or `at` overrides differ in dimension, and the
+# entry that differs from pieces[0].
+MIXED_DIMENSIONS = [
+    ({"domain": [-PI, PI], "pieces": [{"points": [[0, 1]], "end": 0.5},
+                                      {"points": [[0]]}]}, "pieces[1]"),
+    ({"domain": [-PI, PI], "pieces": [{"curve": [["t", "t"]], "end": 0.5},
+                                      {"curve": [["t"]]}]}, "pieces[1]"),
+    ({"domain": [-PI, PI], "pieces": [{"curve": ["sin(t)"]}],
+      "at": [{"x": 0.5, "disc": {"center": [0, 0], "radius": 1,
+                                 "eps": 0.5}}]}, "at[0]"),
+]
+
+
+@pytest.mark.parametrize("svf, where", MIXED_DIMENSIONS,
+                         ids=["points", "curve", "at-disc"])
+def test_exit_code_2_pieces_of_different_dimensions(tmp_path, capsys, svf,
+                                                    where):
+    """Every piece's dimension is known before a curve is evaluated, so a
+    description that mixes dimensions is a config error for every verb,
+    not a crash in the selection engine."""
+    with pytest.raises(DescriptionError, match=re.escape(where)):
+        parse_svf(svf)
+    cfg = write_cfg(tmp_path, "svf.json", {"svf": svf, "orders": [4],
+                                           "x_grid": [0.0], "depth": 2})
+    for verb in ("convergence", "integral"):
+        assert main([verb, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dimension" in err
 
 
 def test_exit_code_2_malformed_svf(tmp_path, capsys):

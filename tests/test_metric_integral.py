@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from metricfourier import metric_integral
 from metricfourier.fixtures import (balls_fixture, constant_set_fixture,
-                                    lines_fixture, singleton_fixture,
-                                    zero_union_sine)
+                                    lines_fixture, parse_svf,
+                                    singleton_fixture, zero_union_sine)
 from metricfourier.fourier import (dirichlet, dirichlet_antiderivative,
                                    metric_fourier)
-from metricfourier.geometry import (PointSet, hausdorff, hull_contains,
-                                    set_norm)
+from metricfourier.geometry import (PointSet, convex_hull, hausdorff,
+                                    hull_contains, min_dists, set_norm)
 from metricfourier.metric_integral import (WeightFunction,
                                            aumann_integral_convex,
                                            inclusion_check, integrate_weight,
@@ -328,6 +328,35 @@ def test_inclusion_lines_vacuous_lower():
     report = inclusion_check(F, WeightFunction.constant(1.0), fam)
     assert report.vacuous
     assert report.lower_ok and report.upper_ok
+
+
+@pytest.mark.parametrize("make", [
+    zero_union_sine, lines_fixture, lambda: balls_fixture(eps=0.25),
+    lambda: parse_svf({"domain": [0.0, 1.0], "pieces": [
+        {"end": 0.5, "points": [[0.0], [1.0], [2.0]]},
+        {"points": [[0.0], [1.0 + 5e-10], [2.0 + 1.5e-9]]}]})],
+    ids=["zero-union-sine", "lines", "balls", "near-INTER_TOL"])
+def test_inclusion_sets_equal_the_per_set_loop(make):
+    """The intersection from one grouped query of the distinct sampled sets,
+    and the union hull of the distinct sets, equal those of one `min_dists`
+    call and one stacked copy per sampled point."""
+    F = make()
+    fam = selection_family(F, 3, 2, 4)
+    report = inclusion_check(F, WeightFunction.constant(1.0), fam)
+    xs = sorted(set(np.linspace(F.a, F.b, metric_integral.INCLUSION_GRID))
+                | set(map(float, F.jump_points)))
+    sampled = [F(x) for x in xs]
+    cands = F(F.a).points
+    keep = np.ones(len(cands), dtype=bool)
+    for S in sampled:
+        keep &= min_dists(cands, S.points) <= metric_integral.INTER_TOL
+    if keep.any():
+        assert np.array_equal(report.intersection.points, cands[keep])
+    else:
+        assert report.intersection is None
+    union = convex_hull(PointSet.of(np.vstack([S.points for S in sampled]),
+                                    dedup_tol=1e-9))
+    assert np.array_equal(report.union_hull.points, union.points)
 
 
 def test_inclusion_rejects_zero_mass():

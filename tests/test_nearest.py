@@ -4,6 +4,7 @@ Sets of more than `geometry.KDTREE_MIN` points are queried through a
 KD-tree, smaller ones by brute force.  Patching the constant forces either
 path on small sets; the brute-force references live in `oracle.py`.
 """
+import math
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +27,9 @@ ATOL = 1e-12
 NORMS = ("l1", "l2", "linf")
 # KDTREE_MIN values that force the tree path and the brute-force path.
 FORCE = {"tree": 0, "brute": 10 ** 9}
+# DEDUP_PAIRS_MAX values that force `_dedup`'s sorted windows and its
+# all-pairs search.
+DEDUP_FORCE = {"windows": 0, "all-pairs": 10 ** 9}
 
 
 @st.composite
@@ -489,8 +493,8 @@ def test_dedup_tree_path_matches_loop(cells):
     tol = 1e-3
     arr = np.array([[x + k * 0.8 * tol, y] for x, k, y in cells])
     ref = oracle_dedup(arr, tol)
-    for path in sorted(FORCE):
-        with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+    for path in sorted(DEDUP_FORCE):
+        with mock.patch.object(geometry, "DEDUP_PAIRS_MAX", DEDUP_FORCE[path]):
             assert np.array_equal(PointSet.of(arr, dedup_tol=tol).points, ref)
 
 
@@ -524,17 +528,26 @@ def near_duplicates(draw):
           2.0 ** -10))
 def test_dedup_projection_path_matches_oracle(inst):
     """The sorted-projection windows of large sets find every pair within
-    tol, exactly at tol included, at any coordinate size."""
+    tol, exactly at tol included, at any coordinate size, as the all-pairs
+    search of small sets does, and so does a set on either side of the
+    real switch."""
     arr, tol = inst
-    with mock.patch.object(geometry, "KDTREE_MIN", 0):
-        got = PointSet.of(arr, dedup_tol=tol).points
-    assert np.array_equal(got, oracle_dedup(arr, tol))
+    ref = oracle_dedup(arr, tol)
+    for path in sorted(DEDUP_FORCE):
+        with mock.patch.object(geometry, "DEDUP_PAIRS_MAX", DEDUP_FORCE[path]):
+            assert np.array_equal(PointSet.of(arr, dedup_tol=tol).points, ref)
+    # The most rows of arr's dimension that still compare all pairs.
+    d = arr.shape[1]
+    m = math.isqrt(geometry.DEDUP_PAIRS_MAX // d)
+    for rows in (np.resize(arr, (m, d)), np.resize(arr, (m + 1, d))):
+        assert np.array_equal(PointSet.of(rows, dedup_tol=tol).points,
+                              oracle_dedup(rows, tol))
 
 
 def test_dedup_of_large_nets_builds_no_tree():
-    """Above KDTREE_MIN rows the dedup sorts projections: an 8,201-point net
-    keeps every row without building a tree, and a planted near copy of
-    each row is dropped."""
+    """Above DEDUP_PAIRS_MAX coordinate differences the dedup sorts
+    projections: an 8,201-point net keeps every row without building a
+    tree, and a planted near copy of each row is dropped."""
     net = disc_net((0.3, -0.2), 1.0, 0.02).points
     near = net + geometry.DEDUP_TOL / 2
     with mock.patch.object(geometry, "cKDTree",

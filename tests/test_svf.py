@@ -692,11 +692,18 @@ def test_family_evaluates_F_once_per_node(make):
     F = make()
     calls = []
 
+    # `sample` calls the batch evaluator where F has one, so the count is
+    # kept at both `fn` and `batch`.
     def fn(t):
         calls.append(float(t))
         return F.fn(t)
 
-    counted = dataclasses.replace(F, fn=fn)
+    def batch(ts):
+        calls.extend(ts.tolist())
+        return F.batch(ts)
+
+    counted = dataclasses.replace(F, fn=fn,
+                                  batch=None if F.batch is None else batch)
     x_seeds, y_seeds, depth = 5, 3, 6
     fam = selection_family(counted, x_seeds, y_seeds, depth)
     xs = sorted(set(np.linspace(F.a, F.b, x_seeds)) | set(F.jump_points))
