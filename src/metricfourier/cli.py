@@ -375,11 +375,7 @@ def main(argv=None) -> int:
                 raise ConfigError("hausdorff config needs set_a and set_b")
             if data.get("norm", "l2") not in ("l1", "l2", "linf"):
                 raise ConfigError("norm must be one of l1, l2, linf")
-            try:
-                A, B = PointSet.of(data["set_a"]), PointSet.of(data["set_b"])
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"set_a and set_b must be nonempty lists of "
-                                  f"finite points: {exc}") from exc
+            A, B = (fx.config_points(data[k], k) for k in ("set_a", "set_b"))
             if A.dim != B.dim:
                 raise ConfigError("set_a and set_b differ in dimension")
             sys.stdout.write(_fmt(hausdorff(A, B, data.get("norm", "l2"))) + "\n")

@@ -14,6 +14,11 @@ from .geometry import PointSet
 from .svf import NODE_TOL, X_TOL, SetValuedFunction
 
 PI = math.pi
+# `disc_net` refuses a net of more points than this, so that a config with
+# a tiny eps is an error, not a run that never ends.  The paper's nets
+# (radius 1, eps 1e-3) have 3.15M points, 50 MB each, and `balls_fixture`
+# holds two of them and their union: about 200 MB, which this admits.
+DISC_NET_MAX = 4_000_000
 
 
 def wrap_period(t: float) -> float:
@@ -133,17 +138,22 @@ SCALAR_FIXTURES = {
 
 def _gather(ts: np.ndarray, owner: np.ndarray, parts) -> list:
     """The image of each t of ts under its part parts[owner[i]], which is a
-    PointSet (the image of every t) or a batch evaluator, called once on
-    all the t it owns."""
-    out = [None] * len(ts)
-    for k in np.unique(owner).tolist():
+    PointSet (the image of every t) or an evaluator, called once on all the
+    t it owns."""
+    out = [parts[k] for k in owner.tolist()]
+    for k, part in enumerate(parts):
+        if isinstance(part, PointSet):
+            continue
         idx = np.flatnonzero(owner == k)
-        part = parts[k]
-        images = ([part] * idx.size if isinstance(part, PointSet)
-                  else part(ts[idx]))
-        for i, S in zip(idx.tolist(), images):
-            out[i] = S
+        if idx.size:
+            for i, S in zip(idx.tolist(), part(ts[idx])):
+                out[i] = S
     return out
+
+
+def _side(ts: np.ndarray, x0: float) -> np.ndarray:
+    """0, 1 or 2 for each t of ts below, at or above x0."""
+    return (ts >= x0).astype(np.intp) + (ts > x0)
 
 
 def lines_fixture(x0: float = 0.5) -> SetValuedFunction:
@@ -151,21 +161,12 @@ def lines_fixture(x0: float = 0.5) -> SetValuedFunction:
     left = PointSet.of([-0.25, 0.0, 0.25])
     at = PointSet.of([-1.0, -0.25, 0.0, 0.25, 1.0])
 
-    def fn(t):
-        if t < x0:
-            return left
-        if t == x0:
-            return at
-        return PointSet.of([-1.0 + t - x0, 1.0 + t - x0])
-
     def moving(ts):
         return PointSet.many(np.stack([-1.0 + ts - x0, 1.0 + ts - x0],
                                       axis=1)[:, :, None])
 
-    def batch(ts):
-        # 0, 1 or 2 for each t below, at or above x0.
-        side = (ts >= x0).astype(np.intp) + (ts > x0)
-        return _gather(ts, side, (left, at, moving))
+    def fn(ts):
+        return _gather(ts, _side(ts, x0), (left, at, moving))
 
     def vf(t):
         if t < x0:
@@ -177,22 +178,34 @@ def lines_fixture(x0: float = 0.5) -> SetValuedFunction:
     return SetValuedFunction(-PI, PI, fn, jump_points=(x0,),
                              variation_hint=1.75 + (PI - x0),
                              sup_hint=1.0 + PI - x0,
-                             variation_function=vf, batch=batch)
+                             variation_function=vf)
 
 
 def disc_net(center, radius: float, eps: float) -> PointSet:
     """Polar epsilon-net of a closed disc; ring sizes are multiples of 8 so
-    the boundary points facing the axis directions land on the grid."""
+    the boundary points facing the axis directions land on the grid.
+
+    A net of more than DISC_NET_MAX points raises DescriptionError before
+    anything is built.  Ring j of the n = ceil(radius / eps) rings has
+    radius r_j = radius j / n and at least 2 pi r_j / eps points, so a net
+    has more than pi (radius / eps)**2: a tiny eps is refused without
+    counting its rings."""
     cx, cy = float(center[0]), float(center[1])
+    too_many = (f"a disc net of radius {radius} at eps {eps} has more than "
+                f"{DISC_NET_MAX} points")
+    if not radius / eps <= math.sqrt(DISC_NET_MAX / PI):
+        raise DescriptionError(too_many)
     rings = max(1, math.ceil(radius / eps))
-    pts = [np.array([cx, cy])]
-    for j in range(1, rings + 1):
-        r = radius * j / rings
-        m = 8 * max(1, math.ceil(2.0 * PI * r / (8.0 * eps)))
-        ang = np.linspace(0.0, 2.0 * PI, m, endpoint=False)
-        ring = np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)])
-        pts.append(ring)
-    return PointSet.of(np.vstack([np.atleast_2d(p) for p in pts]), dedup_tol=0)
+    r = radius * np.arange(1, rings + 1) / rings
+    m = 8 * np.maximum(1, np.ceil(2.0 * PI * r / (8.0 * eps))).astype(int)
+    if 1 + m.sum() > DISC_NET_MAX:
+        raise DescriptionError(too_many)
+    pts = [np.array([[cx, cy]])]
+    for r_j, m_j in zip(r.tolist(), m.tolist()):
+        ang = np.linspace(0.0, 2.0 * PI, m_j, endpoint=False)
+        pts.append(np.column_stack([cx + r_j * np.cos(ang),
+                                    cy + r_j * np.sin(ang)]))
+    return PointSet.of(np.vstack(pts), dedup_tol=0)
 
 
 def balls_fixture(x0: float = 0.5, eps: float = 1e-3) -> SetValuedFunction:
@@ -203,12 +216,8 @@ def balls_fixture(x0: float = 0.5, eps: float = 1e-3) -> SetValuedFunction:
     at = PointSet.of(np.vstack([netL.points, [[0.0, 0.0]], netR.points]),
                      dedup_tol=0)
 
-    def fn(t):
-        if t < x0:
-            return netL
-        if t == x0:
-            return at
-        return netR
+    def fn(ts):
+        return _gather(ts, _side(ts, x0), (netL, at, netR))
 
     return SetValuedFunction(-PI, PI, fn, jump_points=(x0,),
                              variation_hint=8.0, sup_hint=math.hypot(3.0, 3.0))
@@ -224,45 +233,39 @@ def _abscos_cum(t: float) -> float:
 
 
 def two_branch_sine() -> SetValuedFunction:
-    """F(t) = {sin t, sin t + 2}: continuous, two well-separated branches.
-    `np.sin` gives the same bits on a number and on an array."""
+    """F(t) = {sin t, sin t + 2}: continuous, two well-separated branches."""
 
-    def fn(t):
-        return PointSet.of([np.sin(t), np.sin(t) + 2.0])
-
-    def batch(ts):
+    def fn(ts):
         s = np.sin(ts)
         return PointSet.many(np.stack([s, s + 2.0], axis=1)[:, :, None])
 
     return SetValuedFunction(-PI, PI, fn, jump_points=(),
                              variation_hint=4.0, sup_hint=3.0,
-                             variation_function=_abscos_cum, batch=batch)
+                             variation_function=_abscos_cum)
 
 
 def zero_union_sine() -> SetValuedFunction:
     """F(t) = {0} union {2 + sin t}: the constant selection 0 exists."""
 
-    def fn(t):
-        return PointSet.of([0.0, 2.0 + np.sin(t)])
-
-    def batch(ts):
+    def fn(ts):
         return PointSet.many(np.stack([np.zeros_like(ts), 2.0 + np.sin(ts)],
                                       axis=1)[:, :, None])
 
     return SetValuedFunction(-PI, PI, fn, jump_points=(),
-                             variation_hint=4.0, sup_hint=3.0, batch=batch)
+                             variation_hint=4.0, sup_hint=3.0)
 
 
 def constant_set_fixture(points, a: float = -PI, b: float = PI) -> SetValuedFunction:
     A = PointSet.of(points)
-    return SetValuedFunction(a, b, lambda t: A, jump_points=(),
+    return SetValuedFunction(a, b, lambda ts: [A] * len(ts), jump_points=(),
                              variation_hint=0.0,
                              variation_function=lambda t: 0.0)
 
 
 def singleton_fixture(f, a: float = -PI, b: float = PI,
                       jumps=()) -> SetValuedFunction:
-    return SetValuedFunction(a, b, lambda t: PointSet.of([f(t)]),
+    return SetValuedFunction(a, b,
+                             lambda ts: [PointSet.of([f(t)]) for t in ts],
                              jump_points=tuple(jumps))
 
 
@@ -270,8 +273,8 @@ def step_svf(x0: float = 0.5) -> SetValuedFunction:
     """Singleton step {0} -> {1}; the simplest jump fixture."""
     lo, hi = PointSet.of([0.0]), PointSet.of([1.0])
 
-    def fn(t):
-        return lo if t < x0 else hi
+    def fn(ts):
+        return _gather(ts, _side(ts, x0), (lo, hi, hi))
 
     def vf(t):
         return 0.0 if t < x0 else 1.0
@@ -376,25 +379,37 @@ def _number(v, where: str) -> float:
     return float(v)
 
 
-def _constant(S: PointSet):
-    """The evaluator of a piece whose image is S at every t."""
-    return lambda t: [S] * len(t) if isinstance(t, np.ndarray) else S
+def config_points(points, where: str) -> PointSet:
+    """The PointSet of a point list read from a config (numbers, or lists
+    of numbers), or a DescriptionError naming `where`.  JSON's true and
+    false, which numpy reads as 1 and 0, are refused."""
+    try:
+        arr = np.array(points, dtype=float)
+        S = PointSet.of(arr)
+    except (ValueError, TypeError) as exc:
+        raise DescriptionError(f"{where}: {exc}") from exc
+    # Only the rows with a coordinate 0 or 1 can hold a bool, so a large
+    # net costs no Python loop over its points.
+    maybe = ((arr == 0) | (arr == 1)).reshape(len(arr), -1).any(axis=1)
+    rows = [points[i] for i in np.flatnonzero(maybe).tolist()]
+    if any(isinstance(c, bool) for p in rows
+           for c in (p if isinstance(p, list) else [p])):
+        raise DescriptionError(f"{where} must hold numbers, not true/false")
+    return S
 
 
 def _piece_evaluator(piece: dict, where: str):
-    """The evaluator of one checked piece: its image at a number t, or the
-    list of its images at a 1-d array of t.  A curve is evaluated with
-    every floating-point error but underflow raised; an error becomes a
+    """The evaluator of one checked piece: its one image, a PointSet, when
+    it has points or a disc, else the function from a 1-d array of t to
+    the list of their images.  A curve is evaluated with every
+    floating-point error but underflow raised; an error becomes a
     DescriptionError naming the piece and the first t that fails."""
     kinds = [k for k in ("points", "curve", "disc") if k in piece]
     if len(kinds) != 1:
         raise DescriptionError(f"{where} needs exactly one of points/curve/disc")
     kind = kinds[0]
     if kind == "points":
-        try:
-            return _constant(PointSet.of(piece["points"]))
-        except (ValueError, TypeError) as exc:
-            raise DescriptionError(f"{where}.points: {exc}") from exc
+        return config_points(piece["points"], where + ".points")
     if kind == "disc":
         d = piece["disc"]
         _check_keys(d, {"center", "radius", "eps"}, where + ".disc")
@@ -405,8 +420,11 @@ def _piece_evaluator(piece: dict, where: str):
                 for k in ("radius", "eps"))
         if r <= 0 or e <= 0:
             raise DescriptionError(f"{where}.disc needs radius, eps > 0")
-        return _constant(disc_net([_number(c, where + ".disc.center")
-                                   for c in center], r, e))
+        center = [_number(c, where + ".disc.center") for c in center]
+        try:
+            return disc_net(center, r, e)
+        except DescriptionError as exc:
+            raise DescriptionError(f"{where}.disc: {exc}") from exc
     curve = piece["curve"]
     if not isinstance(curve, list) or not curve:
         raise DescriptionError(f"{where}.curve must be a nonempty list")
@@ -416,21 +434,8 @@ def _piece_evaluator(piece: dict, where: str):
         raise DescriptionError(f"{where}.curve branches must be expressions, "
                                "all of one dimension")
     branches = [[_compile_expression(e, where) for e in br] for br in branches]
-    errors = (ArithmeticError, TypeError, ValueError)
-
-    def point(t):
-        env = {"t": np.float64(t)}
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                return PointSet.of([[eval(code, _GLOBALS, env) for code in br]
-                                    for br in branches])
-        except errors as exc:
-            raise DescriptionError(f"{where}.curve at t={float(t)!r}: "
-                                   f"{exc}") from exc
 
     def fn(t):
-        if not isinstance(t, np.ndarray):
-            return point(t)
         block = np.empty((t.size, len(branches), len(branches[0])))
         env = {"t": t}
         try:
@@ -439,20 +444,24 @@ def _piece_evaluator(piece: dict, where: str):
                     for j, code in enumerate(br):
                         block[:, i, j] = eval(code, _GLOBALS, env)
             return PointSet.many(block)
-        except errors:
-            # Point by point, the first t that fails raises.
-            return [point(x) for x in t]
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            if t.size == 1:
+                raise DescriptionError(f"{where}.curve at t={float(t[0])!r}: "
+                                       f"{exc}") from exc
+            # One t at a time, so that the first t that fails raises.
+            return [S for i in range(t.size) for S in fn(t[i:i + 1])]
 
     return fn
 
 
 def _dimension(piece: dict, ev) -> int:
     """The dimension of a checked piece's points, read without evaluating a
-    curve: a curve's is the length of its branches."""
+    curve: a curve's is the length of its branches, a points or disc
+    piece's that of its prebuilt set."""
     if "curve" in piece:
         first = piece["curve"][0]
         return len(first) if isinstance(first, list) else 1
-    return ev(0.0).dim
+    return ev.dim
 
 
 def parse_svf(desc: dict) -> SetValuedFunction:
@@ -517,20 +526,14 @@ def parse_svf(desc: dict) -> SetValuedFunction:
     at_x = np.array([*overrides, np.inf])
     parts = evals + list(overrides.values())
 
-    def owner(ts):
-        """The index into parts of the evaluator of t, or of each t of an
-        array: the first override within NODE_TOL of t, else the first piece
-        whose end exceeds t, else the last piece."""
+    def fn(ts):
+        # F(t) is given by the first override within NODE_TOL of t, else by
+        # the first piece whose end exceeds t, else by the last piece.
         piece = np.minimum(np.searchsorted(cuts, ts, side="right"),
                            len(evals) - 1)
         near = np.abs(np.subtract.outer(ts, at_x)) <= NODE_TOL
-        return np.where(near.any(axis=-1), len(evals) + near.argmax(axis=-1),
-                        piece)
+        return _gather(ts, np.where(near.any(axis=1),
+                                    len(evals) + near.argmax(axis=1), piece),
+                       parts)
 
-    def fn(t):
-        return parts[int(owner(t))](t)
-
-    def batch(ts):
-        return _gather(ts, owner(ts), parts)
-
-    return SetValuedFunction(a, b, fn, jump_points=jump_list, batch=batch)
+    return SetValuedFunction(a, b, fn, jump_points=jump_list)

@@ -182,11 +182,12 @@ class TinyInstance:
         nodes = self.nodes
         sets = [PointSet.of(s) for s in self.sets]
 
-        def fn(x: float) -> PointSet:
+        def image(x: float) -> PointSet:
             i = int(np.searchsorted(nodes, x, side="right")) - 1
             return sets[min(max(i, 0), len(sets) - 1)]
 
-        return SetValuedFunction(float(nodes[0]), float(nodes[-1]), fn,
+        return SetValuedFunction(float(nodes[0]), float(nodes[-1]),
+                                 lambda ts: [image(x) for x in ts],
                                  jump_points=tuple(float(t) for t in nodes[1:-1]))
 
     def partition(self) -> Partition:

@@ -104,13 +104,13 @@ class Partition:
 
 @dataclass(frozen=True)
 class SetValuedFunction:
-    """Interval domain plus an evaluator x -> PointSet.
+    """Interval domain plus an evaluator of F on arrays of points.
 
-    `jump_points` declares discontinuities so partitions can be forced
-    through them.  `variation_function` carries the exact variation
-    function when a fixture knows it in closed form.  `batch`, when given,
-    maps a 1-d array of points of [a, b] to the list of their images, each
-    equal bit for bit to `fn`'s; `sample` uses it.
+    `fn` maps a 1-d array of points of [a, b] to the list of their images,
+    a PointSet each; a point's image does not depend on the other points
+    of the array.  `jump_points` declares discontinuities so partitions
+    can be forced through them.  `variation_function` carries the exact
+    variation function when a fixture knows it in closed form.
     """
 
     a: float
@@ -120,28 +120,22 @@ class SetValuedFunction:
     variation_hint: float | None = None
     sup_hint: float | None = None
     variation_function: object | None = None
-    batch: object | None = None
 
     def __call__(self, x: float) -> PointSet:
-        if not (self.a - X_TOL <= x <= self.b + X_TOL):
-            raise ValueError(f"{x} outside domain [{self.a}, {self.b}]")
-        return self.fn(min(max(x, self.a), self.b))
+        return self.sample([x])[0]
 
     def sample(self, xs) -> list[PointSet]:
-        """F at each of the points xs, `[F(x) for x in xs]` bit for bit: the
-        same domain check and clamping, then one call of `batch`, or of
-        `fn` per point when there is no batch evaluator."""
+        """F at each of the points xs: a point farther than X_TOL outside
+        [a, b] raises ValueError, the others are clamped to [a, b], then
+        `fn` is called once on them all."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1:
             raise ValueError("sample takes a 1-d array of points")
-        out = ~((xs >= self.a - X_TOL) & (xs <= self.b + X_TOL))
-        if out.any():
-            raise ValueError(f"{xs[out][0]} outside domain "
+        inside = (xs >= self.a - X_TOL) & (xs <= self.b + X_TOL)
+        if not inside.all():
+            raise ValueError(f"{xs[~inside][0]} outside domain "
                              f"[{self.a}, {self.b}]")
-        ts = np.clip(xs, self.a, self.b)
-        if self.batch is None or not ts.size:
-            return [self.fn(t) for t in ts]
-        return self.batch(ts)
+        return self.fn(np.clip(xs, self.a, self.b))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,11 +8,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from metricfourier import cli
+from metricfourier import fixtures as fx
 from metricfourier.cli import (ConfigError, ExperimentConfig, main,
                                parse_weight, run_example, selection_depth)
 from metricfourier.fixtures import DescriptionError, parse_svf
@@ -249,6 +251,27 @@ def test_exit_code_2_hausdorff_invalid_points(tmp_path, capsys, set_a, set_b):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, config, field", [
+    ("hausdorff", {"set_a": [[True]], "set_b": [[1.0]]}, "set_a"),
+    ("hausdorff", {"set_a": [[0.0]], "set_b": [1.0, False]}, "set_b"),
+    ("selections", {"svf": {"domain": [0, 1],
+                            "pieces": [{"points": [True, False]}]}},
+     "pieces[0].points"),
+    ("selections", {"svf": {"domain": [0, 1], "pieces": [{"points": [[0]]}],
+                            "at": [{"x": 0.5, "points": [[0], [True]]}]}},
+     "at[0].points"),
+], ids=["set_a", "set_b", "piece", "at"])
+def test_exit_code_2_bools_in_point_lists(tmp_path, capsys, verb, config,
+                                          field):
+    """JSON's true and false are not coordinates, although numpy reads
+    them as 1 and 0: a point list holding one is a config error naming
+    the field."""
+    cfg = write_cfg(tmp_path, "c.json", config)
+    assert main([verb, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{field} must hold numbers" in err
+
+
 def test_config_rejects_malformed_types():
     for bad in ({"orders": [4.5]}, {"orders": ["16"]}, {"orders": 16},
                 {"x_grid": "9"}, {"x_grid": [0.0, "1"]}, {"depth": "4"},
@@ -480,6 +503,31 @@ def test_exit_code_2_pieces_of_different_dimensions(tmp_path, capsys, svf,
         assert main([verb, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "dimension" in err
+
+
+@pytest.mark.parametrize("config", [
+    {"svf": {"domain": [0, 1], "pieces": [
+        {"disc": {"center": [0, 0], "radius": 1, "eps": 1e-300}}]}},
+    {"svf": {"domain": [0, 1], "pieces": [
+        {"disc": {"center": [0, 0], "radius": 1e300, "eps": 1e-300}}]}},
+    {"fixture": "balls", "eps": 1e-300},
+], ids=["svf", "svf-overflow", "balls"])
+def test_exit_code_2_oversized_disc_net(tmp_path, capsys, config):
+    """A disc net is counted before it is built, so eps 1e-300 (about
+    3e600 points) is refused at once instead of never returning."""
+    cfg = write_cfg(tmp_path, "disc.json", config)
+    assert main(["integral", "--config", cfg]) == 2
+    assert "has more than" in capsys.readouterr().err
+
+
+def test_disc_net_limit_is_its_exact_size():
+    """The count that `disc_net` checks is the size of the net it builds."""
+    n = len(fx.disc_net((0.0, 0.0), 1.0, 0.1))
+    with mock.patch.object(fx, "DISC_NET_MAX", n):
+        assert len(fx.disc_net((0.0, 0.0), 1.0, 0.1)) == n
+    with mock.patch.object(fx, "DISC_NET_MAX", n - 1), \
+            pytest.raises(DescriptionError, match="has more than"):
+        fx.disc_net((0.0, 0.0), 1.0, 0.1)
 
 
 def test_exit_code_2_malformed_svf(tmp_path, capsys):

@@ -305,9 +305,9 @@ def test_singleton_coefficients_evaluate_F_once_per_node():
     F = step_svf()
     fn, calls = F.fn, [0]
 
-    def counted(t):
-        calls[0] += 1
-        return fn(t)
+    def counted(ts):
+        calls[0] += len(ts)
+        return fn(ts)
 
     F = dataclasses.replace(F, fn=counted)
     fam = selection_family(F, 7, 4, 9)

@@ -264,7 +264,8 @@ def test_aumann_support_function_is_the_weighted_sum(cells):
     the support functions of the w_i F(x_i), on 360 directions."""
     sets, weights = cells
     n = len(sets)
-    F = SetValuedFunction(0.0, float(n), lambda t: sets[min(int(t), n - 1)])
+    F = SetValuedFunction(0.0, float(n),
+                          lambda ts: [sets[min(int(t), n - 1)] for t in ts])
     k = WeightFunction(lambda t: weights[min(int(t), n - 1)], 2.0, 2.0)
     chi = Partition.uniform(0.0, float(n), n)
     got = aumann_integral_convex(F, k, chi)

@@ -1,11 +1,12 @@
 """`SetValuedFunction.sample` against `F` point by point.
 
-The library evaluates F at many points through `sample`, which calls a
-fixture's or a description's batch evaluator once, or `fn` per point where
-a fixture has none.  Each image must equal
-F's at that point bit for bit, a constant piece must give its one prebuilt
-set, and a curve that fails must fail as it does point by point.
+A set-valued function has one evaluator, `fn`, which maps an array of t to
+their images; `sample` calls it once on all its points and `F(x)` samples
+the one point x.  A point's image must not depend on the array it is
+sampled in, bit for bit, a constant piece must give its one prebuilt set,
+and a curve that fails must name the first t that fails.
 """
+import dataclasses
 import math
 from unittest import mock
 
@@ -76,6 +77,18 @@ def test_sample_equals_F_bit_for_bit(label, F):
         assert not S.points.flags.writeable
 
 
+@pytest.mark.parametrize("F", [SVF_FIXTURES["lines"](),
+                               parse_svf(BENCH_CURVE)],
+                         ids=["lines", "bench-curve"])
+def test_replaced_fn_is_the_one_evaluator(F):
+    """After `dataclasses.replace(F, fn=g)`, `F(x)` and `F.sample(xs)`, and
+    so every library routine, evaluate g."""
+    S = PointSet.of([[7.0] * F(0.0).dim])
+    G = dataclasses.replace(F, fn=lambda ts: [S] * len(ts))
+    assert all(T is S for T in G.sample(probe_points(F)))
+    assert G(0.5) is S
+
+
 def test_sample_checks_the_domain_as_F_does():
     F = parse_svf(LANGUAGE)
     assert F.sample([]) == []
@@ -89,7 +102,7 @@ def test_sample_checks_the_domain_as_F_does():
 def test_constant_pieces_give_their_prebuilt_set():
     """The engine's labels, the Aumann hull cache and the cached trees key
     on the set object, so a constant piece returns one object at every t,
-    on both paths."""
+    sampled alone or among other points."""
     xs = np.append(np.linspace(-PI, PI, 41), 0.5)
     balls = balls_fixture(eps=0.25)
     for x, S in zip(xs, balls.sample(xs)):
@@ -107,8 +120,8 @@ def test_constant_pieces_give_their_prebuilt_set():
 
 def test_first_override_within_node_tol_wins():
     """Where two `at` points lie within NODE_TOL of t, the first listed
-    gives F(t), on both paths; beyond them the pieces split at their
-    ends."""
+    gives F(t), sampled alone or among other points; beyond them the
+    pieces split at their ends."""
     F = parse_svf({"domain": [0.0, 1.0], "pieces": [
         {"end": 0.5, "points": [[0.0]]}, {"points": [[1.0]]}],
         "at": [{"x": 0.5, "points": [[2.0]]},
@@ -144,7 +157,8 @@ def test_curve_errors_name_the_first_failing_t(expr, xs, first):
 
 
 def test_curve_underflow_is_not_an_error():
-    """Underflow gives 0, as in Python's float arithmetic, on both paths."""
+    """Underflow gives 0, as in Python's float arithmetic, sampled alone or
+    among other points."""
     F = parse_svf({"domain": [0.0, 1.0],
                    "pieces": [{"curve": ["exp(-1000 * t)", "1e-200 * 1e-200"]}]})
     assert F(1.0).points.tolist() == [[0.0]]

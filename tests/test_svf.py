@@ -515,14 +515,15 @@ def svf_instance(draw):
         pts, vel = pieces[k]
         return pts + (t - a) * vel
 
-    def fn(t):
+    def image(t):
         k = int(np.searchsorted(jumps, t, side="right"))
         here = piece(k, t)
         if union_at_jump and k > 0 and t == jumps[k - 1]:
             here = np.vstack([piece(k - 1, t), here])
         return PointSet.of(here, dedup_tol=0)
 
-    return SetValuedFunction(a, b, fn, jump_points=tuple(jumps))
+    return SetValuedFunction(a, b, lambda ts: [image(t) for t in ts],
+                             jump_points=tuple(jumps))
 
 
 def assert_same_family(got, ref):
@@ -627,11 +628,11 @@ def moving_svf(draw):
     counts = draw(st.lists(st.integers(1, 5), min_size=period,
                            max_size=period))
 
-    def fn(t):
+    def image(t):
         m = counts[min(int(t * period), period - 1)]
         return PointSet.of(base[:m] + t * vel[:m], dedup_tol=0)
 
-    return SetValuedFunction(0.0, 1.0, fn)
+    return SetValuedFunction(0.0, 1.0, lambda ts: [image(t) for t in ts])
 
 
 @settings(max_examples=60, deadline=None)
@@ -692,18 +693,12 @@ def test_family_evaluates_F_once_per_node(make):
     F = make()
     calls = []
 
-    # `sample` calls the batch evaluator where F has one, so the count is
-    # kept at both `fn` and `batch`.
-    def fn(t):
-        calls.append(float(t))
-        return F.fn(t)
-
-    def batch(ts):
+    # `fn` is F's one evaluator: every point F is evaluated at passes it.
+    def fn(ts):
         calls.extend(ts.tolist())
-        return F.batch(ts)
+        return F.fn(ts)
 
-    counted = dataclasses.replace(F, fn=fn,
-                                  batch=None if F.batch is None else batch)
+    counted = dataclasses.replace(F, fn=fn)
     x_seeds, y_seeds, depth = 5, 3, 6
     fam = selection_family(counted, x_seeds, y_seeds, depth)
     xs = sorted(set(np.linspace(F.a, F.b, x_seeds)) | set(F.jump_points))
