@@ -75,8 +75,7 @@ class ExperimentConfig:
             val = getattr(cfg, key)
             if val is not None and not isinstance(val, kind):
                 raise ConfigError(f"{key} must be a {kind.__name__}")
-        if not _is_number(cfg.eps) or not cfg.eps > 0:
-            raise ConfigError("eps must be a positive number")
+        _check_eps(cfg.eps)
         parse_weight(cfg.weight)
         return cfg
 
@@ -135,6 +134,12 @@ def _is_int(v) -> bool:
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_eps(eps) -> None:
+    """The net spacing of the balls fixture must be a finite number > 0."""
+    if not _is_number(eps) or not 0 < eps < math.inf:
+        raise ConfigError("eps must be a positive number")
 
 
 def parse_weight(spec: dict | None) -> WeightFunction:
@@ -211,8 +216,8 @@ def run_bound_check(cfg: ExperimentConfig) -> list[tuple]:
         f = fx.SCALAR_FIXTURES[cfg.fixture]()
         if f.coeff is None:
             raise ConfigError("fixture lacks closed-form coefficients")
-        omega = {d: max(quasi_moduli(f.vf, f.jump, d, -PI, PI))
-                 for d in deltas}.__getitem__
+        omega = dict(zip(deltas, np.maximum(*quasi_moduli(
+            f.vf, f.jump, deltas, -PI, PI)))).__getitem__
         rows = []
         a, b = f.coefficients(max(orders))
         for n in orders:
@@ -227,8 +232,8 @@ def run_bound_check(cfg: ExperimentConfig) -> list[tuple]:
         raise ConfigError("set-valued bound check needs a jump fixture with "
                           "an exact variation function")
     x = float(F.jump_points[0])
-    jump_omega = svf_jump_omega(F.variation_function, x, F.a, F.b)
-    omega = {d: jump_omega(d) for d in deltas}.__getitem__
+    omega = dict(zip(deltas, svf_jump_omega(F.variation_function, x, F.a,
+                                            F.b)(deltas))).__getitem__
     V = F.variation_hint
     obs = []
     for n in orders:
@@ -244,6 +249,7 @@ def run_bound_check(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def run_example(name: str, eps: float = 1e-3, out=None) -> int:
+    _check_eps(eps)
     if out is None:
         out = sys.stdout
     checks: list[tuple[str, bool]] = []

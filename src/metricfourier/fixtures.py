@@ -381,13 +381,17 @@ def _number(v, where: str) -> float:
 
 def config_points(points, where: str) -> PointSet:
     """The PointSet of a point list read from a config (numbers, or lists
-    of numbers), or a DescriptionError naming `where`.  JSON's true and
-    false, which numpy reads as 1 and 0, are refused."""
+    of numbers), or a DescriptionError naming `where`.  The list is parsed
+    once, and refused unless numpy reads it as numbers: strings such as
+    "1e3", which a float conversion would accept, are not.  JSON's true and
+    false, which numpy reads as 1 and 0 among numbers, are refused too."""
     try:
-        arr = np.array(points, dtype=float)
-        S = PointSet.of(arr)
-    except (ValueError, TypeError) as exc:
+        arr = np.array(points)
+        S = PointSet.of(arr) if arr.dtype.kind in "biuf" else None
+    except ValueError as exc:
         raise DescriptionError(f"{where}: {exc}") from exc
+    if S is None:
+        raise DescriptionError(f"{where} must hold numbers")
     # Only the rows with a coordinate 0 or 1 can hold a bool, so a large
     # net costs no Python loop over its points.
     maybe = ((arr == 0) | (arr == 1)).reshape(len(arr), -1).any(axis=1)

@@ -9,8 +9,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .fourier import QTOL
-from .geometry import (PointSet, _nearest_groups, convex_hull, hull_contains,
-                       metric_linear_combination, min_dists)
+from .geometry import (DEDUP_TOL, PointSet, _nearest_groups, convex_hull,
+                       hull_contains, metric_linear_combination, min_dists)
 from .svf import Partition, SetValuedFunction
 
 # `inclusion_check`: F is sampled at INCLUSION_GRID points and its jumps,
@@ -110,25 +110,57 @@ def weighted_metric_integral(F: SetValuedFunction, k: WeightFunction,
     return PointSet.of([s.integral(K) for s in family])
 
 
+def _hull_vertices(sets: list) -> list:
+    """The `convex_hull` vertices of each set, as arrays.  A set of at most
+    two points in d <= 2 is its own hull: its rows in lexicographic order,
+    the second dropped within DEDUP_TOL (linf) of the first, as
+    `convex_hull` gives them without being called."""
+    hull = cache(convex_hull)   # sets compare by identity; F may repeat one
+    out = []
+    for S in sets:
+        if len(S) > 2 or S.dim > 2:
+            out.append(hull(S).points)
+            continue
+        rows = sorted(map(tuple, S.points.tolist()))
+        if len(rows) == 2 and max(abs(a - b) for a, b in zip(*rows)) \
+                <= DEDUP_TOL:
+            rows = rows[:1]
+        out.append(np.array(rows))
+    return out
+
+
 def aumann_integral_convex(F: SetValuedFunction, k: WeightFunction,
                            chi: Partition) -> PointSet:
     """Riemann approximation of the Aumann integral of k*F, the Minkowski sum
     of the hulls w_i conv F(x_i): its vertex in each direction between two
-    consecutive edge normals (±1 in d=1) sums the hulls' support points."""
+    consecutive edge normals (±1 in d=1) sums the hulls' support points.
+    Hulls with as many vertices take their edges and support points as one
+    (G, m, d) block."""
     nodes = chi.nodes[:-1]
     weights = np.diff(chi.nodes) * np.array([k(x) for x in nodes])
-    hull = cache(convex_hull)   # sets compare by identity; F may repeat one
-    hulls = [w * hull(S).points for w, S in zip(weights, F.sample(nodes))]
-    if hulls[0].shape[1] == 1:
+    verts = _hull_vertices(F.sample(nodes))
+    cells: dict = {}
+    for i, V in enumerate(verts):
+        cells.setdefault(len(V), []).append(i)
+    blocks = [(ix, weights[ix, None, None] * np.stack([verts[i] for i in ix]))
+              for ix in cells.values()]
+    d = verts[0].shape[1]
+    if d == 1:
         dirs = np.array([[-1.0], [1.0]])
     else:
-        edges = np.vstack([np.roll(H, -1, axis=0) - H for H in hulls])
+        edges = np.concatenate([(np.roll(H, -1, axis=1) - H).reshape(-1, 2)
+                                for _, H in blocks])
         normals = np.sort(np.arctan2(-edges[:, 0], edges[:, 1]))
         gaps = np.diff(normals, append=normals[0] + 2.0 * np.pi)
         keep = gaps > ANGLE_TOL
         mids = normals[keep] + gaps[keep] / 2.0
         dirs = np.column_stack([np.cos(mids), np.sin(mids)])
-    support = [H[np.argmax(H @ dirs.T, axis=0)] for H in hulls]
+    support = np.empty((len(verts), len(dirs), d))
+    for ix, H in blocks:
+        best = np.argmax((H.reshape(-1, d) @ dirs.T).reshape(len(ix), -1,
+                                                              len(dirs)),
+                         axis=1)
+        support[ix] = np.take_along_axis(H, best[:, :, None], axis=1)
     return convex_hull(PointSet.of(np.cumsum(support, axis=0)[-1]))
 
 

@@ -119,7 +119,7 @@ def oracle_selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int,
                 defect = float(np.linalg.norm(gaps, ord=_ORD[norm], axis=1).max())
             smooth = None
             if all(len(F(x)) == 1 for x in last.nodes):
-                smooth = lambda x: F(x).single()
+                smooth = lambda xs: np.array([F(x).single() for x in xs])
             sig = last(probe.nodes).ravel()
             if any(np.max(np.abs(sig - old)) <= 1e-12 for old in signatures):
                 continue

@@ -420,14 +420,22 @@ def _selection(F: SetValuedFunction, seed, depth: int, last: MetricChain,
     its largest move on the probe nodes from `prev`, the chain one level
     coarser (0 at depth 1).  If F is singleton-valued on the nodes of `last`
     (read from the memo `sets`), its unique selection x -> the single point
-    of F(x) is kept as the exact evaluator."""
+    of F(x) is kept as the exact evaluator: it maps a 1-d array of m points
+    to their (m, d) values, and raises ValueError where F(x) is not a
+    singleton."""
     defect = 0.0
     if prev is not None:
         defect = float(row_norms(last(probe.nodes) - prev(probe.nodes),
                                  norm).max())
     smooth = None
     if all(len(sets[x]) == 1 for x in last.nodes):
-        smooth = lambda x: F(x).single()
+
+        def smooth(xs):
+            rows = np.concatenate([S.points for S in F.sample(xs)])
+            if len(rows) != len(xs):
+                raise ValueError("set is not a singleton")
+            return rows
+
     return MetricSelection(last.partition, last.values,
                            (float(seed[0]), as_point(seed[1])), depth, defect,
                            smooth)
@@ -594,44 +602,64 @@ class LocalModuli:
     right_quasi: float
 
 
+def _probes(x_star: float, u, v) -> np.ndarray:
+    """One row of probes per window [u_i, v_i]: PROBES uniform probes, and
+    probes clustered geometrically near x* so that one-sided behaviour is
+    resolved, clipped to the window (unsorted, with repeats)."""
+    u, v = np.atleast_1d(u), np.atleast_1d(v)
+    geo = 2.0 ** -np.arange(1, 12)
+    rows = np.concatenate([np.linspace(u, v, PROBES, axis=1),
+                           x_star - np.multiply.outer(x_star - u, geo),
+                           x_star + np.multiply.outer(v - x_star, geo)], axis=1)
+    return np.clip(rows, u[:, None], v[:, None])
+
+
 def _probe_grid(x_star: float, u: float, v: float) -> np.ndarray:
-    """PROBES uniform probes on [u, v], and probes clustered geometrically
-    near x* so that one-sided behaviour is resolved."""
-    lin = np.linspace(u, v, PROBES)
-    geo_l = x_star - (x_star - u) * 2.0 ** -np.arange(1, 12)
-    geo_r = x_star + (v - x_star) * 2.0 ** -np.arange(1, 12)
-    return np.unique(np.clip(np.concatenate([lin, geo_l, geo_r]), u, v))
+    """The sorted probes of the window [u, v]."""
+    return np.unique(_probes(x_star, u, v))
 
 
-def one_sided_moduli(g, x_star: float, delta: float, lo: float, hi: float,
-                     side: str, norm: str = "l2") -> tuple[float, float]:
-    """(plain, quasi) modulus of g at x* on one side ('-' or '+').
+def one_sided_moduli(g, x_star: float, delta, lo: float, hi: float,
+                     side: str, norm: str = "l2"):
+    """(plain, quasi) modulus of g at x* on one side ('-' or '+'): two
+    floats for one delta, two arrays for an array of deltas.
 
     plain: sup rho(g(x), g(x*)) over [x*-delta, x*] or [x*, x*+delta];
     quasi: sup rho(g(x*-0), g(x)) or rho(g(x*+0), g(x)) over the same
     probes without x*.  Both are 0 when x* sits at that end of [lo, hi].
+    g is sampled once on the union of every delta's probes, and g(x*) and
+    the one-sided limit are taken once.
     """
-    if delta <= 0:
+    deltas = np.atleast_1d(np.asarray(delta, dtype=float))
+    if (deltas <= 0).any():
         raise ValueError("delta must be positive")
-    # The probes are sorted, so those off x* form a prefix ('-') or a
-    # suffix ('+').
-    if side == "-":
-        if x_star <= lo:
-            return 0.0, 0.0
-        xs = _probe_grid(x_star, max(lo, x_star - delta), x_star)
-        inner = slice(None, np.searchsorted(xs, x_star - NODE_TOL))
-    elif side == "+":
-        if x_star >= hi:
-            return 0.0, 0.0
-        xs = _probe_grid(x_star, x_star, min(hi, x_star + delta))
-        inner = slice(np.searchsorted(xs, x_star + NODE_TOL, "right"), None)
-    else:
+    if side not in ("-", "+"):
         raise ValueError("side must be '-' or '+'")
-    vals = _values(g, xs)
-    plain = _rhos(vals, _values(g, [x_star])[0], norm).max(initial=0.0)
-    g_lim = one_sided_value(g, x_star, side, lo=lo, hi=hi)
-    quasi = _rhos(vals[inner], g_lim, norm).max(initial=0.0)
-    return float(plain), float(quasi)
+    plain, quasi = np.zeros((2, deltas.size))
+    if x_star > lo if side == "-" else x_star < hi:
+        ends = np.full(deltas.size, x_star)
+        if side == "-":
+            probes = _probes(x_star, np.maximum(lo, x_star - deltas), ends)
+        else:
+            probes = _probes(x_star, ends, np.minimum(hi, x_star + deltas))
+        xs = np.unique(probes)
+        # xs is sorted, so the probes off x* form a prefix ('-') or a
+        # suffix ('+').
+        if side == "-":
+            inner = slice(None, np.searchsorted(xs, x_star - NODE_TOL))
+        else:
+            inner = slice(np.searchsorted(xs, x_star + NODE_TOL, "right"),
+                          None)
+        vals = _values(g, xs)
+        to_x = _rhos(vals, _values(g, [x_star])[0], norm)
+        to_limit = np.zeros(xs.size)
+        to_limit[inner] = _rhos(vals[inner], one_sided_value(
+            g, x_star, side, lo=lo, hi=hi), norm)
+        at = np.searchsorted(xs, probes)
+        plain, quasi = to_x[at].max(axis=1), to_limit[at].max(axis=1)
+    if np.ndim(delta) == 0:
+        return float(plain[0]), float(quasi[0])
+    return plain, quasi
 
 
 def local_moduli(g, x_star: float, delta: float, lo: float, hi: float,

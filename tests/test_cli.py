@@ -126,7 +126,7 @@ def test_bound_check_evaluates_omega_once_per_delta(tmp_path, monkeypatch):
 
     def counting(*args):
         omega = jump_omega(*args)
-        return lambda d: calls.append(d) or omega(d)
+        return lambda d: calls.extend(np.atleast_1d(d).tolist()) or omega(d)
 
     monkeypatch.setattr(cli, "svf_jump_omega", counting)
     cfg = write_cfg(tmp_path, "b.json", {"fixture": "lines", "orders": [4, 16],
@@ -272,11 +272,42 @@ def test_exit_code_2_bools_in_point_lists(tmp_path, capsys, verb, config,
     assert "config error" in err and f"{field} must hold numbers" in err
 
 
+@pytest.mark.parametrize("verb, config, field", [
+    ("hausdorff", {"set_a": [["1e3"]], "set_b": [[0]]}, "set_a"),
+    ("hausdorff", {"set_a": [[0.0]], "set_b": [[1.0], ["2"]]}, "set_b"),
+    ("hausdorff", {"set_a": [[0.0, None]], "set_b": [[1.0, 0.0]]}, "set_a"),
+    ("selections", {"svf": {"domain": [0, 1],
+                            "pieces": [{"points": [["1"]]}]}},
+     "pieces[0].points"),
+], ids=["set_a", "set_b", "null", "piece"])
+def test_exit_code_2_strings_in_point_lists(tmp_path, capsys, verb, config,
+                                            field):
+    """A numeric string is not a coordinate, although a float conversion
+    reads "1e3" as 1000."""
+    cfg = write_cfg(tmp_path, "c.json", config)
+    assert main([verb, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+    assert f"{field} must hold numbers" in captured.err
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+def test_exit_code_2_example_eps(capsys, eps):
+    # Validated as the config's eps: no ZeroDivisionError traceback at 0,
+    # no FAIL from 9-point nets at -1, no size message at nan.
+    assert main(["example", "balls", "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: eps must be a positive number" in captured.err
+
+
 def test_config_rejects_malformed_types():
     for bad in ({"orders": [4.5]}, {"orders": ["16"]}, {"orders": 16},
                 {"x_grid": "9"}, {"x_grid": [0.0, "1"]}, {"depth": "4"},
                 {"weight": {"kind": "poly"}}, {"fixture": "balls", "eps": 0},
-                {"fixture": "balls", "eps": -0.5}, {"eps": float("nan")}):
+                {"fixture": "balls", "eps": -0.5}, {"eps": float("nan")},
+                {"eps": float("inf")}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
 

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad_vec
 
+from metricfourier import fourier
 from metricfourier.fixtures import (SCALAR_FIXTURES, constant_set_fixture,
                                     lines_fixture, sawtooth,
                                     singleton_fixture, square_wave,
                                     step_fixture, trig_poly, two_branch_sine)
-from metricfourier.fourier import (class_membership, delta_grid, dirichlet,
-                                   dirichlet_antiderivative,
+from metricfourier.fourier import (QTOL, class_membership, delta_grid,
+                                   dirichlet, dirichlet_antiderivative,
                                    dirichlet_cos_sum, djordan_bound_rhs,
                                    family_coefficients, fit_K,
                                    fourier_coefficients, limit_set_AF,
@@ -101,7 +103,7 @@ def test_modified_antiderivative_finite_difference():
 # coefficients and classical partial sums
 
 def test_coefficients_cos3t_orthogonality():
-    a, b = fourier_coefficients(lambda t: math.cos(3.0 * t), 5)
+    a, b = fourier_coefficients(lambda t: np.cos(3.0 * t), 5)
     assert abs(a[3] - 1.0) < 1e-9
     a[3] = 0.0
     assert np.max(np.abs(a)) < 1e-9
@@ -110,7 +112,8 @@ def test_coefficients_cos3t_orthogonality():
 
 def test_square_wave_quadrature_matches_closed_form():
     f = square_wave()
-    a, b = fourier_coefficients(f.fn, 8, breakpoints=f.breakpoints)
+    a, b = fourier_coefficients(np.vectorize(f.fn, otypes=[float]), 8,
+                                breakpoints=f.breakpoints)
     ae, be = f.coefficients(8)
     assert abs(b[1] - 4.0 / PI) < 1e-9
     assert np.max(np.abs(a - ae)) < 1e-9
@@ -119,7 +122,8 @@ def test_square_wave_quadrature_matches_closed_form():
 
 def test_step_quadrature_matches_closed_form():
     f = step_fixture()
-    a, b = fourier_coefficients(f.fn, 6, breakpoints=f.breakpoints)
+    a, b = fourier_coefficients(np.vectorize(f.fn, otypes=[float]), 6,
+                                breakpoints=f.breakpoints)
     ae, be = f.coefficients(6)
     assert np.max(np.abs(a - ae)) < 1e-9
     assert np.max(np.abs(b - be)) < 1e-9
@@ -222,7 +226,8 @@ def test_selection_quadrature_uses_the_given_breakpoints():
     F = singleton_fixture(f.fn)
     s = approximate_selection(F, (0.0, 0.0), 6)
     for bp in ((), f.breakpoints):
-        a, b = fourier_coefficients(f.fn, 6, breakpoints=bp)
+        a, b = fourier_coefficients(np.vectorize(f.fn, otypes=[float]), 6,
+                                    breakpoints=bp)
         got_a, got_b = selection_coefficients(s, 6, breakpoints=bp)
         assert np.array_equal(got_a[:, 0], a) and np.array_equal(got_b[:, 0], b)
         got = partial_sum_of_selection(s, 6, 0.4, breakpoints=bp)
@@ -267,7 +272,8 @@ def piecewise_smooth(draw):
 @example(piecewise_case([], [[(0.0, 1.0, 3.0, 5.960464477539063e-08)]]), 9)
 def test_vector_quadrature_matches_per_harmonic_quad(case, n):
     f, bps, cols = case
-    a, b = fourier_coefficients(f, n, breakpoints=bps)
+    a, b = fourier_coefficients(lambda ts: np.array([f(t) for t in ts]), n,
+                                breakpoints=bps)
     shape = (n + 1,) if f is cols[0] else (n + 1, len(cols))
     assert a.shape == b.shape == shape
     a, b = a.reshape(n + 1, -1), b.reshape(n + 1, -1)
@@ -281,7 +287,8 @@ def test_vector_quadrature_matches_per_harmonic_quad(case, n):
 def test_vector_quadrature_converges_on_an_undeclared_kink(c):
     # |t - c| has a kink at c that no breakpoint announces.
     cols = (lambda t: abs(t - c), lambda t: t * abs(t - c))
-    a, b = fourier_coefficients(lambda t: np.array([g(t) for g in cols]), 40)
+    a, b = fourier_coefficients(
+        lambda ts: np.column_stack([g(ts) for g in cols]), 40)
     for i, g in enumerate(cols):
         ao, bo = oracle_fourier_coefficients(g, 40)
         assert np.max(np.abs(a[:, i] - ao)) <= 1e-9
@@ -291,7 +298,7 @@ def test_vector_quadrature_converges_on_an_undeclared_kink(c):
 def test_coefficients_ignore_the_value_at_a_breakpoint():
     # f = 1 on (0.2, 2.2) and 5 elsewhere, the breakpoints included: a rule
     # that evaluated f at a panel end would mix in the neighbour's value.
-    f = lambda t: 1.0 if 0.2 < t < 2.2 else 5.0
+    f = lambda t: np.where((0.2 < t) & (t < 2.2), 1.0, 5.0)
     a, b = fourier_coefficients(f, 16, breakpoints=(0.2, 2.2))
     k = np.arange(1, 17)
     assert abs(a[0] - (10.0 * PI - 8.0) / PI) <= 1e-12
@@ -303,17 +310,22 @@ def test_coefficients_ignore_the_value_at_a_breakpoint():
 
 def test_singleton_coefficients_evaluate_F_once_per_node():
     F = step_svf()
-    fn, calls = F.fn, [0]
+    fn, points, calls = F.fn, [0], [0]
 
     def counted(ts):
-        calls[0] += len(ts)
+        points[0] += len(ts)
+        calls[0] += 1
         return fn(ts)
 
     F = dataclasses.replace(F, fn=counted)
     fam = selection_family(F, 7, 4, 9)
-    calls[0] = 0
+    points[0] = calls[0] = 0
     a, b = family_coefficients(F, 32, fam)
-    assert calls[0] < 1000
+    assert points[0] < 1000
+    # F is sampled once per refinement round of the quadrature, on the
+    # nodes of every panel (378 one-point calls when quad_vec took one node
+    # at a time).
+    assert calls[0] <= 40
     # The step {0} -> {1} at x0: a_k = (sin k pi - sin k x0) / (pi k),
     # b_k = (cos k x0 - cos k pi) / (pi k), a_0 = (pi - x0) / pi.
     x0, k = 0.5, np.arange(1, 33)
@@ -323,6 +335,66 @@ def test_singleton_coefficients_evaluate_F_once_per_node():
                          / (PI * k))) <= 1e-13
     assert np.max(np.abs(b[1:, 0, 0] - (np.cos(k * x0) - np.cos(k * PI))
                          / (PI * k))) <= 1e-13
+
+
+def quad_vec_coefficients(f, n, breakpoints=()):
+    """The coefficients as `scipy.integrate.quad_vec` gives them, one panel
+    at a time and one node at a time, for a per-point f, and the number of
+    nodes it evaluated."""
+    cuts = sorted({-PI, PI} | {float(t) for t in breakpoints if -PI < t < PI})
+    ks = np.arange(n + 1)
+
+    def integrand(t):
+        return np.multiply.outer(np.stack([np.cos(ks * t), np.sin(ks * t)]),
+                                 f(t))
+
+    total, nodes = 0.0, 0
+    for u, v in zip(cuts, cuts[1:]):
+        val, _, info = quad_vec(integrand, u, v, epsabs=QTOL, epsrel=QTOL,
+                                norm="max", full_output=True)
+        assert info.success
+        total, nodes = total + val, nodes + info.neval
+    return total / PI, nodes
+
+
+@pytest.mark.parametrize("n", [32, 256, 1024])
+@pytest.mark.parametrize("case", ["step-svf", "piecewise", "kink"])
+def test_coefficients_match_quad_vec(case, n):
+    # The rule, the error estimate, the acceptance and the choice of the
+    # intervals to bisect are quad_vec's, so the two bisect the same
+    # intervals; only the order of the node sums differs.  (The estimate
+    # is so pessimistic that the values alone would not show a changed
+    # acceptance: the node count does.)
+    if case == "step-svf":
+        F = step_svf()
+        s = selection_family(F, 7, 4, 9)[0]
+        g, bps = s.smooth_fn, F.jump_points
+        f = lambda t: s.smooth_fn(np.array([t]))[0]
+    elif case == "piecewise":
+        f, bps, _ = piecewise_case([0.4], [[(0.5, 1.0, 2.0, 0.3),
+                                            (-1.0, 0.5, 1.5, -1.0)]])
+        g = np.vectorize(f, otypes=[float])
+    else:
+        f, g, bps = (lambda t: abs(t - 0.3)), (lambda t: np.abs(t - 0.3)), ()
+    nodes = [0]
+
+    def counted(ts):
+        nodes[0] += len(ts)
+        return g(ts)
+
+    got = np.stack(fourier_coefficients(counted, n, bps))
+    want, want_nodes = quad_vec_coefficients(f, n, bps)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert nodes[0] == want_nodes
+
+
+def test_coefficients_warn_at_the_interval_limit(monkeypatch):
+    # cos(40 t) against cos(40 t) needs more than 4 intervals.
+    monkeypatch.setattr(fourier, "QUAD_LIMIT", 4)
+    with pytest.warns(IntegrationWarning, match="precision not reached"):
+        a, _ = fourier_coefficients(lambda t: np.cos(40.0 * t), 40)
+    assert abs(a[40] - 1.0) > QTOL
 
 
 # ---------------------------------------------------------------------------

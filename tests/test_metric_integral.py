@@ -276,6 +276,61 @@ def test_aumann_support_function_is_the_weighted_sum(cells):
     assert np.abs((got.points @ U).max(axis=0) - want).max() <= ATOL
 
 
+def per_cell_aumann(F, k, chi):
+    """The Aumann baseline with one `convex_hull`, edge pass and support
+    pass per cell."""
+    nodes = chi.nodes[:-1]
+    weights = np.diff(chi.nodes) * np.array([k(x) for x in nodes])
+    hulls = [w * convex_hull(S).points
+             for w, S in zip(weights, F.sample(nodes))]
+    if hulls[0].shape[1] == 1:
+        dirs = np.array([[-1.0], [1.0]])
+    else:
+        edges = np.vstack([np.roll(H, -1, axis=0) - H for H in hulls])
+        normals = np.sort(np.arctan2(-edges[:, 0], edges[:, 1]))
+        gaps = np.diff(normals, append=normals[0] + 2.0 * np.pi)
+        keep = gaps > metric_integral.ANGLE_TOL
+        mids = normals[keep] + gaps[keep] / 2.0
+        dirs = np.column_stack([np.cos(mids), np.sin(mids)])
+    support = [H[np.argmax(H @ dirs.T, axis=0)] for H in hulls]
+    return convex_hull(PointSet.of(np.cumsum(support, axis=0)[-1]))
+
+
+@st.composite
+def mixed_cells(draw):
+    """1-12 cells in d = 1 or 2, each a set of 1-4 points with real
+    coordinates, or two points 1e-13 apart kept by dedup_tol=0; weights of
+    either sign."""
+    n, d = draw(st.integers(1, 12)), draw(st.sampled_from([1, 2]))
+    point = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
+    sets = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            p = np.array(draw(point))
+            sets.append(PointSet.of([p, p + 1e-13], dedup_tol=0))
+        else:
+            sets.append(PointSet.of(draw(st.lists(point, min_size=1,
+                                                  max_size=4))))
+    weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return sets, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(planar_cells(), mixed_cells()))
+def test_aumann_equals_the_per_cell_hull_pass(cells):
+    # Sets of at most two points skip `convex_hull`, and hulls of one size
+    # share their edge and support passes: the vertices stay bit for bit.
+    sets, weights = cells
+    n = len(sets)
+    F = SetValuedFunction(0.0, float(n),
+                          lambda ts: [sets[min(int(t), n - 1)] for t in ts])
+    k = WeightFunction(lambda t: weights[min(int(t), n - 1)], 2.0, 2.0)
+    chi = Partition.uniform(0.0, float(n), n)
+    got = aumann_integral_convex(F, k, chi).points
+    want = per_cell_aumann(F, k, chi).points
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_aumann_balls_has_the_sixteen_vertices_of_its_hulls():
     """Both discs' 0.5-nets have 16-gon hulls with the same edge normals,
     so their Minkowski sum over 256 cells is a 16-gon; rounding leaves no

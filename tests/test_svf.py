@@ -147,7 +147,7 @@ def test_selection_singleton_tracks_function():
     for x in np.linspace(-PI, PI, 41):
         assert abs(s(x)[0] - math.cos(x)) <= chi_norm + ATOL
     assert s.smooth_fn is not None
-    assert abs(s.smooth_fn(0.3) - math.cos(0.3)) < ATOL
+    assert abs(s.smooth_fn(np.array([0.3]))[0, 0] - math.cos(0.3)) < ATOL
 
 
 def test_selection_constant_zero_defect():
@@ -441,6 +441,44 @@ def test_one_sided_moduli_match_local_moduli():
         one_sided_moduli(abs, 0.0, 0.0, -1.0, 1.0, "-")
     with pytest.raises(ValueError):
         one_sided_moduli(abs, 0.0, 0.5, -1.0, 1.0, "both")
+
+
+def per_delta_moduli(g, x, delta, lo, hi, side, norm):
+    """`one_sided_moduli` of one delta from its own probe grid, sampled on
+    its own: the maxima that an array of deltas must reproduce."""
+    if (x <= lo) if side == "-" else (x >= hi):
+        return 0.0, 0.0
+    u, v = (max(lo, x - delta), x) if side == "-" else (x, min(hi, x + delta))
+    xs = svf._probe_grid(x, u, v)
+    off = xs < x - svf.NODE_TOL if side == "-" else xs > x + svf.NODE_TOL
+    vals = svf._values(g, xs)
+    plain = svf._rhos(vals, svf._values(g, [x])[0], norm).max(initial=0.0)
+    inner = [vals[i] for i in np.flatnonzero(off)] if isinstance(vals, list) \
+        else vals[off]
+    quasi = svf._rhos(inner, one_sided_value(g, x, side, lo, hi),
+                      norm).max(initial=0.0) if len(inner) else 0.0
+    return float(plain), float(quasi)
+
+
+@pytest.mark.parametrize("side", ["-", "+"])
+def test_one_sided_moduli_of_many_deltas_equal_a_per_delta_loop(side):
+    # One union of probes serves every delta, and each delta's maxima are
+    # taken over its own probes: bit for bit the per-delta values.
+    deltas = np.geomspace(1e-3, PI, 33)[1:]
+    cases = [(step_svf().variation_function, 0.5, -PI, PI, "l2"),
+             (lambda t: 1.0 if t >= 0.0 else -1.0, 0.0, -PI, PI, "l2"),
+             (lines_fixture(), 0.5, -PI, PI, "linf"),
+             (lambda t: (t, t * t), 0.3, -1.0, 1.0, "l1"),
+             (abs, -1.0, -1.0, 1.0, "l2"),
+             (abs, 1.0, -1.0, 1.0, "l2")]
+    for g, x, lo, hi, norm in cases:
+        plain, quasi = one_sided_moduli(g, x, deltas, lo, hi, side, norm)
+        want = [per_delta_moduli(g, x, d, lo, hi, side, norm)
+                for d in deltas.tolist()]
+        assert plain.tolist() == [p for p, _ in want]
+        assert quasi.tolist() == [q for _, q in want]
+        assert [one_sided_moduli(g, x, d, lo, hi, side, norm)
+                for d in deltas.tolist()] == want
 
 
 @st.composite
