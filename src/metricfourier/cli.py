@@ -7,6 +7,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -23,6 +24,13 @@ PI = math.pi
 # `selection_depth` stays within [DEPTH_MIN, DEPTH_MAX].
 DEPTH_MIN = 6
 DEPTH_MAX = 12
+# A config's depth may not exceed CONFIG_DEPTH_MAX.  `selections` and
+# `integral` build their families on dyadic partitions of 2**depth + 1
+# nodes, and memory doubles with each level: the lines fixture's family
+# (default seeds) peaks at 226 MB at depth 16, the deepest in the tests,
+# 374 MB at 17 and 657 MB at 18 (2 shared cores, numpy 2.4); depth 40 would
+# ask for 8 TiB in one array.
+CONFIG_DEPTH_MAX = 18
 
 
 class ConfigError(ValueError):
@@ -70,6 +78,8 @@ class ExperimentConfig:
                               'an integer or "all"')
         if cfg.x_seeds < 1 or cfg.depth < 1 or not every and cfg.y_seeds < 1:
             raise ConfigError("seed counts and depth must be positive")
+        if cfg.depth > CONFIG_DEPTH_MAX:
+            raise ConfigError(f"depth must be at most {CONFIG_DEPTH_MAX}")
         for key, kind in (("fixture", str), ("svf", dict), ("out", str),
                           ("weight", dict)):
             val = getattr(cfg, key)
@@ -341,7 +351,10 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(d)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each `parse_args`
+    call fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="metricfourier",
         description="Metric Fourier approximation experiments")

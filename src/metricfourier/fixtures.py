@@ -483,6 +483,8 @@ def parse_svf(desc: dict) -> SetValuedFunction:
     a, b = (_number(v, "domain") for v in domain)
     if not a < b:
         raise DescriptionError("domain must satisfy a < b")
+    if not math.isfinite(b - a):
+        raise DescriptionError("domain length b - a must be finite")
     pieces = desc.get("pieces")
     if not isinstance(pieces, list) or not pieces:
         raise DescriptionError("at least one piece required")

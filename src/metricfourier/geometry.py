@@ -28,16 +28,15 @@ answer unchanged: `hausdorff` queries only the rows of such a set that can
 reach its maximum.  `PointSet.cells` groups the rows by a grid, and one
 query per cell bounds the rest.
 
-`PointSet.of` finds the near duplicates of a set in windows of sorted
-projections instead of an all-pairs search when the search would take more
-than DEDUP_PAIRS_MAX coordinate differences.  `PointSet.many` builds the
-sets of a (T, m, d) block, as `PointSet.of` builds each slice, in one pass.
+`PointSet.of` builds one set and `PointSet.many` the sets of a (T, m, d)
+block, through one keep-first kernel, `_dedup`, which finds near duplicates
+in windows of sorted projections at every size.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -57,16 +56,6 @@ CHAIN_LIMIT = 10 ** 6
 # at 2,048, 30 us at 3,072, 54 us at 8,201.  Such sets also enter
 # `hausdorff` through their cells.
 KDTREE_MIN = 2048
-# `PointSet.of` finds the near duplicates of an (m, d) set by all pairs
-# (`_dedup_block`) while the m * m * d coordinate differences that takes
-# are at most this many, else in windows of sorted projections.  Measured
-# cost of one `_dedup` of distinct random rows (2 shared cores, numpy 2.4,
-# fastest of 7 runs): all pairs 9-17 us up to 20 rows (d = 1, 2), 30-45 us
-# at 80 rows (d = 1, 2), 35-96 us at 100 (d = 1 to 3), 44 us at 15 x 65,
-# 1.1 ms at 32 x 132 (a selection family's signatures); windows 35-70 us
-# at every size tried, up to 260 rows and 32 x 132.  They meet near 80
-# rows at d = 2, 140 at d = 1 and 15 rows at d = 65.
-DEDUP_PAIRS_MAX = 12800
 # A group (the rows queried against one set) of at most this many distance
 # entries is computed with all such groups in one padded numpy kernel, a
 # larger one by `_nearest`.  Measured cost per group, many groups a call (2
@@ -134,12 +123,7 @@ class PointSet:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("a PointSet must be a nonempty (m, d) array")
-        if not np.isfinite(arr).all():
-            raise ValueError("point has non-finite coordinates")
-        if dedup_tol > 0 and len(arr) > 1:
-            arr = arr[_dedup(arr, dedup_tol)]
-        arr.setflags(write=False)
-        return PointSet(arr)
+        return _point_sets(arr[None], dedup_tol)[0]
 
     @staticmethod
     def many(block) -> list["PointSet"]:
@@ -150,18 +134,7 @@ class PointSet:
         if arr.ndim != 3 or not arr.shape[1] or not arr.shape[2]:
             raise ValueError("a block of PointSets must be a (T, m, d) array "
                              "with m, d > 0")
-        if not np.isfinite(arr).all():
-            raise ValueError("point has non-finite coordinates")
-        kept = _dedup_block(arr, DEDUP_TOL)
-        # The slices kept whole are read-only views of the block.
-        arr.setflags(write=False)
-        out = []
-        for X, keep, whole in zip(arr, kept, kept.all(axis=1).tolist()):
-            if not whole:
-                X = X[keep]
-                X.setflags(write=False)
-            out.append(PointSet(X))
-        return out
+        return _point_sets(arr, DEDUP_TOL)
 
     @property
     def dim(self) -> int:
@@ -225,80 +198,78 @@ class PointSet:
         return rows, bounds, dev
 
 
-def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the rows of the (m, d) array arr kept when every row within
-    tol (linf) of an earlier kept row is dropped.
+def _point_sets(arr: np.ndarray, tol: float) -> list[PointSet]:
+    """The sets of the (m, d) slices of the (T, m, d) array arr, each with
+    the rows within tol of a kept row dropped (none when tol is 0)."""
+    if not np.isfinite(arr).all():
+        raise ValueError("point has non-finite coordinates")
+    kept = _dedup(arr, tol) if tol > 0 else np.ones(arr.shape[:2], dtype=bool)
+    # The slices kept whole are read-only views of the block.
+    arr.setflags(write=False)
+    out = []
+    for X, keep, whole in zip(arr, kept, kept.all(axis=1).tolist()):
+        if not whole:
+            X = X[keep]
+            X.setflags(write=False)
+        out.append(PointSet(X))
+    return out
 
-    While m * m * d is at most DEDUP_PAIRS_MAX, `_dedup_block` compares all
-    pairs.  Above, the candidate pairs come from one sort: for a direction
-    u with |u|_1 = 1, |u.(a - b)| <= |a - b|_inf, so rows within tol lie
-    within tol of each other in the sorted projections.  The window is
-    widened by the rounding of the projections, and every candidate is then
-    checked in linf exactly, as all pairs are."""
-    m, d = arr.shape
-    if m * m * d <= DEDUP_PAIRS_MAX:
-        return _dedup_block(arr[None], tol)[0]
-    # A fixed direction with no rational relations between its components,
-    # so lattices and lines do not collapse onto it.
+
+@cache
+def _direction(d: int) -> np.ndarray:
+    """A fixed direction u in R^d with |u|_1 = 1 and no rational relations
+    between its components, so lattices and lines do not collapse onto it."""
     u = np.random.default_rng(0).uniform(1.0, 2.0, d)
-    proj = arr @ (u / u.sum())
-    order = np.argsort(proj, kind="stable")
-    p = proj[order]
+    u /= u.sum()
+    u.setflags(write=False)
+    return u
+
+
+def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
+    """Keep-first mask of each (m, d) slice of the (T, m, d) array arr, as a
+    (T, m) array: a row within tol (linf) of an earlier kept row of its
+    slice is dropped.  For u = `_direction(d)`, |u.(a - b)| <= |a - b|_inf,
+    so rows within tol lie within tol of each other in the sorted
+    projections; the window is widened by their rounding, and every
+    candidate pair in it is checked in linf exactly."""
+    T, m, d = arr.shape
+    kept = np.ones((T, m), dtype=bool)
+    if not T or m < 2:
+        return kept
+    rows = arr.reshape(-1, d)
+    proj = (rows @ _direction(d)).reshape(T, m)
+    p = np.sort(proj)
     # Each projection is a d-term dot product of |u|_1 = 1: its error is
     # below (d + 2) eps max|a|; the sum and the difference add two more.
     reach = tol + 4 * (d + 2) * _EPS * (np.abs(arr).max() + tol)
-    fan = np.searchsorted(p, p + reach, side="right") - np.arange(1, m + 1)
-    # The candidates s places apart in sorted order, one s at a time, so
-    # memory stays O(m) however many rows share a window.
-    pairs = [np.empty((2, 0), dtype=np.intp)]
-    for s in range(1, fan.max() + 1):
-        k = np.flatnonzero(fan >= s)
-        ab = np.sort([order[k], order[k + s]], axis=0)
-        near = np.abs(arr[ab[0]] - arr[ab[1]]).max(axis=1) <= tol
-        pairs.append(ab[:, near])
-    i, j = np.concatenate(pairs, axis=1)
-    by_j = np.argsort(j, kind="stable")
-    kept = np.ones(m, dtype=bool)
-    _keep_first(kept, i[by_j], j[by_j])
-    return kept
-
-
-def _dedup_block(arr: np.ndarray, tol: float) -> np.ndarray:
-    """`_dedup` of each (m, d) slice of the (T, m, d) array arr, as a (T, m)
-    mask.  While a slice's m * m * d is at most DEDUP_PAIRS_MAX, the linf
-    near matrices of many slices, at most _KERNEL_BLOCK coordinate
-    differences in all, are computed together and keep-first runs over the
-    near pairs of them all; larger slices take `_dedup`'s sorted windows
-    one by one."""
-    T, m, d = arr.shape
-    kept = np.ones((T, m), dtype=bool)
-    if m * m * d > DEDUP_PAIRS_MAX:
-        for X, keep in zip(arr, kept):
-            keep[:] = _dedup(X, tol)
+    t, r = (p[:, 1:] - p[:, :-1] <= reach).nonzero()
+    if not t.size:
         return kept
-    step = max(1, _KERNEL_BLOCK // (m * m * d))
-    for k in range(0, T, step):
-        # (slice, coordinate, row): the max runs over whole matrices.
-        X = np.ascontiguousarray(arr[k:k + step].transpose(0, 2, 1))
-        near = np.abs(X[:, :, :, None] - X[:, :, None]).max(axis=1) <= tol
-        if np.count_nonzero(near) == near.shape[0] * m:
-            continue  # the diagonals only: no row is near another
-        # The near matrices are symmetric, so their entries (s, j, i) come
-        # in order of slice, then of j; those with i < j are the near pairs.
-        s, j, i = np.nonzero(near)
-        up = i < j
-        row = (s[up] + k) * m
-        _keep_first(kept.reshape(-1), row + i[up], row + j[up])
-    return kept
-
-
-def _keep_first(kept: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
-    """Drop row j of each near pair (i, j), i < j, whose row i is kept.
-    The pairs come in order of j, so kept[i] is final before it decides
-    about j."""
-    for a, b in zip(i.tolist(), j.tolist()):
-        if kept[a]:
-            kept[b] = False
+    # Sorted position k = t m + r holds row flat[k] of arr's T m rows.  The
+    # walk keeps the positions whose window reaches k + s, one s at a time,
+    # so memory stays O(T m) and a row leaves it once its window ends.
+    flat = (np.argsort(proj)
+            + np.arange(0, T * m, m)[:, None]).ravel()
+    p, k = p.ravel(), t * m + r
+    pairs = []
+    s = 1
+    while k.size:
+        a, b = flat[k], flat[k + s]
+        near = np.abs(rows[a] - rows[b]).max(axis=1) <= tol
+        pairs.append((np.minimum(a, b)[near], np.maximum(a, b)[near]))
+        s += 1
+        k = k[k % m < m - s]  # k + s in k's own slice
+        k = k[p[k + s] - p[k] <= reach]
+    # Keep-first over the near pairs (i, j), i < j, in order of j, so that
+    # flags[i] is final before it decides about j.  A list reads and writes
+    # one flag faster than an array.
+    i, j = map(np.concatenate, zip(*pairs))
+    by_j = np.argsort(j)
+    flags = [True] * (T * m)
+    for a, b in zip(i[by_j].tolist(), j[by_j].tolist()):
+        if flags[a]:
+            flags[b] = False
+    return np.array(flags).reshape(T, m)
 
 
 def _nearest(P: np.ndarray, B: PointSet, norm: str, witnesses: bool = False):

@@ -80,10 +80,8 @@ class Partition:
         # The grid is sorted, so its nearest node is a searchsorted neighbour.
         i = np.clip(np.searchsorted(grid, xs), 1, grid.size - 1)
         gap = np.minimum(np.abs(xs - grid[i - 1]), np.abs(xs - grid[i]))
-        kept = []
-        for x in xs[gap > NODE_TOL]:
-            if all(abs(x - y) > NODE_TOL for y in kept):
-                kept.append(x)
+        xs = xs[gap > NODE_TOL]
+        kept = xs[_dedup(xs[None, :, None], NODE_TOL)[0]]
         return Partition.of(np.concatenate([grid, kept]))
 
     @property
@@ -475,7 +473,7 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
     # Keep-first dedup of the selections' signatures on the probe grid.
     sigs = np.stack([last(probe.nodes).ravel()
                      for last in chains[:len(seeds)]])
-    kept = _dedup(sigs, DEDUP_TOL)
+    kept = _dedup(sigs[None], DEDUP_TOL)[0]
     return tuple(_selection(F, seed, depth, last, prev, probe, norm, sets)
                  for seed, last, prev, keep in zip(seeds, chains, prevs, kept)
                  if keep)

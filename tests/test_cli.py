@@ -214,12 +214,27 @@ def test_exit_code_2_unknown_y_seeds_word(tmp_path, capsys):
     (["--seed-grid", "3,most"], "--seed-grid"),
     (["--seed-grid", "3"], "--seed-grid"),
     (["--depth", "0"], "depth"),
+    (["--depth", "40"], "depth"),
 ])
 def test_exit_code_2_bad_flag_values(tmp_path, capsys, flags, word):
     """Flags are validated with the config they override."""
     cfg = write_cfg(tmp_path, "ok.json", SMALL)
     assert main(["convergence", "--config", cfg, *flags]) == 2
     assert word in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_flags_do_not_carry_over(tmp_path, capsys,
+                                                         monkeypatch):
+    """`main` reuses one parser, and each call parses into a new namespace:
+    the first call's `--depth 3` does not reach the second."""
+    depths = []
+    monkeypatch.setattr(cli, "run_selections",
+                        lambda cfg: depths.append(cfg.depth) or [])
+    cfg = write_cfg(tmp_path, "ok.json", {"fixture": "lines"})
+    assert main(["selections", "--config", cfg, "--depth", "3"]) == 0
+    assert main(["selections", "--config", cfg]) == 0
+    assert depths == [3, ExperimentConfig().depth]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_seed_grid_flag_matches_config_keys(tmp_path, capsys):
@@ -549,6 +564,32 @@ def test_exit_code_2_oversized_disc_net(tmp_path, capsys, config):
     cfg = write_cfg(tmp_path, "disc.json", config)
     assert main(["integral", "--config", cfg]) == 2
     assert "has more than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["selections", "integral"])
+@pytest.mark.parametrize("config, word", [
+    ({"fixture": "lines", "depth": 40}, "depth must be at most"),
+    ({"svf": {"domain": [-1e308, 1e308], "pieces": [{"curve": ["t"]}]}},
+     "domain length"),
+], ids=["depth", "domain-overflow"])
+def test_exit_code_2_sizes_that_cannot_run(tmp_path, capsys, verb, config,
+                                           word):
+    """Depth 40 would allocate 2**40 partition nodes, and a domain whose
+    length overflows spaces every grid by nan: both are refused before any
+    work starts."""
+    cfg = write_cfg(tmp_path, "c.json", config)
+    assert main([verb, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and word in captured.err
+
+
+def test_config_depth_limit_admits_the_deepest_family():
+    assert ExperimentConfig.from_dict({"depth": 16}).depth == 16
+    top = cli.CONFIG_DEPTH_MAX
+    assert ExperimentConfig.from_dict({"depth": top}).depth == top
+    with pytest.raises(ConfigError, match="depth"):
+        ExperimentConfig.from_dict({"depth": top + 1})
 
 
 def test_disc_net_limit_is_its_exact_size():

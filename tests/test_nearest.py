@@ -27,9 +27,6 @@ ATOL = 1e-12
 NORMS = ("l1", "l2", "linf")
 # KDTREE_MIN values that force the tree path and the brute-force path.
 FORCE = {"tree": 0, "brute": 10 ** 9}
-# DEDUP_PAIRS_MAX values that force `_dedup`'s sorted windows and its
-# all-pairs search.
-DEDUP_FORCE = {"windows": 0, "all-pairs": 10 ** 9}
 
 
 @st.composite
@@ -493,9 +490,7 @@ def test_dedup_tree_path_matches_loop(cells):
     tol = 1e-3
     arr = np.array([[x + k * 0.8 * tol, y] for x, k, y in cells])
     ref = oracle_dedup(arr, tol)
-    for path in sorted(DEDUP_FORCE):
-        with mock.patch.object(geometry, "DEDUP_PAIRS_MAX", DEDUP_FORCE[path]):
-            assert np.array_equal(PointSet.of(arr, dedup_tol=tol).points, ref)
+    assert np.array_equal(PointSet.of(arr, dedup_tol=tol).points, ref)
 
 
 @st.composite
@@ -527,27 +522,23 @@ def near_duplicates(draw):
                    [9999.953125 + 2.0 ** -10, 9999.96875 + 2.0 ** -10]]),
           2.0 ** -10))
 def test_dedup_projection_path_matches_oracle(inst):
-    """The sorted-projection windows of large sets find every pair within
-    tol, exactly at tol included, at any coordinate size, as the all-pairs
-    search of small sets does, and so does a set on either side of the
-    real switch."""
+    """The sorted-projection windows find every pair within tol, exactly at
+    tol included, at any coordinate size, in a set of the planted rows and
+    in sets of them repeated to 12800 / d rows and one more."""
     arr, tol = inst
     ref = oracle_dedup(arr, tol)
-    for path in sorted(DEDUP_FORCE):
-        with mock.patch.object(geometry, "DEDUP_PAIRS_MAX", DEDUP_FORCE[path]):
-            assert np.array_equal(PointSet.of(arr, dedup_tol=tol).points, ref)
-    # The most rows of arr's dimension that still compare all pairs.
+    assert np.array_equal(PointSet.of(arr, dedup_tol=tol).points, ref)
     d = arr.shape[1]
-    m = math.isqrt(geometry.DEDUP_PAIRS_MAX // d)
+    m = math.isqrt(12800 // d)
     for rows in (np.resize(arr, (m, d)), np.resize(arr, (m + 1, d))):
         assert np.array_equal(PointSet.of(rows, dedup_tol=tol).points,
                               oracle_dedup(rows, tol))
 
 
 def test_dedup_of_large_nets_builds_no_tree():
-    """Above DEDUP_PAIRS_MAX coordinate differences the dedup sorts
-    projections: an 8,201-point net keeps every row without building a
-    tree, and a planted near copy of each row is dropped."""
+    """The dedup sorts projections: an 8,201-point net keeps every row
+    without building a tree, and a planted near copy of each row is
+    dropped."""
     net = disc_net((0.3, -0.2), 1.0, 0.02).points
     near = net + geometry.DEDUP_TOL / 2
     with mock.patch.object(geometry, "cKDTree",

@@ -8,7 +8,6 @@ and a curve that fails must name the first t that fails.
 """
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from metricfourier.fixtures import (SVF_FIXTURES, DescriptionError,
                                     balls_fixture, parse_svf,
                                     singleton_fixture)
 from metricfourier.geometry import PointSet
+from metricfourier.oracle import oracle_dedup
 from metricfourier.svf import NODE_TOL, X_TOL
 
 PI = math.pi
@@ -166,23 +166,23 @@ def test_curve_underflow_is_not_an_error():
 
 
 def test_pointset_many_equals_of_per_slice():
-    """One finiteness check and one keep-first dedup for a block, kernel
-    blocks split included, equal `PointSet.of` of each slice; slices of
-    more than DEDUP_PAIRS_MAX coordinate differences take the sorted windows
-    one by one."""
+    """One finiteness check and one keep-first dedup for a block equal
+    `PointSet.of` of each slice and the row-by-row reference, at every
+    slice size; an empty block holds no sets."""
     rng = np.random.default_rng(3)
     tol = geometry.DEDUP_TOL
-    wide = math.isqrt(geometry.DEDUP_PAIRS_MAX // 2) + 1
     for m, d in ((1, 1), (2, 1), (5, 2), (22, 1), (23, 2), (40, 3),
-                 (wide, 2), (8, 400)):
+                 (81, 2), (8, 400)):
         base = rng.integers(-2, 3, (300, m, d)) * 0.5
         moved = base + rng.choice([0.0, tol / 2, tol, 2 * tol], base.shape)
-        with mock.patch.object(geometry, "_KERNEL_BLOCK", 64 * m * m):
-            got = PointSet.many(moved)
+        got = PointSet.many(moved)
         assert len(got) == len(moved)
         for S, X in zip(got, moved):
             assert np.array_equal(S.points, PointSet.of(X).points)
+            assert np.array_equal(S.points, oracle_dedup(X, tol))
             assert not S.points.flags.writeable
+    for m, d in ((1, 1), (3, 2)):
+        assert PointSet.many(np.zeros((0, m, d))) == []
     for bad in (np.zeros((2, 3)), np.zeros((2, 0, 1)), np.zeros((2, 1, 0))):
         with pytest.raises(ValueError):
             PointSet.many(bad)
