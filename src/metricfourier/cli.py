@@ -191,69 +191,62 @@ def parse_weight(spec: dict | None) -> WeightFunction:
     raise ConfigError(f"unknown weight kind {kind!r}")
 
 
-def run_convergence(cfg: ExperimentConfig) -> list[tuple]:
-    F = cfg.build_svf()
+def _distance_rows(F, cfg: ExperimentConfig, xs) -> list[tuple]:
+    """(n, x, d(S_nF(x), target), kind) for every order n and every x, where
+    the target is A_F(x) at a jump of F and F(x) elsewhere.  Each depth
+    builds one family, its coefficient matrix at the largest order of that
+    depth, and its targets once per x."""
     if max(abs(F.a + PI), abs(F.b - PI)) > PERIOD_TOL:
-        raise ConfigError("convergence needs the domain [-pi, pi]")
-    xs = cfg.grid(F)
+        raise ConfigError("convergence and bound-check need the domain "
+                          "[-pi, pi]")
     jumps = set(float(j) for j in F.jump_points)
-    orders = sorted(int(n) for n in cfg.orders)
-    # Each family serves the orders of one depth; its coefficient matrix is
-    # built once, at the largest of them.
-    top = {selection_depth(n, cfg.depth): n for n in orders}
-    families = {}
+    by_depth: dict[int, list[int]] = {}
+    for n in sorted(int(n) for n in cfg.orders):
+        by_depth.setdefault(selection_depth(n, cfg.depth), []).append(n)
     rows = []
-    for n in orders:
-        d = selection_depth(n, cfg.depth)
-        if d not in families:
-            fam = selection_family(F, cfg.x_seeds, cfg.y_seeds, d, cfg.norm)
-            families[d] = fam, family_coefficients(F, top[d], fam)
-        fam, coeffs = families[d]
-        for x in xs:
-            approx = metric_fourier(F, n, x, fam, coeffs)
-            if any(abs(x - j) < X_TOL for j in jumps):
-                target, kind = limit_set_AF(F, x, fam), "A_F"
-            else:
-                target, kind = F(x), "F"
-            rows.append((n, float(x), hausdorff(approx, target, cfg.norm), kind))
+    for depth, ns in by_depth.items():
+        fam = selection_family(F, cfg.x_seeds, cfg.y_seeds, depth, cfg.norm)
+        coeffs = family_coefficients(F, ns[-1], fam)
+        targets = [(limit_set_AF(F, x, fam), "A_F")
+                   if any(abs(x - j) < X_TOL for j in jumps) else (F(x), "F")
+                   for x in xs]
+        rows += [(n, float(x), hausdorff(metric_fourier(F, n, x, fam, coeffs),
+                                         target, cfg.norm), kind)
+                 for n in ns for x, (target, kind) in zip(xs, targets)]
     return rows
 
 
+def run_convergence(cfg: ExperimentConfig) -> list[tuple]:
+    F = cfg.build_svf()
+    return _distance_rows(F, cfg, cfg.grid(F))
+
+
 def run_bound_check(cfg: ExperimentConfig) -> list[tuple]:
-    orders = sorted(int(n) for n in cfg.orders)
     deltas = delta_grid()
     if cfg.fixture in fx.SCALAR_FIXTURES:
         f = fx.SCALAR_FIXTURES[cfg.fixture]()
         if f.coeff is None:
             raise ConfigError("fixture lacks closed-form coefficients")
-        omega = dict(zip(deltas, np.maximum(*quasi_moduli(
-            f.vf, f.jump, deltas, -PI, PI)))).__getitem__
+        omega = np.maximum(*quasi_moduli(f.vf, f.jump, deltas, -PI, PI))
         rows = []
+        orders = sorted(int(n) for n in cfg.orders)
         a, b = f.coefficients(max(orders))
         for n in orders:
             observed = abs(trig_eval(a, b, f.jump, n) - f.midpoint)
-            bound = min_djordan_bound(f.variation, omega, n, deltas=deltas)
+            bound = min_djordan_bound(f.variation, omega, n, deltas)
             rows.append((n, observed, bound, int(observed <= bound)))
         return rows
-    # Set-valued path: fit the norm-dependent constant K on the fixture, then
-    # report the calibrated bound per order.
+    # Set-valued path: the convergence rows at the jump, against the bound
+    # bracket per order; the norm-dependent constant K is fitted on them.
     F = cfg.build_svf()
     if F.variation_function is None or not F.jump_points:
         raise ConfigError("set-valued bound check needs a jump fixture with "
                           "an exact variation function")
     x = float(F.jump_points[0])
-    omega = dict(zip(deltas, svf_jump_omega(F.variation_function, x, F.a,
-                                            F.b)(deltas))).__getitem__
-    V = F.variation_hint
-    obs = []
-    for n in orders:
-        fam = selection_family(F, cfg.x_seeds, cfg.y_seeds,
-                               selection_depth(n, cfg.depth), cfg.norm)
-        approx = metric_fourier(F, n, x, fam)
-        target = limit_set_AF(F, x, fam)
-        observed = hausdorff(approx, target, cfg.norm)
-        bracket = min(svf_bound_rhs(V, n, d, omega, 1.0) for d in deltas)
-        obs.append((n, observed, bracket))
+    omega = svf_jump_omega(F.variation_function, x, F.a, F.b)(deltas)
+    obs = [(n, o, float(np.min(svf_bound_rhs(F.variation_hint, n, deltas,
+                                             omega, 1.0))))
+           for n, _, o, _ in _distance_rows(F, cfg, [x])]
     K = max(fit_K([(o, br) for _, o, br in obs]), 1e-12)
     return [(n, o, K * br, int(o <= K * br + 1e-12)) for n, o, br in obs]
 

@@ -324,33 +324,34 @@ def delta_grid(lo: float = 1e-3, hi: float = math.pi, m: int = 32) -> np.ndarray
     return np.geomspace(lo, hi, m + 1)[1:]
 
 
-def djordan_bound_rhs(B: float, n: int, delta: float, omega) -> float:
-    """(2B / (pi n)) (1 + 6 cot(delta/2)) + 8 C_KERNEL omega(delta)."""
-    if not 0.0 < delta <= math.pi:
+def _cot_term(delta):
+    """1 + 6 cot(delta/2), elementwise over delta in (0, pi]."""
+    delta = np.asarray(delta, dtype=float)
+    if not np.all((0.0 < delta) & (delta <= math.pi)):
         raise ValueError("delta must lie in (0, pi]")
+    return 1.0 + 6.0 * np.cos(delta / 2.0) / np.sin(delta / 2.0)
+
+
+def djordan_bound_rhs(B: float, n: int, delta, omega):
+    """(2B / (pi n)) (1 + 6 cot(delta/2)) + 8 C_KERNEL omega, elementwise
+    over delta and omega, the value of the modulus at delta."""
     if B < 0:
         raise ValueError("variation budget must be nonnegative")
-    cot = math.cos(delta / 2.0) / math.sin(delta / 2.0)
-    return (2.0 * B / (math.pi * n)) * (1.0 + 6.0 * cot) \
-        + 8.0 * C_KERNEL * float(omega(delta))
+    return (2.0 * B / (math.pi * n)) * _cot_term(delta) \
+        + 8.0 * C_KERNEL * np.asarray(omega, dtype=float)
 
 
-def min_djordan_bound(B: float, omega, n: int, deltas=None) -> float:
-    """Bound minimized over the delta grid."""
-    if deltas is None:
-        deltas = delta_grid()
-    return min(djordan_bound_rhs(B, n, d, omega) for d in deltas)
+def min_djordan_bound(B: float, omega, n: int, deltas) -> float:
+    """The bound minimized over the deltas, with omega its modulus there."""
+    return float(np.min(djordan_bound_rhs(B, n, deltas, omega)))
 
 
-def svf_bound_rhs(V: float, n: int, delta: float, omega, K: float) -> float:
-    """K [ (V/n)(1 + 6 cot(delta/2)) + omega(delta) ] with omega(delta) =
-    max{ left_quasi(v_F, x, 2 delta), right_quasi(v_F, x, delta) }."""
-    if not 0.0 < delta <= math.pi:
-        raise ValueError("delta must lie in (0, pi]")
+def svf_bound_rhs(V: float, n: int, delta, omega, K: float):
+    """K [ (V/n)(1 + 6 cot(delta/2)) + omega ], elementwise over delta and
+    omega = max{ left_quasi(v_F, x, 2 delta), right_quasi(v_F, x, delta) }."""
     if K <= 0:
         raise ValueError("K must be positive")
-    cot = math.cos(delta / 2.0) / math.sin(delta / 2.0)
-    return K * ((V / n) * (1.0 + 6.0 * cot) + float(omega(delta)))
+    return K * ((V / n) * _cot_term(delta) + np.asarray(omega, dtype=float))
 
 
 def quasi_moduli(vf, x: float, delta, lo: float, hi: float,
@@ -386,12 +387,11 @@ class ClassReport:
 def class_membership(f, B: float, x: float, omega, vf,
                      deltas=None, lo: float = -math.pi,
                      hi: float = math.pi) -> ClassReport:
-    """Check V(f) <= B and both quasi-moduli of v_f at x dominated by omega."""
-    if deltas is None:
-        deltas = delta_grid()
+    """Check V(f) <= B and both quasi-moduli of v_f at x dominated by omega,
+    a function called once, on the array of deltas."""
+    deltas = delta_grid() if deltas is None else np.asarray(deltas, dtype=float)
     var, _ = total_variation(f, lo, hi, depth=12)
-    lq, rq = quasi_moduli(vf, x, np.asarray(deltas, dtype=float), lo, hi)
-    excess = np.maximum(lq, rq) - [float(omega(d)) for d in deltas]
+    excess = np.maximum(*quasi_moduli(vf, x, deltas, lo, hi)) - omega(deltas)
     worst = int(np.argmax(excess))
     worst_delta, worst_excess = float(deltas[worst]), float(excess[worst])
     member = var <= B + 1e-9 and worst_excess <= 1e-9

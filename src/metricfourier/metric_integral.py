@@ -199,9 +199,8 @@ def inclusion_check(F: SetValuedFunction, k: WeightFunction,
     intersection = PointSet.of(cands[keep], dedup_tol=0) if keep.any() else None
     value = weighted_metric_integral(F, k, family)
     normalized = PointSet.of(value.points / mass, dedup_tol=0)
-    # A repeated set adds only rows that keep-first drops.
     union_hull = convex_hull(PointSet.of(np.vstack([S.points for S in distinct]),
-                                         dedup_tol=1e-9))
+                                         dedup_tol=0))
     vacuous = intersection is None
     if vacuous:
         lower_ok, lower_margin = True, np.inf

@@ -183,12 +183,9 @@ class MetricChain:
 
 
 def greedy_chain(F: SetValuedFunction, chi: Partition, seed,
-                 norm: str = "l2", sets: dict | None = None) -> MetricChain:
-    """Chain through the seed, projecting outward node by node.
-
-    `sets` memoizes F at the nodes (node -> F(node)); calls that share it
-    evaluate F once per node."""
-    return _greedy_chains(F, [(chi, seed)], norm, sets)[0]
+                 norm: str = "l2") -> MetricChain:
+    """Chain through the seed, projecting outward node by node."""
+    return _greedy_chains(F, [(chi, seed)], norm)[0]
 
 
 def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
@@ -396,19 +393,18 @@ class MetricSelection(MetricChain):
 def approximate_selection(F: SetValuedFunction, seed, depth: int,
                           norm: str = "l2") -> MetricSelection:
     """Greedy chain on the dyadic partition of the given depth; the chain one
-    level coarser only feeds `cauchy_defect`."""
+    level coarser only feeds `cauchy_defect`.  Both come from one
+    `_greedy_chains` sweep."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     forced = (float(seed[0]),) + tuple(F.jump_points)
     probe = Partition.dyadic(F.a, F.b, min(depth, PROBE_DEPTH), forced)
+    depths = [depth, depth - 1] if depth > 1 else [depth]
     sets: dict = {}
-    last = greedy_chain(F, Partition.dyadic(F.a, F.b, depth, forced), seed,
-                        norm, sets=sets)
-    prev = None
-    if depth > 1:
-        prev = greedy_chain(F, Partition.dyadic(F.a, F.b, depth - 1, forced),
-                            seed, norm, sets=sets)
-    return _selection(F, seed, depth, last, prev, probe, norm, sets)
+    chains = _greedy_chains(F, [(Partition.dyadic(F.a, F.b, k, forced), seed)
+                                for k in depths], norm, sets)
+    prev = chains[1] if depth > 1 else None
+    return _selection(F, seed, depth, chains[0], prev, probe, norm, sets)
 
 
 def _selection(F: SetValuedFunction, seed, depth: int, last: MetricChain,

@@ -109,19 +109,13 @@ def test_criterion_04_refined_jump_bound(report):
     deltas = delta_grid()
     for fixture in (fx.square_wave(), fx.sawtooth(), fx.step_fixture()):
         a, b = fixture.coefficients(max(orders))
-        cache = {}
-
-        def omega(d, vf=fixture.vf, jump=fixture.jump, cache=cache):
-            if d not in cache:
-                lq, rq = quasi_moduli(vf, jump, d, -PI, PI)
-                cache[d] = max(lq, rq)
-            return cache[d]
-
+        omega = np.maximum(*quasi_moduli(fixture.vf, fixture.jump, deltas,
+                                         -PI, PI))
         for n in orders:
             observed = abs(trig_eval_trunc(a, b, fixture.jump, n)
                            - fixture.midpoint)
-            bound = min(djordan_bound_rhs(fixture.variation, n, d, omega)
-                        for d in deltas)
+            bound = djordan_bound_rhs(fixture.variation, n, deltas,
+                                      omega).min()
             assert observed <= bound, (fixture.name, n, observed, bound)
     report("PASS: criterion 4 refined jump bound with C=2 on square wave, "
           "sawtooth, step (n in 8..512)")

@@ -467,12 +467,12 @@ def test_limit_set_inside_minkowski_average():
 # bounds
 
 def test_djordan_rhs_omega_zero_delta_pi():
-    assert abs(djordan_bound_rhs(3.0, 10, PI, lambda d: 0.0)
+    assert abs(djordan_bound_rhs(3.0, 10, PI, 0.0)
                - 2.0 * 3.0 / (PI * 10)) < 1e-12
 
 
 def test_djordan_rhs_zero_variation():
-    assert abs(djordan_bound_rhs(0.0, 7, 0.5, lambda d: d)
+    assert abs(djordan_bound_rhs(0.0, 7, 0.5, 0.5)
                - 8.0 * 2.0 * 0.5) < 1e-12
 
 
@@ -480,25 +480,25 @@ def test_djordan_rhs_pinned_formula():
     n = 100
     cot = math.cos(PI / 8.0) / math.sin(PI / 8.0)
     expect = (4.0 / (PI * n)) * (1.0 + 6.0 * cot) + 16.0 * PI / 40.0
-    assert abs(djordan_bound_rhs(2.0, n, PI / 4.0, lambda d: d / 10.0)
+    assert abs(djordan_bound_rhs(2.0, n, PI / 4.0, PI / 40.0)
                - expect) < 1e-12
 
 
 def test_bound_params_validation():
     with pytest.raises(ValueError):
-        djordan_bound_rhs(1.0, 10, 4.0, lambda d: 0.0)
+        djordan_bound_rhs(1.0, 10, 4.0, 0.0)
     with pytest.raises(ValueError):
-        djordan_bound_rhs(-1.0, 10, 1.0, lambda d: 0.0)
+        djordan_bound_rhs(-1.0, 10, 1.0, 0.0)
 
 
 def test_min_djordan_bound_improves_on_fixed_delta():
-    omega = lambda d: d
-    best = min_djordan_bound(4.0, omega, 64)
-    assert best <= djordan_bound_rhs(4.0, 64, PI, omega) + 1e-12
+    deltas = delta_grid()
+    best = min_djordan_bound(4.0, deltas, 64, deltas)
+    assert best <= djordan_bound_rhs(4.0, 64, PI, PI) + 1e-12
 
 
 def test_svf_bound_rhs_monotone_in_n():
-    omega = lambda d: 0.0
+    omega = 0.0
     vals = [svf_bound_rhs(2.0, n, 1.0, omega, 3.0) for n in (8, 16, 32)]
     assert vals[0] > vals[1] > vals[2]
     with pytest.raises(ValueError):

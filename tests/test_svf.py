@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricfourier.fixtures import (balls_fixture, constant_set_fixture,
-                                    lines_fixture, singleton_fixture,
-                                    step_svf, two_branch_sine)
+                                    lines_fixture, parse_svf,
+                                    singleton_fixture, step_svf,
+                                    two_branch_sine)
 from metricfourier.geometry import PointSet, as_point
 from metricfourier import geometry, svf
 from metricfourier.oracle import (oracle_dyadic_nodes, oracle_greedy_chain,
@@ -394,9 +395,14 @@ def test_greedy_chain_values_are_one_array():
 def test_approximate_selection_builds_two_depths():
     F = lines_fixture()
     seed = (0.5, 0.0)
-    with mock.patch.object(svf, "greedy_chain", wraps=greedy_chain) as spy:
+    with mock.patch.object(svf, "_greedy_chains",
+                           wraps=svf._greedy_chains) as spy:
         s = approximate_selection(F, seed, 5)
-    assert spy.call_count == 2
+    # One sweep builds the chains of both depths.
+    assert spy.call_count == 1
+    assert [chi.nodes.tolist() for chi, _ in spy.call_args.args[1]] == [
+        Partition.dyadic(F.a, F.b, k, (0.5, 0.5)).nodes.tolist()
+        for k in (5, 4)]
     ref = greedy_chain(F, Partition.dyadic(F.a, F.b, 5, (0.5, 0.5)), seed)
     assert np.array_equal(s.values, ref.values)
     coarse = greedy_chain(F, Partition.dyadic(F.a, F.b, 4, (0.5, 0.5)), seed)
@@ -586,6 +592,24 @@ def test_selection_family_matches_per_seed_reference(F, norm, kdtree_min,
     with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
         got = selection_family(F, x_seeds, y_seeds, depth, norm)
         ref = oracle_selection_family(F, x_seeds, y_seeds, depth, norm)
+    assert_same_family(got, ref)
+
+
+# Three points up to 0.5, then an 81-point disc net: a wave steps the
+# chains left of the jump through the dense small-set maps while those to
+# its right step through the lazy large-set cache.
+MIXED = parse_svf({"domain": [-PI, PI], "pieces": [
+    {"end": 0.5, "points": [[0, 0], [0, 2], [1, 1]]},
+    {"disc": {"center": [0, 1], "radius": 1, "eps": 0.25}}]})
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("kdtree_min", [0, 10 ** 9])
+def test_mixed_wave_matches_per_seed_reference(norm, kdtree_min):
+    assert [len(MIXED(x)) for x in (0.0, 1.0)] == [3, 81]
+    with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
+        got = selection_family(MIXED, 5, 3, 5, norm)
+        ref = oracle_selection_family(MIXED, 5, 3, 5, norm)
     assert_same_family(got, ref)
 
 
