@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 
 from .geometry import PointSet
 from .svf import (MetricChain, MetricSelection, SetValuedFunction,
@@ -243,6 +242,8 @@ def fourier_coefficients(f, n: int, breakpoints=()):
                 status[q] = "Non-finite values encountered."
     for msg, u, v in zip(status, cuts, cuts[1:]):
         if msg:
+            # scipy's warning class, loaded only to warn with it.
+            from scipy.integrate import IntegrationWarning
             warnings.warn(f"{msg} on [{u}, {v}]", IntegrationWarning)
     a, b = total.sum(axis=0) / math.pi
     return a, b

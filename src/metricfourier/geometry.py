@@ -10,18 +10,24 @@ Every nearest-point query (`min_dists`, `hausdorff`, `dist_point_set`,
 Projections of many rows (`project_groups`) and the metric pairs of
 `_pair_indices` go through the grouped query `_nearest_groups`, whose rows
 each have their own set.  Its groups (the rows of one set) of at most
-GROUP_MAX distance entries are computed together in one padded numpy
-kernel, which removes the cost of a call per small set and sums coordinates
-in order, as `cdist` does, so it gives the same floats; a larger group is
-one `_nearest` call.  `small_sets` tells which sets pair within that size,
-for callers that fill whole maps between sets.  `_nearest` is the one place
-that chooses the path: a set of more than KDTREE_MIN points goes through a
-`scipy.spatial.cKDTree` in the l1, l2 or linf norm, which `PointSet.tree`
-builds on first use with sliding-midpoint splits and keeps with the frozen
-set, so a net that is queried many times builds one tree.  Smaller sets
-take brute-force `cdist` blocks of at most _BLOCK entries, which is faster
-there.  Both paths give the same distances and the same witnesses, in index
-order.
+GROUP_MAX distance entries are computed together in one padded call of the
+numpy kernel `_dist_matrix`, which removes the cost of a call per small set
+and sums coordinates in order, as `cdist` does, so it gives the same
+floats; a larger group is one `_nearest` call.  `small_sets` tells which
+sets pair within that size, for callers that fill whole maps between sets.
+`_nearest` is the one place that chooses the path: a set of more than
+KDTREE_MIN points goes through a `scipy.spatial.cKDTree` in the l1, l2 or
+linf norm, which `PointSet.tree` builds on first use with sliding-midpoint
+splits and keeps with the frozen set, so a net that is queried many times
+builds one tree.  Smaller sets are queried by brute force in blocks of at
+most _BLOCK entries, which is faster there: a block of at most GROUP_MAX
+entries by `_dist_matrix`, a larger one by `cdist`.  All paths give the
+same distances and the same witnesses, in index order.
+
+scipy is loaded only where it is used: `scipy.spatial` on the first tree
+(a set of more than KDTREE_MIN points) or the first `cdist` block (more
+than GROUP_MAX entries).  Small sets, and importing the package, need
+numpy alone.
 
 Sets of more than KDTREE_MIN points also take a shortcut that leaves the
 answer unchanged: `hausdorff` queries only the rows of such a set that can
@@ -37,10 +43,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Projection witnesses: everything within TIE_TOL of the minimum distance
 # counts as a nearest point, so projections are sets, not single points.
@@ -54,7 +62,7 @@ CHAIN_LIMIT = 10 ** 6
 # cores, scipy 1.17, sliding-midpoint tree, fastest of 15 runs): with the
 # cached tree 28-29 us at any size; by brute force 13 us at 5 points, 25 us
 # at 2,048, 30 us at 3,072, 54 us at 8,201.  Such sets also enter
-# `hausdorff` through their cells.
+# `hausdorff` through their cells.  The first tree imports scipy.spatial.
 KDTREE_MIN = 2048
 # A group (the rows queried against one set) of at most this many distance
 # entries is computed with all such groups in one padded numpy kernel, a
@@ -62,8 +70,13 @@ KDTREE_MIN = 2048
 # shared cores, numpy 2.4, d = 1 and 2, fastest of 15 runs): the kernel
 # 2-7 us at 64 entries, 7-13 us at 256 and 14-25 us at 512; `_nearest`
 # 10-17 us at 64, 18-19 us at 256 and 12-25 us at 512.  They meet near 512.
-# `small_sets` reads it too: sets of at most sqrt(GROUP_MAX) points are
-# small, their distance matrices at most one kernel group's size.
+# `_nearest` computes a brute-force block of at most this many entries by
+# the same kernel, a larger one by `cdist`, whose first call imports
+# scipy.spatial.  On small blocks the two are within a few us; on a 2048 x
+# 2048 block in d = 2 the kernel took 59 ms and `cdist` 15 ms (2 shared
+# cores, fastest of 7 runs).  `small_sets` reads it too: sets of at most
+# sqrt(GROUP_MAX) points are small, their distance matrices at most one
+# kernel group's size.
 GROUP_MAX = 512
 # Entries (rows x width) of the kernel's padded matrix per call.
 _KERNEL_BLOCK = 1 << 18
@@ -153,10 +166,8 @@ class PointSet:
 
     @cached_property
     def tree(self) -> cKDTree:
-        """KD-tree of the points, built on first use and kept with the set.
-        Sliding-midpoint splits: cheaper to build and to query than the
-        median splits of a balanced tree, with the same exact answers."""
-        return cKDTree(self.points, balanced_tree=False, compact_nodes=False)
+        """KD-tree of the points, built on first use and kept with the set."""
+        return _kdtree(self.points)
 
     @cached_property
     def lex_order(self) -> np.ndarray:
@@ -196,6 +207,14 @@ class PointSet:
         dev = np.maximum.reduceat(np.abs(P[rows] - P[reps]), bounds[:-1],
                                   axis=0)
         return rows, bounds, dev
+
+
+def _kdtree(points: np.ndarray) -> cKDTree:
+    """A KD-tree of the (m, d) array points, importing scipy.spatial on the
+    first call.  Sliding-midpoint splits: cheaper to build and to query than
+    the median splits of a balanced tree, with the same exact answers."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
 def _point_sets(arr: np.ndarray, tol: float) -> list[PointSet]:
@@ -278,8 +297,9 @@ def _nearest(P: np.ndarray, B: PointSet, norm: str, witnesses: bool = False):
     within TIE_TOL of row i's distance gives one pair (i, j).
 
     The one choice of path: B's cached KD-tree when B has more than
-    KDTREE_MIN points, brute-force `cdist` blocks of at most _BLOCK entries
-    otherwise."""
+    KDTREE_MIN points, brute-force blocks of at most _BLOCK entries
+    otherwise, each by `_dist_matrix` up to GROUP_MAX entries and by `cdist`
+    above."""
     if P.shape[1] != B.dim:
         raise DimensionMismatch(f"dimension {P.shape[1]} vs {B.dim}")
     m, n = P.shape[0], len(B)
@@ -310,7 +330,11 @@ def _nearest(P: np.ndarray, B: PointSet, norm: str, witnesses: bool = False):
         return (np.concatenate(dist),
                 np.concatenate([r + k for r, k in zip(rows, ks)]),
                 np.concatenate(cols))
-    D = cdist(P, B.points, metric=_CDIST_METRIC[norm])
+    if m * n <= GROUP_MAX:
+        D = _dist_matrix(P, B.points.T[:, None], norm)
+    else:
+        from scipy.spatial.distance import cdist
+        D = cdist(P, B.points, metric=_CDIST_METRIC[norm])
     dist = D.min(axis=1)
     if not witnesses:
         return dist
@@ -414,18 +438,32 @@ def _padded_nearest(P: np.ndarray, pts: np.ndarray, start: np.ndarray,
     """The distance from each row i of P to the set pts[start[i]:start[i] +
     size[i]], and its witnesses as in `_nearest`, with their coordinates.
 
-    One numpy kernel over a padded (m, w) index matrix.  Each set is padded
-    with copies of its last point, which a mask leaves out of the
-    witnesses (they cannot lower the minimum).  The coordinates are summed
-    one at a time, in order, as `cdist` sums them, so the distances equal
-    its bit for bit (numpy's `sum` would add 8 or more terms pairwise)."""
-    if norm not in _NORM_ORD:
-        raise KeyError(norm)
+    One `_dist_matrix` over a padded (m, w) index matrix.  Each set is
+    padded with copies of its last point, which a mask leaves out of the
+    witnesses (they cannot lower the minimum)."""
     slot = np.arange(int(size.max()))
     idx = start[:, None] + np.minimum(slot, size[:, None] - 1)
+    D = _dist_matrix(P, (pts[idx, c] for c in range(P.shape[1])), norm)
+    dist = D.min(axis=1)
+    rows, cols = np.nonzero((D <= dist[:, None] + TIE_TOL)
+                            & (slot < size[:, None]))
+    return dist, rows, cols, pts[idx[rows, cols]]
+
+
+def _dist_matrix(P: np.ndarray, columns, norm: str) -> np.ndarray:
+    """The distances between the rows of the (m, d) array P and the points
+    whose coordinates `columns` yields one at a time: d arrays that each
+    broadcast against an (m, 1) column, (m, w) for a set per row or (1, n)
+    for one set for all rows.
+
+    The coordinates are summed one at a time, in order, as `cdist` sums
+    them, so the distances equal its bit for bit (numpy's `sum` would add 8
+    or more terms pairwise)."""
+    if norm not in _NORM_ORD:
+        raise KeyError(norm)
     D = None
-    for c in range(P.shape[1]):
-        t = P[:, c, None] - pts[idx, c]
+    for p, q in zip(P.T, columns):
+        t = p[:, None] - q
         t = t * t if norm == "l2" else np.abs(t)
         if D is None:
             D = t
@@ -433,12 +471,7 @@ def _padded_nearest(P: np.ndarray, pts: np.ndarray, start: np.ndarray,
             np.maximum(D, t, out=D)
         else:
             D += t
-    if norm == "l2":
-        D = np.sqrt(D)
-    dist = D.min(axis=1)
-    rows, cols = np.nonzero((D <= dist[:, None] + TIE_TOL)
-                            & (slot < size[:, None]))
-    return dist, rows, cols, pts[idx[rows, cols]]
+    return np.sqrt(D) if norm == "l2" else D
 
 
 def hausdorff(A: PointSet, B: PointSet, norm: str = "l2") -> float:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fourier import QTOL
 from .geometry import (DEDUP_TOL, PointSet, _nearest_groups, convex_hull,
@@ -49,11 +48,13 @@ class WeightFunction:
 
 
 def integrate_weight(k: WeightFunction, u: float, v: float) -> float:
-    """Integral of k over [u, v], exact when an antiderivative is declared."""
+    """Integral of k over [u, v], exact when an antiderivative is declared,
+    else by scipy's `quad`, imported on the first such call."""
     if u == v:
         return 0.0
     if k.antiderivative is not None:
         return float(k.antiderivative(v) - k.antiderivative(u))
+    from scipy.integrate import quad
     cuts = sorted({u, v} | {d for d in k.discontinuities if u < d < v})
     total = 0.0
     for s, t in zip(cuts, cuts[1:]):

@@ -387,6 +387,65 @@ def test_cli_does_not_import_the_test_oracle():
     assert out.strip() == "False"
 
 
+# The scipy subpackages that the package loads only on first use.  Under
+# pytest, pyproject.toml's IntegrationWarning filter imports scipy.integrate,
+# so only a fresh interpreter shows what a CLI call loads.
+LAZY_SCIPY = ("scipy.spatial", "scipy.sparse", "scipy.integrate")
+
+
+def run_fresh(tmp_path, verb, config):
+    """`verb` on the config in a fresh interpreter: its stdout and the
+    scipy modules it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import json, sys; from metricfourier.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.'))), file=sys.stderr); sys.exit(rc)")
+    cfg = write_cfg(tmp_path, f"{verb}.json", config)
+    proc = subprocess.run([sys.executable, "-c", code, verb, "--config", cfg],
+                          env=env, check=True, capture_output=True)
+    loaded = json.loads(proc.stderr.decode().strip().splitlines()[-1])
+    return proc.stdout, {".".join(m.split(".")[:2]) for m in loaded}
+
+
+SMALL_CALLS = {
+    "bound-step-svf": ("bound-check", {"fixture": "step-svf",
+                                       "orders": [4, 16], "depth": 1}),
+    "bound-square-wave": ("bound-check", {"fixture": "square-wave",
+                                          "orders": [8, 32]}),
+    "integral-curve": ("integral", {
+        "svf": {"domain": [-PI, PI], "pieces": [
+            {"end": 0.5, "curve": [["cos(t)", "sin(t)"],
+                                   ["cos(t)", "sin(t) + 2"]]},
+            {"curve": [["0.5 * t", "cos(t) - 1"]]}]},
+        "depth": 5, "weight": {"kind": "poly", "coeffs": [1.0, 0.25]}}),
+    "hausdorff-3-points": ("hausdorff", {
+        "set_a": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        "set_b": [[3.0, 4.0], [4.0, 4.0], [3.0, 5.0]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CALLS))
+def test_cli_on_small_sets_loads_no_scipy_subpackage(tmp_path, name):
+    """These calls query sets of a few points and integrate no weight
+    without an antiderivative: numpy alone serves them."""
+    verb, config = SMALL_CALLS[name]
+    _, loaded = run_fresh(tmp_path, verb, config)
+    assert not loaded & set(LAZY_SCIPY)
+
+
+def test_cli_on_disc_nets_loads_scipy_spatial(tmp_path):
+    """The balls fixture's nets take `cdist` blocks, which load
+    scipy.spatial on first use, and the table is byte for byte the one
+    captured when the package imported scipy.spatial up front."""
+    golden = Path(__file__).resolve().parent / "golden"
+    out, loaded = run_fresh(tmp_path, "convergence", {
+        "fixture": "balls", "orders": [4, 16], "x_grid": 3, "depth": 1,
+        "eps": 0.1})
+    assert "scipy.spatial" in loaded
+    assert out == (golden / "convergence-balls.exact.csv").read_bytes()
+
+
 def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--threads", "2"])

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import directed_hausdorff
 
 from metricfourier import geometry
@@ -168,12 +167,13 @@ def test_hausdorff_reuses_the_cached_trees():
     `hausdorff` build one tree per set, for the query against it, and a
     second `hausdorff` builds none."""
     nets = [disc_net(c, 1.0, 0.02).points for c in ((0.0, 0.0), (0.5, 0.0))]
-    with mock.patch.object(geometry, "cKDTree", wraps=cKDTree) as build:
+    with mock.patch.object(geometry, "_kdtree",
+                           wraps=geometry._kdtree) as build:
         A, B = (PointSet.of(P) for P in nets)
         first = hausdorff(A, B)
     assert min(len(A), len(B)) > geometry.KDTREE_MIN
     assert build.call_count == 2
-    with mock.patch.object(geometry, "cKDTree",
+    with mock.patch.object(geometry, "_kdtree",
                            side_effect=AssertionError("tree rebuilt")):
         assert hausdorff(A, B) == first
 
@@ -288,6 +288,62 @@ def test_kernel_distances_equal_cdist_bitwise(dim):
                 assert np.array_equal(dist[owner == g],
                                       oracle_min_dists(P[owner == g],
                                                        B.points, norm))
+
+
+# ---------------------------------------------------------------------------
+# `_nearest`'s brute-force blocks: the kernel up to GROUP_MAX entries,
+# `cdist` above, bit for bit the oracle's `cdist`
+
+@pytest.mark.parametrize("scale", [1e-3, 0.37, 1.0, 1e4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm", NORMS)
+def test_nearest_blocks_match_oracle_bitwise(norm, dim, scale):
+    """Half-integer rows against integer grid sets, so that many rows are
+    tied, in blocks of just below and just above GROUP_MAX entries (none
+    at all for a set of GROUP_MAX + 1 points): the distances and the
+    witnesses of the oracle's `cdist` rows, bit for bit, through the
+    kernel exactly when the block has at most GROUP_MAX entries."""
+    rng = np.random.default_rng(dim)
+    most = geometry.GROUP_MAX
+    for n in (1, 7, most, most + 1):
+        Q = rng.integers(-4, 5, size=(n, dim)) * scale
+        B = PointSet.of(Q, dedup_tol=0)
+        for m in (most // n, most // n + 1):
+            P = rng.integers(-10, 11, size=(m, dim)) / 2 * scale
+            with mock.patch.object(geometry, "_dist_matrix",
+                                   wraps=geometry._dist_matrix) as kernel:
+                dist = geometry._nearest(P, B, norm)
+                d, i, j = geometry._nearest(P, B, norm, witnesses=True)
+            assert kernel.called == (m * n <= most)
+            assert np.array_equal(dist, oracle_min_dists(P, Q, norm))
+            assert np.array_equal(d, dist)
+            refs = [oracle_dist_point_set(p, Q, norm)[1] for p in P]
+            assert np.array_equal(i, np.repeat(np.arange(m),
+                                               [r.size for r in refs]))
+            assert np.array_equal(j, np.concatenate([[], *refs]))
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_nearest_of_no_rows_and_of_nan_rows(norm):
+    """A query of no rows gives empty arrays, on the kernel and the tree.  A
+    row with a NaN coordinate has distance nan and no witnesses, and the
+    other rows keep theirs; `cdist`'s chebyshev skips NaN coordinates, so
+    above GROUP_MAX entries only l1 and l2 are checked."""
+    small = PointSet.of([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+    large = disc_net((0.0, 0.0), 1.0, 0.02)
+    for B in (small, large):
+        d, i, j = geometry._nearest(np.empty((0, 2)), B, norm, witnesses=True)
+        assert d.shape == i.shape == j.shape == (0,)
+        assert geometry._nearest(np.empty((0, 2)), B, norm).shape == (0,)
+    P = np.array([[np.nan, 0.0], [0.5, 0.5], [0.0, np.nan], [np.nan] * 2])
+    for m in (4, geometry.GROUP_MAX):
+        if m * len(small) > geometry.GROUP_MAX and norm == "linf":
+            continue
+        rows = np.resize(P, (m, 2))
+        d, i, j = geometry._nearest(rows, small, norm, witnesses=True)
+        bad = np.isnan(rows).any(axis=1)
+        assert np.isnan(d[bad]).all() and not np.isnan(d[~bad]).any()
+        assert np.array_equal(np.unique(i), np.flatnonzero(~bad))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +597,7 @@ def test_dedup_of_large_nets_builds_no_tree():
     dropped."""
     net = disc_net((0.3, -0.2), 1.0, 0.02).points
     near = net + geometry.DEDUP_TOL / 2
-    with mock.patch.object(geometry, "cKDTree",
+    with mock.patch.object(geometry, "_kdtree",
                            side_effect=AssertionError("tree built")):
         assert np.array_equal(PointSet.of(net).points, net)
         assert np.array_equal(PointSet.of(np.vstack([net, near])).points, net)
