@@ -11,23 +11,22 @@ Projections of many rows (`project_groups`) and the metric pairs of
 `_pair_indices` go through the grouped query `_nearest_groups`, whose rows
 each have their own set.  Its groups (the rows of one set) of at most
 GROUP_MAX distance entries are computed together in one padded call of the
-numpy kernel `_dist_matrix`, which removes the cost of a call per small set
-and sums coordinates in order, as `cdist` does, so it gives the same
-floats; a larger group is one `_nearest` call.  `small_sets` tells which
+numpy kernel `_dist_matrix`, which removes the cost of a call per small set;
+a larger group is one `_nearest` call.  `small_sets` tells which
 sets pair within that size, for callers that fill whole maps between sets.
 `_nearest` is the one place that chooses the path: a set of more than
 KDTREE_MIN points goes through a `scipy.spatial.cKDTree` in the l1, l2 or
 linf norm, which `PointSet.tree` builds on first use with sliding-midpoint
 splits and keeps with the frozen set, so a net that is queried many times
-builds one tree.  Smaller sets are queried by brute force in blocks of at
-most _BLOCK entries, which is faster there: a block of at most GROUP_MAX
-entries by `_dist_matrix`, a larger one by `cdist`.  All paths give the
-same distances and the same witnesses, in index order.
+builds one tree.  Smaller sets are queried by brute force, which is faster
+there, in blocks of at most _BLOCK entries of `_dist_matrix`.  The kernel
+sums coordinates in order, as `scipy.spatial.distance.cdist` does, so it
+gives the same floats.  All paths give the same distances and the same
+witnesses, in index order.
 
-scipy is loaded only where it is used: `scipy.spatial` on the first tree
-(a set of more than KDTREE_MIN points) or the first `cdist` block (more
-than GROUP_MAX entries).  Small sets, and importing the package, need
-numpy alone.
+scipy is loaded only where it is used: `scipy.spatial` on the first tree,
+for a set of more than KDTREE_MIN points.  Sets of at most KDTREE_MIN
+points, and importing the package, need numpy alone.
 
 Sets of more than KDTREE_MIN points also take a shortcut that leaves the
 answer unchanged: `hausdorff` queries only the rows of such a set that can
@@ -60,9 +59,9 @@ CHAIN_LIMIT = 10 ** 6
 # Sets of more points than this are queried through a KD-tree, smaller ones
 # by brute force.  Measured cost of one `dist_point_set` call (2 shared
 # cores, scipy 1.17, sliding-midpoint tree, fastest of 15 runs): with the
-# cached tree 28-29 us at any size; by brute force 13 us at 5 points, 25 us
-# at 2,048, 30 us at 3,072, 54 us at 8,201.  Such sets also enter
-# `hausdorff` through their cells.  The first tree imports scipy.spatial.
+# cached tree 27-29 us at any size; by brute force 25 us at 5 points, 29
+# us at 2,048, 34 us at 3,072.  Such sets also enter `hausdorff` through
+# their cells.  The first tree imports scipy.spatial.
 KDTREE_MIN = 2048
 # A group (the rows queried against one set) of at most this many distance
 # entries is computed with all such groups in one padded numpy kernel, a
@@ -70,23 +69,21 @@ KDTREE_MIN = 2048
 # shared cores, numpy 2.4, d = 1 and 2, fastest of 15 runs): the kernel
 # 2-7 us at 64 entries, 7-13 us at 256 and 14-25 us at 512; `_nearest`
 # 10-17 us at 64, 18-19 us at 256 and 12-25 us at 512.  They meet near 512.
-# `_nearest` computes a brute-force block of at most this many entries by
-# the same kernel, a larger one by `cdist`, whose first call imports
-# scipy.spatial.  On small blocks the two are within a few us; on a 2048 x
-# 2048 block in d = 2 the kernel took 59 ms and `cdist` 15 ms (2 shared
-# cores, fastest of 7 runs).  `small_sets` reads it too: sets of at most
-# sqrt(GROUP_MAX) points are small, their distance matrices at most one
-# kernel group's size.
+# `small_sets` reads it too: sets of at most sqrt(GROUP_MAX) points are
+# small, their distance matrices at most one kernel group's size.
 GROUP_MAX = 512
-# Entries (rows x width) of the kernel's padded matrix per call.
-_KERNEL_BLOCK = 1 << 18
+# Entries (rows x width) of one `_dist_matrix` call, grouped or not: its
+# two buffers of 512 KiB stay in cache.  Measured cost of a brute-force
+# `_nearest` with witnesses in l2, in blocks of this size against `cdist` in
+# blocks of 2^22 entries, side by side (2 shared cores, numpy 2.4, scipy
+# 1.17, fastest of 9 runs): 2048 x 2048 entries 25 against 43 ms in d = 1,
+# 38 against 39 ms in d = 2, 41 against 33 ms in d = 3; 1000 x 1000 in
+# d = 2 8.9 against 6.7 ms; 441 x 8 0.10 against 0.09 ms.
+_BLOCK = 1 << 16
 # `hausdorff` groups a set's rows by a grid of about this many rows a cell.
 _CELL_ROWS = 16
-# Block size (matrix entries) for chunked brute-force distance computations.
-_BLOCK = 1 << 22
 
 _EPS = np.finfo(float).eps
-_CDIST_METRIC = {"l1": "cityblock", "l2": "euclidean", "linf": "chebyshev"}
 _NORM_ORD = {"l1": 1, "l2": 2, "linf": np.inf}
 
 
@@ -297,9 +294,8 @@ def _nearest(P: np.ndarray, B: PointSet, norm: str, witnesses: bool = False):
     within TIE_TOL of row i's distance gives one pair (i, j).
 
     The one choice of path: B's cached KD-tree when B has more than
-    KDTREE_MIN points, brute-force blocks of at most _BLOCK entries
-    otherwise, each by `_dist_matrix` up to GROUP_MAX entries and by `cdist`
-    above."""
+    KDTREE_MIN points, `_dist_matrix` in blocks of at most _BLOCK entries
+    otherwise."""
     if P.shape[1] != B.dim:
         raise DimensionMismatch(f"dimension {P.shape[1]} vs {B.dim}")
     m, n = P.shape[0], len(B)
@@ -330,11 +326,7 @@ def _nearest(P: np.ndarray, B: PointSet, norm: str, witnesses: bool = False):
         return (np.concatenate(dist),
                 np.concatenate([r + k for r, k in zip(rows, ks)]),
                 np.concatenate(cols))
-    if m * n <= GROUP_MAX:
-        D = _dist_matrix(P, B.points.T[:, None], norm)
-    else:
-        from scipy.spatial.distance import cdist
-        D = cdist(P, B.points, metric=_CDIST_METRIC[norm])
+    D = _dist_matrix(P, B.points.T[:, None], norm)
     dist = D.min(axis=1)
     if not witnesses:
         return dist
@@ -342,7 +334,11 @@ def _nearest(P: np.ndarray, B: PointSet, norm: str, witnesses: bool = False):
 
 
 def min_dists(P: np.ndarray, Q: np.ndarray, norm: str = "l2") -> np.ndarray:
-    """Distance from each row of P to the set of the rows of Q."""
+    """Distance from each row of P to the set of the rows of Q.  A
+    non-finite coordinate in either raises ValueError, on every path."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    if not (np.isfinite(P).all() and np.isfinite(Q).all()):
+        raise ValueError("point has non-finite coordinates")
     return _nearest(P, PointSet(Q), norm)
 
 
@@ -393,7 +389,7 @@ def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str):
     A group, the rows of one set, is small when its distance matrix has at
     most GROUP_MAX entries.  All small groups are computed together by
     `_padded_nearest`, one call for the sets of each power-of-two width;
-    larger groups take `_nearest`, which picks the tree or `cdist`."""
+    larger groups take `_nearest`, which picks the tree or brute force."""
     m, d = P.shape
     if not m:
         none = np.empty(0, dtype=np.intp)
@@ -414,7 +410,7 @@ def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str):
         mine = np.flatnonzero(small[inv])
         for w in np.unique(width[small]):
             rows = mine[width[inv[mine]] == w]
-            step = max(1, _KERNEL_BLOCK // int(w))
+            step = max(1, _BLOCK // int(w))
             for k in range(0, rows.size, step):
                 r = rows[k:k + step]
                 dist[r], i, j, wit = _padded_nearest(
@@ -458,20 +454,26 @@ def _dist_matrix(P: np.ndarray, columns, norm: str) -> np.ndarray:
 
     The coordinates are summed one at a time, in order, as `cdist` sums
     them, so the distances equal its bit for bit (numpy's `sum` would add 8
-    or more terms pairwise)."""
+    or more terms pairwise).  The result and one buffer of its size serve
+    every coordinate."""
     if norm not in _NORM_ORD:
         raise KeyError(norm)
-    D = None
+    D = t = None
     for p, q in zip(P.T, columns):
-        t = p[:, None] - q
-        t = t * t if norm == "l2" else np.abs(t)
+        if D is not None and t is D:
+            t = np.empty_like(D)
+        t = np.subtract(p[:, None], q, out=t)
+        if norm == "l2":
+            np.multiply(t, t, out=t)
+        else:
+            np.abs(t, out=t)
         if D is None:
             D = t
         elif norm == "linf":
             np.maximum(D, t, out=D)
         else:
             D += t
-    return np.sqrt(D) if norm == "l2" else D
+    return np.sqrt(D, out=D) if norm == "l2" else D
 
 
 def hausdorff(A: PointSet, B: PointSet, norm: str = "l2") -> float:

@@ -434,16 +434,25 @@ def test_cli_on_small_sets_loads_no_scipy_subpackage(tmp_path, name):
     assert not loaded & set(LAZY_SCIPY)
 
 
-def test_cli_on_disc_nets_loads_scipy_spatial(tmp_path):
-    """The balls fixture's nets take `cdist` blocks, which load
-    scipy.spatial on first use, and the table is byte for byte the one
-    captured when the package imported scipy.spatial up front."""
+# Balls convergence on nets of at most KDTREE_MIN points (eps 0.1) and on
+# 8,201-point nets (eps 0.02), with the tables captured when the package
+# imported scipy.spatial up front.
+DISC_NETS = {"eps-0.1": (0.1, "convergence-balls.exact.csv", False),
+             "eps-0.02": (0.02, "convergence-balls-fine.exact.csv", True)}
+
+
+@pytest.mark.parametrize("name", sorted(DISC_NETS))
+def test_cli_on_disc_nets_loads_scipy_spatial_for_a_tree(tmp_path, name):
+    """Only a tree, for a set of more than KDTREE_MIN points, loads
+    scipy.spatial; brute force on smaller nets needs numpy alone.  Either
+    way the table is byte for byte the captured one."""
+    eps, capture, tree = DISC_NETS[name]
     golden = Path(__file__).resolve().parent / "golden"
     out, loaded = run_fresh(tmp_path, "convergence", {
         "fixture": "balls", "orders": [4, 16], "x_grid": 3, "depth": 1,
-        "eps": 0.1})
-    assert "scipy.spatial" in loaded
-    assert out == (golden / "convergence-balls.exact.csv").read_bytes()
+        "eps": eps})
+    assert ("scipy.spatial" in loaded) == tree
+    assert out == (golden / capture).read_bytes()
 
 
 def test_threads_flag_is_gone(capsys):

@@ -221,7 +221,7 @@ PADDED = (np.array([[2.25], [0.0]]), np.array([0, 1]),
 def test_grouped_query_matches_queries_per_group(inst, norm, group_max):
     """`_nearest_groups` and `project_groups`, with groups sent to the
     padded kernel or to `_nearest` by the patched GROUP_MAX, against
-    `_nearest` and `project_groups` on each group alone through `cdist`:
+    `_nearest` and `project_groups` on each group alone by brute force:
     the same distances, witnesses and picks, bit for bit."""
     P, owner, sets = inst
     psets = [PointSet.of(S, dedup_tol=0) for S in sets]
@@ -291,8 +291,8 @@ def test_kernel_distances_equal_cdist_bitwise(dim):
 
 
 # ---------------------------------------------------------------------------
-# `_nearest`'s brute-force blocks: the kernel up to GROUP_MAX entries,
-# `cdist` above, bit for bit the oracle's `cdist`
+# `_nearest`'s brute-force blocks: the kernel in every block, bit for bit
+# the oracle's `cdist`
 
 @pytest.mark.parametrize("scale", [1e-3, 0.37, 1.0, 1e4])
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -300,21 +300,25 @@ def test_kernel_distances_equal_cdist_bitwise(dim):
 def test_nearest_blocks_match_oracle_bitwise(norm, dim, scale):
     """Half-integer rows against integer grid sets, so that many rows are
     tied, in blocks of just below and just above GROUP_MAX entries (none
-    at all for a set of GROUP_MAX + 1 points): the distances and the
-    witnesses of the oracle's `cdist` rows, bit for bit, through the
-    kernel exactly when the block has at most GROUP_MAX entries."""
+    at all for a set of GROUP_MAX + 1 points), and over two blocks of
+    _BLOCK entries for the larger sets: the distances and the witnesses of
+    the oracle's `cdist` rows, bit for bit, all through the kernel."""
     rng = np.random.default_rng(dim)
     most = geometry.GROUP_MAX
-    for n in (1, 7, most, most + 1):
+    for n in (1, 7, most, most + 1, geometry.KDTREE_MIN):
         Q = rng.integers(-4, 5, size=(n, dim)) * scale
         B = PointSet.of(Q, dedup_tol=0)
-        for m in (most // n, most // n + 1):
+        sizes = (most // n, most // n + 1)
+        if n >= most:
+            sizes += (geometry._BLOCK // n + 1,)
+        for m in sizes:
             P = rng.integers(-10, 11, size=(m, dim)) / 2 * scale
             with mock.patch.object(geometry, "_dist_matrix",
                                    wraps=geometry._dist_matrix) as kernel:
                 dist = geometry._nearest(P, B, norm)
                 d, i, j = geometry._nearest(P, B, norm, witnesses=True)
-            assert kernel.called == (m * n <= most)
+            blocks = 1 if m * n <= geometry._BLOCK else 2
+            assert kernel.call_count == 2 * blocks
             assert np.array_equal(dist, oracle_min_dists(P, Q, norm))
             assert np.array_equal(d, dist)
             refs = [oracle_dist_point_set(p, Q, norm)[1] for p in P]
@@ -324,26 +328,28 @@ def test_nearest_blocks_match_oracle_bitwise(norm, dim, scale):
 
 
 @pytest.mark.parametrize("norm", NORMS)
-def test_nearest_of_no_rows_and_of_nan_rows(norm):
-    """A query of no rows gives empty arrays, on the kernel and the tree.  A
-    row with a NaN coordinate has distance nan and no witnesses, and the
-    other rows keep theirs; `cdist`'s chebyshev skips NaN coordinates, so
-    above GROUP_MAX entries only l1 and l2 are checked."""
+def test_nearest_of_no_rows_and_min_dists_of_non_finite_rows(norm):
+    """A query of no rows gives empty arrays, on the kernel and the tree.
+    `min_dists` refuses a NaN or infinite coordinate, in the rows or in the
+    set, with one answer on every path: ValueError in one block, in several
+    blocks and on the tree."""
     small = PointSet.of([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
     large = disc_net((0.0, 0.0), 1.0, 0.02)
+    assert len(large) > geometry.KDTREE_MIN
     for B in (small, large):
         d, i, j = geometry._nearest(np.empty((0, 2)), B, norm, witnesses=True)
         assert d.shape == i.shape == j.shape == (0,)
         assert geometry._nearest(np.empty((0, 2)), B, norm).shape == (0,)
-    P = np.array([[np.nan, 0.0], [0.5, 0.5], [0.0, np.nan], [np.nan] * 2])
-    for m in (4, geometry.GROUP_MAX):
-        if m * len(small) > geometry.GROUP_MAX and norm == "linf":
-            continue
-        rows = np.resize(P, (m, 2))
-        d, i, j = geometry._nearest(rows, small, norm, witnesses=True)
-        bad = np.isnan(rows).any(axis=1)
-        assert np.isnan(d[bad]).all() and not np.isnan(d[~bad]).any()
-        assert np.array_equal(np.unique(i), np.flatnonzero(~bad))
+        assert min_dists(np.empty((0, 2)), B.points, norm).shape == (0,)
+    for bad in (np.nan, np.inf, -np.inf):
+        for Q in (small.points, large.points):
+            for m in (2, geometry.GROUP_MAX, geometry._BLOCK // len(Q) + 1):
+                P = np.resize([[0.5, 0.5], [bad, 0.0]], (m, 2))
+                assert min_dists(P[::2], Q, norm).shape == (-(-m // 2),)
+                with pytest.raises(ValueError, match="non-finite"):
+                    min_dists(P, Q, norm)
+            with pytest.raises(ValueError, match="non-finite"):
+                min_dists(small.points, np.vstack([Q, [[0.0, bad]]]), norm)
 
 
 # ---------------------------------------------------------------------------

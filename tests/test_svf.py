@@ -656,7 +656,7 @@ def seeded_jobs(F):
 
 def test_lazy_maps_match_chains_built_alone():
     """The same jobs with every map filled lazily (GROUP_MAX 0), on the
-    tree and on `cdist`: a run of one set is skipped while its map fixes
+    tree and by brute force: a run of one set is skipped while its map fixes
     every index, and the drift through a tie cluster, where it does not,
     steps node by node."""
     for kdtree_min in (0, 10 ** 9):
@@ -706,7 +706,8 @@ def test_index_maps_match_the_reference_chains(F, norm, kdtree_min,
                                                group_max, specs):
     """Every chain of one `_greedy_chains` call equals `oracle_greedy_chain`
     bitwise, with all maps filled up front (GROUP_MAX large) or all filled
-    lazily through `_nearest` (GROUP_MAX 0), on the tree or `cdist`."""
+    lazily through `_nearest` (GROUP_MAX 0), on the tree or by brute
+    force."""
     jobs = []
     for depth, k in specs:
         chi = Partition.dyadic(0.0, 1.0, depth)
