@@ -200,12 +200,17 @@ def disc_net(center, radius: float, eps: float) -> PointSet:
     m = 8 * np.maximum(1, np.ceil(2.0 * PI * r / (8.0 * eps))).astype(int)
     if 1 + m.sum() > DISC_NET_MAX:
         raise DescriptionError(too_many)
-    pts = [np.array([[cx, cy]])]
-    for r_j, m_j in zip(r.tolist(), m.tolist()):
-        ang = np.linspace(0.0, 2.0 * PI, m_j, endpoint=False)
-        pts.append(np.column_stack([cx + r_j * np.cos(ang),
-                                    cy + r_j * np.sin(ang)]))
-    return PointSet.of(np.vstack(pts), dedup_tol=0)
+    # All rings in one pass: point k of ring j sits at the angle k times
+    # the ring's step 2 pi / m_j, which is how np.linspace(0, 2 pi, m_j,
+    # endpoint=False) computes it, bit for bit.
+    k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    ang = k * np.repeat(2.0 * PI / m, m)
+    rad = np.repeat(r, m)
+    pts = np.empty((1 + ang.size, 2))
+    pts[0] = cx, cy
+    pts[1:, 0] = cx + rad * np.cos(ang)
+    pts[1:, 1] = cy + rad * np.sin(ang)
+    return PointSet.of(pts, dedup_tol=0)
 
 
 def balls_fixture(x0: float = 0.5, eps: float = 1e-3) -> SetValuedFunction:

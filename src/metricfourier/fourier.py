@@ -6,7 +6,9 @@ Every partial sum is `trig_eval` of Fourier coefficients.  A piecewise-
 constant selection has exact coefficients: its `MetricChain.integral`
 against the trigonometric antiderivatives, the one chain path that the
 weighted metric integral takes too, so no quadrature error enters the
-set-valued approximants.  A single-valued selection takes one adaptive
+set-valued approximants.  A family's chains share one table of sin(kt) and
+-cos(kt) on the distinct nodes of their partitions, from which each chain
+gathers its rows.  A single-valued selection takes one adaptive
 Gauss-Kronrod quadrature of all its smooth panels, which serves every
 harmonic and every coordinate and evaluates the selection on one array of
 nodes per refinement round.  A family's coefficients form one (n+1, S, d)
@@ -265,15 +267,37 @@ def trig_eval(a, b, x, n: int | None = None):
 def chain_coefficients(c: MetricChain, n: int):
     """Exact (a, b), each (n+1, d), of a chain on [-pi, pi]: its integrals
     against the antiderivatives t, sin(kt) and -cos(kt), scaled by 1/pi and
-    1/(pi k).  One antiderivative at a time keeps one (N, n) temporary."""
-    if max(abs(c.nodes[0] + math.pi), abs(c.nodes[-1] - math.pi)) > PERIOD_TOL:
-        raise ValueError("chain must be defined on [-pi, pi]")
+    1/(pi k).  The one-chain case of `_chains_coefficients`."""
+    return _chains_coefficients([c], n)[0]
+
+
+def _chains_coefficients(chains, n: int) -> list:
+    """`chain_coefficients` of each chain, from one table of sin(kt) and
+    -cos(kt) on the sorted distinct nodes of all the chains' partitions:
+    each chain's `MetricChain.integral` gathers its own rows of it, so
+    every entry is the float the chain's own evaluation would give."""
+    for c in chains:
+        if max(abs(c.nodes[0] + math.pi),
+               abs(c.nodes[-1] - math.pi)) > PERIOD_TOL:
+            raise ValueError("chain must be defined on [-pi, pi]")
+    if not chains:
+        return []
+    chis = {id(c.partition): c.partition for c in chains}
+    t = np.unique(np.concatenate([chi.nodes for chi in chis.values()]))
     ks = np.arange(1, n + 1)
+    kt = np.multiply.outer(t, ks)
+    sin, cos = np.sin(kt), np.cos(kt, out=kt)
+    np.negative(cos, out=cos)
+    rows = {key: np.searchsorted(t, chi.nodes) for key, chi in chis.items()}
     scale = (math.pi * ks)[:, None]
-    a0 = c.integral(lambda t: t) / math.pi
-    a = c.integral(lambda t: np.sin(np.multiply.outer(t, ks))) / scale
-    b = c.integral(lambda t: -np.cos(np.multiply.outer(t, ks))) / scale
-    return np.vstack([a0, a]), np.vstack([np.zeros_like(a0), b])
+    out = []
+    for c in chains:
+        r = rows[id(c.partition)]
+        a0 = c.integral(lambda t: t) / math.pi
+        a = c.integral(lambda _: sin[r]) / scale
+        b = c.integral(lambda _: cos[r]) / scale
+        out.append((np.vstack([a0, a]), np.vstack([np.zeros_like(a0), b])))
+    return out
 
 
 def selection_coefficients(s: MetricSelection, n: int, breakpoints=()):
@@ -286,8 +310,13 @@ def selection_coefficients(s: MetricSelection, n: int, breakpoints=()):
 
 def family_coefficients(F: SetValuedFunction, n: int, family: tuple):
     """(a, b), each (n+1, S, d): the coefficients of every selection,
-    stacked along axis 1, after the harmonics."""
-    pairs = [selection_coefficients(s, n, F.jump_points) for s in family]
+    stacked along axis 1, after the harmonics.  The chain selections share
+    one trigonometric table (`_chains_coefficients`)."""
+    exact = iter(_chains_coefficients(
+        [s for s in family if s.smooth_fn is None], n))
+    pairs = [next(exact) if s.smooth_fn is None else
+             fourier_coefficients(s.smooth_fn, n, F.jump_points)
+             for s in family]
     return tuple(np.stack(c, axis=1) for c in zip(*pairs))
 
 

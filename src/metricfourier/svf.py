@@ -7,7 +7,10 @@ on a fine dyadic partition; `cauchy_defect` records how much the chain
 moved in the last refinement step (convergence diagnostic, not a proof).
 `_greedy_chains` builds the chains of a whole family together: a chain is
 a sequence of point indices, and a greedy step an index map between the
-sets of two nodes, computed once for all chains that take it.
+sets of two nodes, computed once for all chains that take it.  A family's
+partitions of one depth are one dyadic grid with each seed abscissa
+inserted (`Partition.dyadic_seeded`), and the waves of steps that repeat
+maps which fixed every index are filled in one block.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (DEDUP_TOL, PointSet, _dedup, as_point,
-                       enumerate_metric_chains, hausdorff, project_groups,
-                       row_norms, small_sets)
+                       enumerate_metric_chains, hausdorff, lex_ranks,
+                       project_groups, row_norms, small_sets)
 
 # Seed values must lie in F(x_hat) within this tolerance.
 SEED_TOL = 1e-7
@@ -75,14 +78,38 @@ class Partition:
         """The uniform grid of 2**depth cells plus every interior forced
         point farther than NODE_TOL from the grid and from the forced points
         kept before it."""
-        grid = np.linspace(a, b, 2 ** depth + 1)
-        xs = np.array([float(x) for x in forced if a < float(x) < b])
-        # The grid is sorted, so its nearest node is a searchsorted neighbour.
-        i = np.clip(np.searchsorted(grid, xs), 1, grid.size - 1)
-        gap = np.minimum(np.abs(xs - grid[i - 1]), np.abs(xs - grid[i]))
-        xs = xs[gap > NODE_TOL]
-        kept = xs[_dedup(xs[None, :, None], NODE_TOL)[0]]
+        grid, _, kept = _dyadic_parts(a, b, depth, forced)
         return Partition.of(np.concatenate([grid, kept]))
+
+    @staticmethod
+    def dyadic_seeded(a: float, b: float, depth: int, xs,
+                      forced=()) -> list["Partition"]:
+        """`Partition.dyadic(a, b, depth, (x,) + tuple(forced))` for each x of
+        xs, from one grid: the partition of the forced points alone, with x
+        inserted by that rule.  An x it drops (outside (a, b) or within
+        NODE_TOL of the grid) gets that partition itself, and so does an x
+        that only stands in for a forced point; equal xs share one
+        Partition."""
+        grid, cand, kept = _dyadic_parts(a, b, depth, forced)
+        base = Partition.of(np.concatenate([grid, kept]))
+        off = set(_off_grid(grid, a, b, xs).tolist())
+        out: dict = {}
+        for x in map(float, xs):
+            if x in out:
+                continue
+            if x not in off:
+                out[x] = base
+            elif all(abs(c - x) > NODE_TOL for c in cand.tolist()):
+                i = np.searchsorted(base.nodes, x)
+                nodes = np.concatenate([base.nodes[:i], [x], base.nodes[i:]])
+                nodes.setflags(write=False)
+                out[x] = Partition(nodes)
+            else:
+                # x is kept and drops a forced point near it, which can
+                # let a later forced point back in.
+                chi = Partition.dyadic(a, b, depth, (x,) + tuple(forced))
+                out[x] = base if np.array_equal(chi.nodes, base.nodes) else chi
+        return [out[float(x)] for x in xs]
 
     @property
     def a(self) -> float:
@@ -98,6 +125,25 @@ class Partition:
 
     def __len__(self) -> int:
         return self.nodes.size
+
+
+def _dyadic_parts(a: float, b: float, depth: int, forced):
+    """The grid of `Partition.dyadic`, the forced points inside (a, b)
+    farther than NODE_TOL from it, in their order, and those of them it
+    keeps: each farther than NODE_TOL from the ones kept before it."""
+    grid = np.linspace(a, b, 2 ** depth + 1)
+    cand = _off_grid(grid, a, b, forced)
+    return grid, cand, cand[_dedup(cand[None, :, None], NODE_TOL)[0]]
+
+
+def _off_grid(grid: np.ndarray, a: float, b: float, forced) -> np.ndarray:
+    """The forced points inside (a, b) farther than NODE_TOL from every
+    node of the sorted grid, in their order."""
+    xs = np.array([float(x) for x in forced if a < float(x) < b])
+    # The grid is sorted, so its nearest node is a searchsorted neighbour.
+    i = np.clip(np.searchsorted(grid, xs), 1, grid.size - 1)
+    gap = np.minimum(np.abs(xs - grid[i - 1]), np.abs(xs - grid[i]))
+    return xs[gap > NODE_TOL]
 
 
 @dataclass(frozen=True)
@@ -194,6 +240,8 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
 
     Every chain keeps its own partition, so each equals the chain built
     alone.  F is evaluated once per node of the union of the partitions.
+    The partitions of a family are one dyadic grid plus a seed node each
+    (`Partition.dyadic_seeded`), so the union is about one grid.
 
     After its seed step, a chain's value at a node is a point of F there,
     so a chain is a sequence of point indices and a greedy step is a fixed
@@ -203,37 +251,40 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     the same object or have bitwise equal points, and a map is keyed by
     its pair of labels, so a run of one set reuses one map (which may move
     a point within a cluster spaced below TIE_TOL: the chain drifts one
-    step a node, as when built alone).  Maps between sets that
-    `geometry.small_sets` calls small are filled for every point, all by
-    one `project_groups` call.  A map touching a larger set is filled only at
-    the indices chains reach, by one call per wave that reaches new ones,
-    into a sorted cache; no map of a large set is stored densely.
+    step a node, as when built alone).  Labels rise by at most one from a
+    union node to the next, so the label pair of a step is numbered from
+    its two labels directly; only a step that skips a label of the union
+    goes through `np.unique`.  Maps between sets that `geometry.small_sets`
+    calls small are filled for every point, all by one `project_groups`
+    call.  A map touching a larger set is filled only at the indices
+    chains reach, by one call per wave that reaches new ones, into a
+    sorted cache; no map of a large set is stored densely.
 
     The seed values are projected by one `project_groups` call.  Then every
     chain steps outward from its seed node, rightward and leftward, one
-    wave of steps at a time, each wave a few integer gathers; a wave that
-    repeats the large maps of the wave before, which fixed every index, is
-    skipped.  The distinct steps come from the partitions, which jobs
-    share, not from the rows.
+    wave of steps at a time, each wave a few integer gathers.  Once a wave
+    on large maps fixed every index, the waves that repeat its maps (each
+    live half-chain on the map it took the wave before) fix them again:
+    they are filled in one block, up to the next wave at which some
+    half-chain's map changes.  The distinct steps come from the
+    partitions, which jobs share, not from the rows.
     """
     if sets is None:
         sets = {}
-    # Jobs share partitions (by identity): labels and steps are per partition.
+    # Jobs share partitions (by identity); their nodes are laid end to end
+    # in `flat`, partition c from start[c].
     chis = list({id(chi): chi for chi, _ in jobs}.values())
     which = {id(chi): k for k, chi in enumerate(chis)}
     part = np.array([which[id(chi)] for chi, _ in jobs])
+    x_hat = np.array([float(seed[0]) for _, seed in jobs])
     seeds = np.array([as_point(seed[1]) for _, seed in jobs])
-    sizes = np.array([len(chi) for chi, _ in jobs])
-    offsets = np.cumsum(sizes) - sizes
-    i0 = np.empty(len(jobs), dtype=np.intp)
-    for k, (chi, seed) in enumerate(jobs):
-        i0[k] = np.argmin(np.abs(chi.nodes - float(seed[0])))
-        if abs(chi.nodes[i0[k]] - float(seed[0])) > SEED_NODE_TOL:
-            raise ValueError("seed abscissa must be a partition node")
-    union = np.unique(np.concatenate([chi.nodes for chi in chis]))
+    size = np.array([len(chi) for chi in chis])
+    start = np.cumsum(size) - size
+    flat = np.concatenate([chi.nodes for chi in chis])
+    union = np.unique(flat)
     new = [x for x in union.tolist() if x not in sets]
     sets.update(zip(new, F.sample(new)))
-    images = [sets[x] for x in union]
+    images = [sets[x] for x in union.tolist()]
     changed = [A is not B and (len(A) != len(B)
                                or A.points.tobytes() != B.points.tobytes())
                for A, B in zip(images, images[1:])]
@@ -241,16 +292,49 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     limg = [images[i] for i in np.flatnonzero(np.diff(label, prepend=-1))]
     lsize = np.array([len(S) for S in limg])
     small = small_sets(lsize)
-    labs = [label[np.searchsorted(union, chi.nodes)] for chi in chis]
-    # The steps of each partition into nodes 1..n-1 (rightward), then into
-    # nodes 0..n-2 (leftward), as label pairs; a map per distinct pair.
-    keys = np.concatenate([np.concatenate([a[:-1] * len(limg) + a[1:],
-                                           a[1:] * len(limg) + a[:-1]])
-                           for a in labs])
-    pairs, pid = np.unique(keys, return_inverse=True)
-    src_lab, dst_lab = np.divmod(pairs, len(limg))
-    rofs = np.cumsum([0] + [2 * (len(a) - 1) for a in labs])[:-1]
-    lofs = rofs + np.array([len(a) - 1 for a in labs])
+    nlab = len(limg)
+    pos = np.searchsorted(union, flat)
+    lab = label[pos]
+    # Each seed's node: the nearest node of its partition is the first at
+    # or after it (found by union position, c * |union| + pos rising along
+    # flat) or the one before.
+    hi = np.searchsorted(np.repeat(np.arange(len(chis)), size) * len(union)
+                         + pos, part * len(union)
+                         + np.searchsorted(union, x_hat))
+    lo = np.maximum(hi - 1, start[part])
+    hi = np.minimum(hi, start[part] + size[part] - 1)
+    gap_lo, gap_hi = np.abs(flat[lo] - x_hat), np.abs(flat[hi] - x_hat)
+    at = np.where(gap_hi < gap_lo, hi, lo)
+    if (np.minimum(gap_lo, gap_hi) > SEED_NODE_TOL).any():
+        raise ValueError("seed abscissa must be a partition node")
+    # Step f of `flat` goes from node f to f + 1 (rightward, pid[f]) or
+    # from f + 1 to f (leftward, pid[len(flat) - 1 + f]); a step across two
+    # partitions is never taken.  A label pair (s, t) with |s - t| <= 1 is
+    # numbered 3 min(s, t) + (0, 1, 2 for t = s, s + 1, s - 1), the others
+    # 3 nlab on; then the numbers in use are ranked into pair ids.
+    ok = np.ones(len(flat) - 1, dtype=bool)
+    ok[start[1:] - 1] = False
+    ok = np.concatenate([ok, ok])
+    src = np.concatenate([lab[:-1], lab[1:]])[ok]
+    dst = np.concatenate([lab[1:], lab[:-1]])[ok]
+    gap = dst - src
+    code = np.where(gap == 0, 3 * src,
+                    np.where(gap == 1, 3 * src + 1, 3 * dst + 2))
+    far = np.abs(gap) > 1
+    far_keys, code[far] = np.unique(src[far] * nlab + dst[far],
+                                    return_inverse=True)
+    code[far] += 3 * nlab
+    used = np.zeros(3 * nlab + far_keys.size, dtype=bool)
+    used[code] = True
+    pairs = np.flatnonzero(used)
+    pid = np.zeros(ok.size, dtype=np.intp)
+    pid[ok] = (np.cumsum(used) - 1)[code]
+    near = pairs < 3 * nlab
+    src_lab, dst_lab = np.empty((2, pairs.size), dtype=np.intp)
+    third, kind = np.divmod(pairs[near], 3)
+    src_lab[near], dst_lab[near] = third + (kind == 2), third + (kind == 1)
+    src_lab[~near], dst_lab[~near] = np.divmod(
+        far_keys[pairs[~near] - 3 * nlab], nlab)
     # The maps between small sets, from one query of their points, then a
     # sink of zeros, where every other map reads.
     dense = small[src_lab] & small[dst_lab]
@@ -268,7 +352,7 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     # A map touching a large set: a sorted cache of its entries (pair p,
     # index k) at key p * top + k, ended by a key above them all.
     # `step_large` takes the keys of a step.
-    cache = [np.array([len(pairs) * top]), np.array([-1])]
+    cache = [np.array([pairs.size * top]), np.array([-1])]
 
     def step_large(keys):
         ks, vs = cache
@@ -287,12 +371,14 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
             at = np.searchsorted(ks, keys)
         return vs[at]
 
-    # The seed step.
-    seed_lab = np.array([labs[p][i] for p, i in zip(part, i0)])
-    dist, idx0 = project_groups(seeds, seed_lab, limg, norm)
+    # The seed step.  Output row offsets[j] + i holds job j's node i.
+    dist, idx0 = project_groups(seeds, lab[at], limg, norm)
     if dist.max() > SEED_TOL:
         raise GreedySeedError(
             f"seed value is {dist.max():.3g} away from F(x_hat)")
+    sizes = size[part]
+    offsets = np.cumsum(sizes) - sizes
+    i0 = at - start[part]
     idx = np.empty(int(sizes.sum()), dtype=np.intp)
     idx[offsets + i0] = idx0
     # Every chain grows from its seed row as two halves, rightward and
@@ -303,12 +389,13 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     # the cache replaces it.
     head = np.concatenate([offsets + i0] * 2)
     sign = np.repeat([1, -1], len(jobs))
-    base = np.concatenate([rofs[part] + i0 - 1, lofs[part] + i0])
+    base = np.concatenate([at - 1, len(flat) - 1 + at])
     length = np.concatenate([sizes - 1 - i0, i0])
     order = np.argsort(-length, kind="stable")
     head, sign, base, length = (a[order] for a in (head, sign, base, length))
     cur = np.concatenate([idx0, idx0])[order]
     span = max(1, _WAVE_ENTRIES // len(head))
+    fixed, last = False, None
     for w0 in range(1, length[0] + 1, span):
         w = np.arange(w0, min(w0 + span, length[0] + 1))[:, None]
         live = w <= length
@@ -317,47 +404,71 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
         steps = np.empty(p.shape, dtype=np.intp)
         large = ~dense[p] & live
         pk = p * top
-        fixed = False
-        for t, (c, k) in enumerate(zip(live.sum(axis=1).tolist(),
-                                       large.sum(axis=1).tolist())):
+        count, nlarge = live.sum(axis=1), large.sum(axis=1)
+        # A wave repeats the one before when every live half takes a large
+        # map, the one it took then; the others may change an index.
+        before = np.concatenate([pk[:1] if last is None else last, pk[:-1]])
+        moved = (count != nlarge) | ((pk != before) & live).any(axis=1)
+        change = np.flatnonzero(moved)
+        last = pk[-1:]
+        count, nlarge = count.tolist(), nlarge.tolist()
+        t = 0
+        while t < len(w):
+            c, k = count[t], nlarge[t]
             if k == c:
-                # A wave on the maps of the wave before, which fixed every
-                # index, fixes them again (a run of one large set).
-                if not (fixed and (pk[t, :c] == pk[t - 1, :c]).all()):
+                if not fixed or moved[t]:
                     nxt = step_large(pk[t, :c] + cur[:c])
                     fixed = (nxt == cur[:c]).all()
                     cur[:c] = nxt
                 steps[t] = cur
-                continue
-            fixed = False
-            nxt = maps[off[t] + cur]
-            if k:
-                big = large[t]
-                nxt[big] = step_large(pk[t][big] + cur[big])
-            cur = steps[t] = nxt
+                if fixed:
+                    # The waves before the next change fix every index again.
+                    u = np.searchsorted(change, t, side="right")
+                    end = change[u] if u < change.size else len(w)
+                    steps[t + 1:end] = cur
+                    t = end
+                    continue
+            else:
+                fixed = False
+                nxt = maps[off[t] + cur]
+                if k:
+                    big = large[t]
+                    nxt[big] = step_large(pk[t][big] + cur[big])
+                cur = steps[t] = nxt
+            t += 1
         idx[(head + sign * w)[live]] = steps[live]
-    # Values: small sets' from their joined points.  A large set's nodes
-    # form one run in each partition, the same for every job on it, so its
-    # rows are gathered run by run.
-    lab = np.concatenate([labs[p] for p in part])
-    on = small[lab]
-    vals = np.empty((len(idx), seeds.shape[1]))
-    vals[on] = pts[loff[lab[on]] + idx[on]]
-    if not on.all():
-        a = np.concatenate(labs)
-        first = np.cumsum([0] + [len(x) for x in labs])
-        edge = np.diff(a, prepend=-1) != 0
-        edge[first[:-1]] = True
-        edge = np.append(np.flatnonzero(edge), a.size)
-        big = ~small[a[edge[:-1]]]
-        lo, hi = edge[:-1][big], edge[1:][big]
-        j = np.searchsorted(first, lo, side="right") - 1
-        by = np.argsort(part, kind="stable")
-        heads = np.split(offsets[by][:, None],
-                         np.cumsum(np.bincount(part, minlength=len(chis)))[:-1])
-        for l, h, j in zip(lo.tolist(), hi.tolist(), j.tolist()):
-            b = heads[j] + np.arange(l - first[j], h - first[j])
-            vals[b] = limg[a[l]].points[idx[b]]
+    # Values: small sets' from their joined points, a large set's by one
+    # gather.  A partition's nodes fall into runs of one label, the same for
+    # every job on it; the runs of large sets, ordered by label, times the
+    # jobs on their partitions give the rows of each label in one block.
+    vals = np.empty((idx.size, seeds.shape[1]))
+    if small.any():
+        row_lab = np.concatenate([lab[start[c]:start[c] + size[c]]
+                                  for c in part.tolist()])
+        on = small[row_lab]
+        vals[on] = pts[loff[row_lab[on]] + idx[on]]
+    if not small.all():
+        edge = np.diff(lab, prepend=-1) != 0
+        edge[start] = True
+        lo = np.flatnonzero(edge)
+        hi = np.append(lo[1:], lab.size)
+        run = np.flatnonzero(~small[lab[lo]])
+        run = run[np.argsort(lab[lo[run]], kind="stable")]
+        c = np.searchsorted(start, lo[run], side="right") - 1
+        njobs = np.bincount(part, minlength=len(chis))
+        nj = njobs[c]
+        k = np.arange(nj.sum()) - np.repeat(np.cumsum(nj) - nj, nj)
+        job = np.argsort(part, kind="stable")[
+            np.repeat(np.cumsum(njobs)[c] - nj, nj) + k]
+        r = np.repeat(run, nj)
+        width = hi[r] - lo[r]
+        first = np.cumsum(width) - width
+        rows = (np.repeat(offsets[job] + lo[r] - start[part[job]] - first,
+                          width) + np.arange(width.sum()))
+        new = np.flatnonzero(np.diff(lab[lo[r]], prepend=-1))
+        for l, b in zip(lab[lo[r[new]]].tolist(),
+                        np.split(rows, first[new[1:]])):
+            vals[b] = limg[l].points[idx[b]]
     return [MetricChain(chi, vals[o:o + n])
             for (chi, _), o, n in zip(jobs, offsets, sizes)]
 
@@ -397,42 +508,67 @@ def approximate_selection(F: SetValuedFunction, seed, depth: int,
     `_greedy_chains` sweep."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    forced = (float(seed[0]),) + tuple(F.jump_points)
-    probe = Partition.dyadic(F.a, F.b, min(depth, PROBE_DEPTH), forced)
+    xs, jumps = [float(seed[0])], tuple(F.jump_points)
+    probe, = Partition.dyadic_seeded(F.a, F.b, min(depth, PROBE_DEPTH), xs,
+                                     jumps)
     depths = [depth, depth - 1] if depth > 1 else [depth]
     sets: dict = {}
-    chains = _greedy_chains(F, [(Partition.dyadic(F.a, F.b, k, forced), seed)
+    chains = _greedy_chains(F, [(Partition.dyadic_seeded(F.a, F.b, k, xs,
+                                                         jumps)[0], seed)
                                 for k in depths], norm, sets)
-    prev = chains[1] if depth > 1 else None
-    return _selection(F, seed, depth, chains[0], prev, probe, norm, sets)
+    return _selections(F, [seed], depth, chains,
+                       _at_nodes(chains, probe.nodes), norm, sets)[0]
 
 
-def _selection(F: SetValuedFunction, seed, depth: int, last: MetricChain,
-               prev: MetricChain | None, probe: Partition, norm: str,
-               sets: dict) -> MetricSelection:
-    """The selection of the depth-`depth` chain `last`.  `cauchy_defect` is
-    its largest move on the probe nodes from `prev`, the chain one level
-    coarser (0 at depth 1).  If F is singleton-valued on the nodes of `last`
-    (read from the memo `sets`), its unique selection x -> the single point
-    of F(x) is kept as the exact evaluator: it maps a 1-d array of m points
-    to their (m, d) values, and raises ValueError where F(x) is not a
-    singleton."""
-    defect = 0.0
-    if prev is not None:
-        defect = float(row_norms(last(probe.nodes) - prev(probe.nodes),
-                                 norm).max())
-    smooth = None
-    if all(len(sets[x]) == 1 for x in last.nodes):
+def _selections(F: SetValuedFunction, seeds, depth: int, chains, at,
+                norm: str, sets: dict, keep=None) -> list[MetricSelection]:
+    """The selections of the depth-`depth` chains, the first len(seeds) of
+    `chains`, one per seed (those `keep` marks, if given).  `cauchy_defect`
+    is a chain's largest move on the probe nodes, where `at` holds each
+    chain's values, from the chain one level coarser, its counterpart among
+    the rest of `chains` (0 at depth 1).  If
+    F is singleton-valued on a chain's nodes (read from the memo `sets`),
+    the unique selection x -> the single point of F(x) is kept as its exact
+    evaluator: it maps a 1-d array of m points to their (m, d) values, and
+    raises ValueError where F(x) is not a singleton.  The singleton test
+    is taken once per partition."""
 
-        def smooth(xs):
-            rows = np.concatenate([S.points for S in F.sample(xs)])
-            if len(rows) != len(xs):
-                raise ValueError("set is not a singleton")
-            return rows
+    def smooth(xs):
+        rows = np.concatenate([S.points for S in F.sample(xs)])
+        if len(rows) != len(xs):
+            raise ValueError("set is not a singleton")
+        return rows
 
-    return MetricSelection(last.partition, last.values,
-                           (float(seed[0]), as_point(seed[1])), depth, defect,
-                           smooth)
+    single: dict = {}
+    out = []
+    for i, (seed, last) in enumerate(zip(seeds, chains)):
+        if keep is not None and not keep[i]:
+            continue
+        defect = 0.0
+        if len(chains) > len(seeds):
+            defect = float(row_norms(at[i] - at[len(seeds) + i], norm).max())
+        chi = last.partition
+        if id(chi) not in single:
+            single[id(chi)] = all(len(sets[x]) == 1 for x in chi.nodes.tolist())
+        out.append(MetricSelection(
+            chi, last.values, (float(seed[0]), as_point(seed[1])), depth,
+            defect, smooth if single[id(chi)] else None))
+    return out
+
+
+def _at_nodes(chains, nodes: np.ndarray) -> list[np.ndarray]:
+    """Each chain's values at the nodes, as calling it gives them (nodes
+    within its domain), with the rows found once per partition."""
+    rows: dict = {}
+    out = []
+    for c in chains:
+        r = rows.get(id(c.partition))
+        if r is None:
+            r = rows[id(c.partition)] = np.clip(
+                np.searchsorted(c.nodes, nodes, side="right") - 1, 0,
+                len(c.nodes) - 1)
+        out.append(c.values[r])
+    return out
 
 
 def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
@@ -441,38 +577,41 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
     y_seeds points of each F(x_hat), or every point if y_seeds is "all",
     deduplicated on a probe grid: the stand-in for all metric selections.
 
-    The depth-`depth` and depth-`depth - 1` chains of all seeds are built
+    The seed values are evenly spaced ranks of the lexicographic order of
+    F(x_hat), picked by `geometry.lex_ranks` once per distinct set.  The
+    partitions of each depth are one dyadic grid with each abscissa
+    inserted (`Partition.dyadic_seeded`), shared by the seeds at it, and
+    the depth-`depth` and depth-`depth - 1` chains of all seeds are built
     together by one `_greedy_chains` sweep."""
     every = y_seeds == "all"
     if x_seeds < 1 or not every and y_seeds < 1:
         raise ValueError("seed counts must be positive")
     xs = sorted(set(np.linspace(F.a, F.b, x_seeds)) | {float(j) for j in F.jump_points})
-    probe = Partition.dyadic(F.a, F.b, PROBE_DEPTH, tuple(F.jump_points))
-    # The seed picks read F(x_hat) through the engine's node memo, and take
-    # evenly spaced ranks of its cached lexicographic order.
+    jumps = tuple(F.jump_points)
+    probe = Partition.dyadic(F.a, F.b, PROBE_DEPTH, jumps)
+    # The seed picks read F(x_hat) through the engine's node memo.
     sets = dict(zip(xs, F.sample(xs)))
+    picks: dict = {}
     seeds = []
     for x_hat in xs:
         S = sets[x_hat]
-        picks = S.lex_order
-        if not every and len(S) > y_seeds:
-            picks = picks[np.linspace(0, len(S) - 1, y_seeds).round().astype(int)]
-        seeds += [(x_hat, y_hat) for y_hat in S.points[picks]]
+        if id(S) not in picks:
+            m = len(S)
+            ranks = (np.arange(m) if every or m <= y_seeds else
+                     np.linspace(0, m - 1, y_seeds).round().astype(int))
+            picks[id(S)] = S.points[lex_ranks(S.points, ranks)]
+        seeds += [(x_hat, y_hat) for y_hat in picks[id(S)]]
     depths = [depth, depth - 1] if depth > 1 else [depth]
-    grids = {(x_hat, k): Partition.dyadic(F.a, F.b, k,
-                                          (float(x_hat),) + tuple(F.jump_points))
-             for x_hat in xs for k in depths}
-    chains = _greedy_chains(F, [(grids[seed[0], k], seed)
+    grids = {k: dict(zip(xs, Partition.dyadic_seeded(F.a, F.b, k, xs, jumps)))
+             for k in depths}
+    chains = _greedy_chains(F, [(grids[k][seed[0]], seed)
                                 for k in depths for seed in seeds],
                             norm, sets=sets)
-    prevs = chains[len(seeds):] or [None] * len(seeds)
     # Keep-first dedup of the selections' signatures on the probe grid.
-    sigs = np.stack([last(probe.nodes).ravel()
-                     for last in chains[:len(seeds)]])
-    kept = _dedup(sigs[None], DEDUP_TOL)[0]
-    return tuple(_selection(F, seed, depth, last, prev, probe, norm, sets)
-                 for seed, last, prev, keep in zip(seeds, chains, prevs, kept)
-                 if keep)
+    at = _at_nodes(chains, probe.nodes)
+    kept = _dedup(np.stack([v.ravel() for v in at[:len(seeds)]])[None],
+                  DEDUP_TOL)[0]
+    return tuple(_selections(F, seeds, depth, chains, at, norm, sets, kept))
 
 
 def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,

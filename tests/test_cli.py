@@ -660,6 +660,25 @@ def test_config_depth_limit_admits_the_deepest_family():
         ExperimentConfig.from_dict({"depth": top + 1})
 
 
+@pytest.mark.parametrize("center,radius,eps", [
+    ((0.0, 0.0), 1.0, 0.1), ((-2.0, 2.0), 1.0, 0.02),
+    ((2.3, -1.7), 1.0, 0.005), ((0.4, -0.3), 0.37, 0.001),
+    ((1e3, -7.5), 2.5, 0.02)])
+def test_disc_net_equals_rings_built_one_by_one(center, radius, eps):
+    """The rings built in one array pass are, bit for bit, the rings built
+    one at a time from np.linspace(0, 2 pi, m_j, endpoint=False)."""
+    rings = max(1, math.ceil(radius / eps))
+    r = radius * np.arange(1, rings + 1) / rings
+    m = 8 * np.maximum(1, np.ceil(2.0 * PI * r / (8.0 * eps))).astype(int)
+    want = [np.array([center], dtype=float)]
+    for r_j, m_j in zip(r.tolist(), m.tolist()):
+        ang = np.linspace(0.0, 2.0 * PI, m_j, endpoint=False)
+        want.append(np.column_stack([center[0] + r_j * np.cos(ang),
+                                     center[1] + r_j * np.sin(ang)]))
+    assert np.array_equal(fx.disc_net(center, radius, eps).points,
+                          np.vstack(want))
+
+
 def test_disc_net_limit_is_its_exact_size():
     """The count that `disc_net` checks is the size of the net it builds."""
     n = len(fx.disc_net((0.0, 0.0), 1.0, 0.1))

@@ -14,7 +14,8 @@ from metricfourier.fixtures import (SCALAR_FIXTURES, constant_set_fixture,
                                     lines_fixture, sawtooth,
                                     singleton_fixture, square_wave,
                                     step_fixture, trig_poly, two_branch_sine)
-from metricfourier.fourier import (QTOL, class_membership, delta_grid,
+from metricfourier.fourier import (QTOL, chain_coefficients,
+                                   class_membership, delta_grid,
                                    dirichlet, dirichlet_antiderivative,
                                    dirichlet_cos_sum, djordan_bound_rhs,
                                    family_coefficients, fit_K,
@@ -306,6 +307,42 @@ def test_coefficients_ignore_the_value_at_a_breakpoint():
                          / (PI * k))) <= 1e-12
     assert np.max(np.abs(b[1:] - 4.0 * (np.cos(2.2 * k) - np.cos(0.2 * k))
                          / (PI * k))) <= 1e-12
+
+
+def reference_chain_coefficients(c, n):
+    """A chain's exact coefficients from its own nodes alone: each
+    antiderivative evaluated on them, as one chain at a time computed it."""
+    ks = np.arange(1, n + 1)
+    scale = (PI * ks)[:, None]
+    a0 = c.integral(lambda t: t) / PI
+    a = c.integral(lambda t: np.sin(np.multiply.outer(t, ks))) / scale
+    b = c.integral(lambda t: -np.cos(np.multiply.outer(t, ks))) / scale
+    return np.vstack([a0, a]), np.vstack([np.zeros_like(a0), b])
+
+
+@pytest.mark.parametrize("n", [4, 40])
+def test_family_coefficients_match_per_selection(n):
+    """The family's one trigonometric table gives every chain selection the
+    coefficients of `chain_coefficients` and of the per-chain reference, bit
+    for bit, and every singleton selection its quadrature coefficients, on
+    a family that mixes both, at an order below and above the chains' node
+    count (10 or 11 nodes at depth 3)."""
+    F = lines_fixture()
+    chains = selection_family(F, 4, 3, 3)
+    single = selection_family(singleton_fixture(math.cos), 3, 1, 3)
+    fam = chains[:2] + single + chains[2:]
+    assert len({id(s.partition) for s in chains}) > 1
+    assert {s.smooth_fn is None for s in fam} == {True, False}
+    got = family_coefficients(F, n, fam)
+    assert got[0].shape == (n + 1, len(fam), 1)
+    for j, s in enumerate(fam):
+        if s.smooth_fn is None:
+            want, one = reference_chain_coefficients(s, n), chain_coefficients(s, n)
+        else:
+            want = one = fourier_coefficients(s.smooth_fn, n, F.jump_points)
+        for g, w, o in zip(got, want, one):
+            assert np.array_equal(g[:, j], w)
+            assert np.array_equal(o, w)
 
 
 def test_singleton_coefficients_evaluate_F_once_per_node():

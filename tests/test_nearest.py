@@ -5,6 +5,7 @@ KD-tree, smaller ones by brute force.  Patching the constant forces either
 path on small sets; the brute-force references live in `oracle.py`.
 """
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -595,6 +596,44 @@ def test_dedup_projection_path_matches_oracle(inst):
     for rows in (np.resize(arr, (m, d)), np.resize(arr, (m + 1, d))):
         assert np.array_equal(PointSet.of(rows, dedup_tol=tol).points,
                               oracle_dedup(rows, tol))
+
+
+def test_dedup_clusters_take_linear_time():
+    """Each row is tested only against the kept rows in its window, so
+    20,000 equal rows, and 20,000 rows in 200 clusters spread below tol
+    and shuffled, keep exactly the reference's rows within 2 s (a test of
+    every near pair took about a minute)."""
+    rng = np.random.default_rng(5)
+    tol = geometry.DEDUP_TOL
+    centres = np.repeat(rng.uniform(-5.0, 5.0, (200, 2)), 100, axis=0)
+    clusters = centres + rng.uniform(0.0, tol / 4, centres.shape)
+    for arr in (np.full((20000, 2), 0.25),
+                clusters[rng.permutation(len(clusters))]):
+        start = time.perf_counter()
+        got = PointSet.of(arr).points
+        elapsed = time.perf_counter() - start
+        assert np.array_equal(got, oracle_dedup(arr, tol))
+        assert elapsed < 2.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                       min_size=1, max_size=40)),
+       st.one_of(st.just("all"), st.integers(1, 45)),
+       st.lists(st.booleans(), min_size=40, max_size=40))
+def test_lex_ranks_match_full_lexsort(rows, y_seeds, negate):
+    """The seed picks' ranks equal the full lexsort's, index for index, on
+    deduplicated sets with ties in the leading coordinates, and on the raw
+    rows, where equal rows (0.0 and -0.0 among them) go by index."""
+    raw = 0.5 * np.array(rows, dtype=float)
+    raw[np.array(negate[:len(raw)])] *= -1.0
+    for P in (PointSet.of(raw).points, raw):
+        m = len(P)
+        ranks = (np.arange(m) if y_seeds == "all" or y_seeds >= m else
+                 np.linspace(0, m - 1, y_seeds).round().astype(int))
+        assert np.array_equal(geometry.lex_ranks(P, ranks),
+                              np.lexsort(P.T[::-1])[ranks])
 
 
 def test_dedup_of_large_nets_builds_no_tree():

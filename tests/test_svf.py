@@ -74,6 +74,56 @@ def test_partition_dyadic_matches_node_loop(ab, depth, data):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_seeded_partitions_match_oracle_nodes(data):
+    """`Partition.dyadic_seeded`, and the partitions of a family's jobs, are
+    `oracle_dyadic_nodes(a, b, k, (x_hat,) + jumps)` bitwise, with the
+    abscissae and the jumps planted on grid nodes, within NODE_TOL of them,
+    and within SEED_NODE_TOL of nodes and of each other; equal abscissae
+    share one Partition."""
+    a, b = data.draw(st.sampled_from([(-PI, PI), (0.0, 1.0), (-1.0, 3.0)]))
+    depth = data.draw(st.integers(1, 6))
+    grid = np.linspace(a, b, 2 ** depth + 1)
+    offsets = st.sampled_from([0.0, 0.5 * svf.NODE_TOL, svf.NODE_TOL,
+                               -svf.NODE_TOL, 1.5 * svf.NODE_TOL,
+                               -0.5 * svf.SEED_NODE_TOL, svf.SEED_NODE_TOL,
+                               2 * svf.SEED_NODE_TOL])
+    anchor = st.one_of(st.sampled_from(list(grid)), st.floats(a, b))
+
+    def planted(earlier):
+        near = st.sampled_from(earlier) if earlier else anchor
+        at = data.draw(st.one_of(anchor, near)) + data.draw(offsets)
+        return min(max(float(at), a), b)
+
+    jumps: list = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        jumps.append(planted(jumps))
+    xs: list = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        xs.append(planted(jumps + xs))
+    jumps = tuple(jumps)
+    parts = Partition.dyadic_seeded(a, b, depth, xs, jumps)
+    for x, chi in zip(xs, parts):
+        assert np.array_equal(chi.nodes,
+                              oracle_dyadic_nodes(a, b, depth, (x,) + jumps))
+        assert not chi.nodes.flags.writeable
+    for x, chi in zip(xs, parts):
+        assert all(c is chi for y, c in zip(xs, parts) if y == x)
+    # The jobs of a family seeded at these jumps: its depth, then one less.
+    F = dataclasses.replace(constant_set_fixture([0.0, 1.0], a, b),
+                            jump_points=jumps)
+    with mock.patch.object(svf, "_greedy_chains",
+                           wraps=svf._greedy_chains) as spy:
+        selection_family(F, 3, 1, depth)
+    jobs = spy.call_args.args[1]
+    half = len(jobs) // 2 if depth > 1 else len(jobs)
+    for i, (chi, (x_hat, _)) in enumerate(jobs):
+        k = depth if i < half else depth - 1
+        assert np.array_equal(chi.nodes,
+                              oracle_dyadic_nodes(a, b, k, (x_hat,) + jumps))
+
+
 # ---------------------------------------------------------------------------
 # MetricChain evaluation
 
