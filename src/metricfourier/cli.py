@@ -18,7 +18,8 @@ from .fourier import (PERIOD_TOL, delta_grid, family_coefficients, fit_K,
 from .geometry import PointSet, dist_point_set, hausdorff, is_metric_pair, metric_average
 from .metric_integral import (WeightFunction, aumann_integral_convex,
                               inclusion_check, weighted_metric_integral)
-from .svf import X_TOL, Partition, approximate_selection, selection_family
+from .svf import (X_TOL, Partition, _families, approximate_selection,
+                  selection_family)
 
 PI = math.pi
 # `selection_depth` stays within [DEPTH_MIN, DEPTH_MAX].
@@ -193,9 +194,10 @@ def parse_weight(spec: dict | None) -> WeightFunction:
 
 def _distance_rows(F, cfg: ExperimentConfig, xs) -> list[tuple]:
     """(n, x, d(S_nF(x), target), kind) for every order n and every x, where
-    the target is A_F(x) at a jump of F and F(x) elsewhere.  Each depth
-    builds one family, its coefficient matrix at the largest order of that
-    depth, and its targets once per x."""
+    the target is A_F(x) at a jump of F and F(x) elsewhere.  The families
+    of all depths come from one engine sweep (`svf._families`); each depth
+    builds its coefficient matrix at the largest order of that depth, and
+    its targets once per x."""
     if max(abs(F.a + PI), abs(F.b - PI)) > PERIOD_TOL:
         raise ConfigError("convergence and bound-check need the domain "
                           "[-pi, pi]")
@@ -204,8 +206,8 @@ def _distance_rows(F, cfg: ExperimentConfig, xs) -> list[tuple]:
     for n in sorted(int(n) for n in cfg.orders):
         by_depth.setdefault(selection_depth(n, cfg.depth), []).append(n)
     rows = []
-    for depth, ns in by_depth.items():
-        fam = selection_family(F, cfg.x_seeds, cfg.y_seeds, depth, cfg.norm)
+    fams = _families(F, cfg.x_seeds, cfg.y_seeds, list(by_depth), cfg.norm)
+    for (depth, ns), fam in zip(by_depth.items(), fams):
         coeffs = family_coefficients(F, ns[-1], fam)
         targets = [(limit_set_AF(F, x, fam), "A_F")
                    if any(abs(x - j) < X_TOL for j in jumps) else (F(x), "F")

@@ -15,23 +15,25 @@ numpy kernel `_dist_matrix`, which removes the cost of a call per small set;
 a larger group is one `_nearest` call.  `small_sets` tells which
 sets pair within that size, for callers that fill whole maps between sets.
 `_nearest` is the one place that chooses the path: a set of more than
-KDTREE_MIN points goes through a `scipy.spatial.cKDTree` in the l1, l2 or
-linf norm, which `PointSet.tree` builds on first use with sliding-midpoint
-splits and keeps with the frozen set, so a net that is queried many times
-builds one tree.  Smaller sets are queried by brute force, which is faster
-there, in blocks of at most _BLOCK entries of `_dist_matrix`.  The kernel
-sums coordinates in order, as `scipy.spatial.distance.cdist` does, so it
-gives the same floats.  All paths give the same distances and the same
-witnesses, in index order.
+GRID_MIN points is queried on its cell grid (`_grid_nearest`), which
+`PointSet.cells` builds on first use and keeps with the frozen set, so a
+net that is queried many times builds one grid.  The grid groups the
+points by cells of about _CELL_ROWS points and keeps a bounding box per
+cell; a row takes the points of the 2^d cells around it, and scans more
+cells only if they can hold a nearer point, by their boxes.  Smaller sets
+are queried by brute force, which is faster there, in blocks of at most
+_BLOCK entries of `_dist_matrix`.  The kernel sums coordinates in order,
+as scipy's `cdist` does, so it gives the same floats, and
+every box bound (`_box_bounds`) is made of the kernel's own operations,
+each monotone in its operands, so it bounds the computed distances with
+no margin.  All paths give the same distances and the same witnesses, in
+index order.  The geometry, and importing the package, need numpy alone.
 
-scipy is loaded only where it is used: `scipy.spatial` on the first tree,
-for a set of more than KDTREE_MIN points.  Sets of at most KDTREE_MIN
-points, and importing the package, need numpy alone.
-
-Sets of more than KDTREE_MIN points also take a shortcut that leaves the
-answer unchanged: `hausdorff` queries only the rows of such a set that can
-reach its maximum.  `PointSet.cells` groups the rows by a grid, and one
-query per cell bounds the rest.
+Sets of more than GRID_MIN points also take a shortcut that leaves the
+answer unchanged: `hausdorff` computes exact distances only for the rows
+of such a set that can reach its maximum, from bounds on its cells
+(`_sup_dist`), and on the cells of the other set too when that set is
+large (`_sup_cells`).
 
 `PointSet.of` builds one set and `PointSet.many` the sets of a (T, m, d)
 block, through one keep-first kernel, `_dedup`, which finds near duplicates
@@ -44,12 +46,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import sub
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 # Projection witnesses: everything within TIE_TOL of the minimum distance
 # counts as a nearest point, so projections are sets, not single points.
@@ -58,13 +57,16 @@ TIE_TOL = 1e-9
 DEDUP_TOL = 1e-12
 # Chain enumeration and Minkowski products refuse beyond this many chains.
 CHAIN_LIMIT = 10 ** 6
-# Sets of more points than this are queried through a KD-tree, smaller ones
-# by brute force.  Measured cost of one `dist_point_set` call (2 shared
-# cores, scipy 1.17, sliding-midpoint tree, fastest of 15 runs): with the
-# cached tree 27-29 us at any size; by brute force 25 us at 5 points, 29
-# us at 2,048, 34 us at 3,072.  Such sets also enter `hausdorff` through
-# their cells.  The first tree imports scipy.spatial.
-KDTREE_MIN = 2048
+# Sets of more points than this are queried on their cell grid, smaller
+# ones by brute force.  Measured cost of a `_nearest` with witnesses in l2
+# on disc nets, rows near the net (2 shared cores, numpy 2.4, fastest of
+# 15 runs, brute force against a cached grid): at 2,137 points 36 against
+# 102 us for 1 row, 103 against 110 us for 4, 1.2 against 0.19 ms for 32;
+# at 8,201 points 76 against 101 us for 1 row, 0.24 against 0.11 ms for 4,
+# 22 against 0.81 ms for 256.  Building the grid took 0.3 ms at 2,137
+# points and 1.0 ms at 8,201.  Such sets also enter `hausdorff` through
+# their cells.
+GRID_MIN = 2048
 # A group (the rows queried against one set) of at most this many distance
 # entries is computed with all such groups in one padded numpy kernel, a
 # larger one by `_nearest`.  Measured cost per group, many groups a call (2
@@ -82,8 +84,23 @@ GROUP_MAX = 512
 # 38 against 39 ms in d = 2, 41 against 33 ms in d = 3; 1000 x 1000 in
 # d = 2 8.9 against 6.7 ms; 441 x 8 0.10 against 0.09 ms.
 _BLOCK = 1 << 16
-# `hausdorff` groups a set's rows by a grid of about this many rows a cell.
+# A set's grid has cells of about this many rows.  At 8 a row's 2^d cells
+# reach half as far, so more rows need a second scan: on an 8,201-point
+# disc net, queries of 1-32 rows near it took 81-131 us at 8 against
+# 58-106 us at 16, and `hausdorff` of two such nets 4 apart 4.1 against
+# 2.8 ms (2 shared cores, numpy 2.4, fastest of 300 and of 50 runs).
 _CELL_ROWS = 16
+# Grids with a cell side below this give one cell, which keeps the rounding
+# margins of `_grid_nearest` far from the subnormal range.
+_SIDE_MIN = 1e-100
+# Sets in more dimensions than this are grids of one cell, queried by
+# brute force: a query visits the 2^d cells around it.
+_GRID_DIMS = 3
+# `_sup_cells` measures this many cells first, for a lower bound.  On two
+# 8,201-point nets 4 apart (both directions, 2 shared cores), 1 cell took
+# 14 ms, 2 cells 8.9 ms, 4 cells 2.8 ms, 8 cells 3.1 ms and 16 cells 4.2
+# ms: too few cells leave the bound loose.
+_PROBES = 8
 
 _EPS = np.finfo(float).eps
 _NORM_ORD = {"l1": 1, "l2": 2, "linf": np.inf}
@@ -164,51 +181,88 @@ class PointSet:
         return self.points[0]
 
     @cached_property
-    def tree(self) -> cKDTree:
-        """KD-tree of the points, built on first use and kept with the set."""
-        return _kdtree(self.points)
-
-    @cached_property
-    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows grouped by a grid of about len/_CELL_ROWS cells, kept
-        with the set: (rows, bounds, dev).  Cell c holds the rows
-        rows[bounds[c]:bounds[c + 1]], in index order; its first row r is
-        its representative.  dev[c, k] is the largest |a_k - r_k| over the
-        rows a of cell c, so one grid bounds |a - r| in every norm."""
-        P = self.points
-        m, d = P.shape
-        # Column by column: a reduction over axis 0 of a thin array is slow.
-        lo = np.array([col.min() for col in P.T])
-        ext = np.array([col.max() for col in P.T]) - lo
-        wide = ext[ext > 0]
-        # Side h with prod(ext / h) = m / _CELL_ROWS over the axes the rows
-        # span, and ceil(ext / h) cells per axis, at most `most`, so that a
-        # cell key fits in 63 bits.  The bounds hold for any grouping of
-        # the rows, so a grid that overflows or collapses groups coarsely.
-        h = np.exp((np.log(wide).sum() - np.log(max(1, m // _CELL_ROWS)))
-                   / max(1, wide.size))
-        most = min(m, int(2 ** (62 / d)))
-        key = np.zeros(m, dtype=np.int64)
-        if 0 < h < np.inf:
-            top = np.clip(np.ceil(ext / h), 1, most) - 1
-            key = (np.minimum((P - lo) / h, top).astype(np.int64)
-                   @ most ** np.arange(d, dtype=np.int64))
-        rows = np.argsort(key, kind="stable")
-        key = key[rows]
-        bounds = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1],
-                                                [True]]))
-        reps = np.repeat(rows[bounds[:-1]], np.diff(bounds))
-        dev = np.maximum.reduceat(np.abs(P[rows] - P[reps]), bounds[:-1],
-                                  axis=0)
-        return rows, bounds, dev
+    def cells(self) -> "_Grid":
+        """The rows grouped by a grid of about len/_CELL_ROWS cells, with a
+        bounding box per cell, built on first use and kept with the set."""
+        return _grid(self.points)
 
 
-def _kdtree(points: np.ndarray) -> cKDTree:
-    """A KD-tree of the (m, d) array points, importing scipy.spatial on the
-    first call.  Sliding-midpoint splits: cheaper to build and to query than
-    the median splits of a balanced tree, with the same exact answers."""
-    from scipy.spatial import cKDTree
-    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+class _Grid(NamedTuple):
+    """A set's points grouped by the cells of a regular grid.
+
+    Cell c of the C cells holds the points pts[bounds[c]:bounds[c + 1]],
+    which are the rows rows[bounds[c]:bounds[c + 1]] of the set, in index
+    order; its first row is its representative, and lo[c], hi[c] are the
+    corners of its points' bounding box.  keys[c] is the key of cell c's
+    grid position, rising with c, and keys[C] a key above them all, of an
+    empty cell: count[c] is cell c's size, 0 for c = C.  cols holds the
+    coordinates of pts by axis, then those of one more point, at
+    infinity.
+
+    A point p lies at position floor((p - origin) / side), clipped to
+    [0, top], and the key of a position is `position @ radix`.  scale
+    bounds the coordinates of the grid's edges, for rounding margins."""
+
+    rows: np.ndarray
+    bounds: np.ndarray
+    keys: np.ndarray
+    count: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cols: np.ndarray
+    origin: np.ndarray
+    side: float
+    top: np.ndarray
+    radix: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def pts(self) -> np.ndarray:
+        """The points cell by cell, as an (n, d) view of cols."""
+        return self.cols[:, :-1].T
+
+
+def _grid(P: np.ndarray) -> _Grid:
+    """The `_Grid` of the (m, d) array P."""
+    m, d = P.shape
+    # Column by column: a reduction over axis 0 of a thin array is slow.
+    origin = np.array([col.min() for col in P.T])
+    ext = np.array([col.max() for col in P.T]) - origin
+    wide = ext[ext > 0]
+    # Side h with prod(ext / h) = m / _CELL_ROWS over the axes the rows
+    # span, and ceil(ext / h) cells per axis, at most `most`.  The key of a
+    # position is its digits in base most + 2, which fits in 63 bits and
+    # keeps the positions one step outside the grid off every cell's key.
+    # Above _GRID_DIMS dimensions, or with a side too small or too large
+    # for the queries' rounding margins, the grid is one cell.
+    h = float(np.exp((np.log(wide).sum() - np.log(max(1, m // _CELL_ROWS)))
+                     / max(1, wide.size)))
+    most = min(m, int(2 ** (62 / d)) - 2)
+    radix = np.zeros(d, dtype=np.intp)
+    top = np.zeros(d, dtype=np.intp)
+    if d <= _GRID_DIMS:
+        radix = (most + 2) ** np.arange(d, dtype=np.intp)
+    if d <= _GRID_DIMS and _SIDE_MIN < h < np.inf:
+        top = (np.clip(np.ceil(ext / h), 1, most) - 1).astype(np.intp)
+    else:
+        h = 1.0
+    # Axis by axis, so that no temporary holds more than one coordinate.
+    key = np.zeros(m, dtype=np.intp)
+    for col, o, t, r in zip(P.T, origin, top.tolist(), radix.tolist()):
+        key += np.minimum((col - o) / h, t).astype(np.intp) * r
+    rows = np.argsort(key, kind="stable")
+    key = key[rows]
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    bounds = np.append(first, m)
+    cols = np.empty((d, m + 1))
+    for k in range(d):
+        np.take(P[:, k], rows, out=cols[k, :m])
+    cols[:, m] = np.inf
+    lo, hi = (np.column_stack([f.reduceat(x, first) for x in cols[:, :m]])
+              for f in (np.minimum, np.maximum))
+    return _Grid(rows, bounds, np.append(key[first], np.iinfo(np.intp).max),
+                 np.append(np.diff(bounds), 0), lo, hi, cols, origin, h, top,
+                 radix, np.abs(origin) + (top + 3) * h)
 
 
 def _point_sets(arr: np.ndarray, tol: float) -> list[PointSet]:
@@ -231,8 +285,16 @@ def _point_sets(arr: np.ndarray, tol: float) -> list[PointSet]:
 @cache
 def _direction(d: int) -> np.ndarray:
     """A fixed direction u in R^d with |u|_1 = 1 and no rational relations
-    between its components, so lattices and lines do not collapse onto it."""
-    u = np.random.default_rng(0).uniform(1.0, 2.0, d)
+    between its components, so lattices and lines do not collapse onto it:
+    the square roots of the first d primes, normalised."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in itertools.takewhile(lambda p: p * p <= k,
+                                                   primes)):
+            primes.append(k)
+        k += 1
+    u = np.sqrt(np.array(primes, dtype=float))
     u /= u.sum()
     u.setflags(write=False)
     return u
@@ -312,44 +374,269 @@ def _nearest(P: np.ndarray, B: PointSet, norm: str, witnesses: bool = False):
     also the witnesses as index pairs (rows[k], cols[k]), sorted: every b_j
     within TIE_TOL of row i's distance gives one pair (i, j).
 
-    The one choice of path: B's cached KD-tree when B has more than
-    KDTREE_MIN points, `_dist_matrix` in blocks of at most _BLOCK entries
-    otherwise."""
+    The one choice of path: B's cached grid (`_grid_nearest`) when B has
+    more than GRID_MIN points, `_dist_matrix` in blocks of at most _BLOCK
+    entries otherwise."""
     if P.shape[1] != B.dim:
         raise DimensionMismatch(f"dimension {P.shape[1]} vs {B.dim}")
     m, n = P.shape[0], len(B)
-    if n > KDTREE_MIN:
-        order = _NORM_ORD[norm]
-        if not witnesses:
-            return B.tree.query(P, p=order)[0]
-        # The two nearest points settle the usual untied row in one query.
-        d, i = B.tree.query(P, k=2, p=order)
-        dist, cols = d[:, 0], i[:, 0]
-        counts = np.ones(m, dtype=np.intp)
-        tied = d[:, 1] <= dist + TIE_TOL
-        if tied.any():
-            balls = B.tree.query_ball_point(P[tied], dist[tied] + TIE_TOL,
-                                            p=order, return_sorted=True)
-            counts[tied] = [len(ball) for ball in balls]
-            cols = np.repeat(cols, counts)
-            cols[np.repeat(tied, counts)] = np.concatenate(balls)
-        return dist, np.repeat(np.arange(m), counts), cols
+    if n > GRID_MIN and B.dim <= _GRID_DIMS:
+        return _grid_nearest(P, B.cells, norm, witnesses)
     step = max(1, _BLOCK // n)
     if m > step:
         # Blocks of rows, each of at most _BLOCK entries (or one row).
-        ks = range(0, m, step)
-        parts = [_nearest(P[k:k + step], B, norm, witnesses) for k in ks]
-        if not witnesses:
-            return np.concatenate(parts)
-        dist, rows, cols = zip(*parts)
-        return (np.concatenate(dist),
-                np.concatenate([r + k for r, k in zip(rows, ks)]),
-                np.concatenate(cols))
+        return _row_blocks(lambda Q: _nearest(Q, B, norm, witnesses), P,
+                           step, witnesses)
     D = _dist_matrix(P, B.points.T[:, None], norm)
     dist = D.min(axis=1)
     if not witnesses:
         return dist
     return (dist, *np.nonzero(D <= dist[:, None] + TIE_TOL))
+
+
+def _row_blocks(query, P: np.ndarray, step: int, witnesses: bool):
+    """query, a `_nearest` of some set, of the rows of P in blocks of at
+    most step rows, its results joined as one query's."""
+    ks = range(0, len(P), step)
+    parts = [query(P[k:k + step]) for k in ks]
+    if not witnesses:
+        return np.concatenate(parts)
+    dist, rows, cols = zip(*parts)
+    return (np.concatenate(dist),
+            np.concatenate([r + k for r, k in zip(rows, ks)]),
+            np.concatenate(cols))
+
+
+def _grid_nearest(P: np.ndarray, G: _Grid, norm: str, witnesses: bool):
+    """`_nearest` of the rows of P on the grid G of a set, exactly as brute
+    force gives it.
+
+    Each row first takes the points of the 2^d cells around it, those
+    whose centres bracket it on every axis, all rows in one padded kernel
+    call.  Every point outside these cells lies farther than the row's
+    reach, its distance to their outer edges less a rounding margin, so a
+    row whose nearest distance there (plus TIE_TOL, with witnesses) is
+    below its reach is done; the reach is at least half a cell side.
+    Each other row scans the cells that `_wide` finds within that
+    distance.  In blocks of rows of at most _BLOCK padded
+    entries (or one row)."""
+    m, d = P.shape
+    if not m:
+        none = np.empty(0, dtype=np.intp)
+        return (np.empty(0), none, none) if witnesses else np.empty(0)
+    step = max(1, _BLOCK // (2 ** d * int(G.count.max())))
+    if m > step:
+        return _row_blocks(lambda Q: _grid_nearest(Q, G, norm, witnesses), P,
+                           step, witnesses)
+    n = len(G.rows)
+    idx = _corner(G, P)
+    c = _around(G, idx)
+    size = G.count[c][..., None]
+    slot = np.arange(max(1, int(size.max())))
+    J = np.where(slot < size, G.bounds[c][..., None] + slot, n).reshape(m, -1)
+    D = _dist_matrix(P, [np.take(x, J) for x in G.cols], norm)
+    dist = D.min(axis=1)
+    # A point outside the cells lies past an outer edge of theirs on some
+    # axis; the margin covers the rounding of the positions and edges.
+    edge = G.origin + idx * G.side
+    reach = np.minimum(P - edge, edge + 2 * G.side - P) - 16 * _EPS * (
+        np.abs(P) + G.scale)
+    bound = dist + TIE_TOL if witnesses else dist
+    done = bound < reach.min(axis=1)
+    if witnesses:
+        i, k = np.nonzero(D <= bound[:, None])
+        keep = done[i]
+        parts = [(i[keep], G.rows[J[i[keep], k[keep]]])]
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        for i, c in _wide(P[rest], G, dist[rest], norm, witnesses):
+            got = _scan(P, G, rest[i], c, norm, witnesses)
+            dist[got[0]] = got[1]
+            if witnesses:
+                parts.append(got[2:])
+    if not witnesses:
+        return dist
+    rows, cols = (np.concatenate(x) for x in zip(*parts))
+    key = np.sort(rows * n + cols)
+    return (dist, *np.divmod(key, n))
+
+
+def _wide(P: np.ndarray, G: _Grid, cap: np.ndarray, norm: str,
+          witnesses: bool):
+    """Lists of (row, cell) pairs, each sorted by row, which hold for each
+    row of P every cell of G that can hold its nearest point (and, with
+    witnesses, every point within TIE_TOL of it), given that a point of G
+    lies within cap of the row.
+
+    The positions of cells within cap of a row span a box on the grid,
+    found from the row's coordinates plus and minus cap, widened for
+    rounding and by one cell.  A row whose box holds at most as many
+    positions as G has cells tests the cells at them against cap; each
+    other row tests every cell, against the smaller of cap and its
+    farthest distance to the nearest box.  Both in blocks of at most
+    _BLOCK tests, or one row's."""
+    m, d = P.shape
+    pad = (cap * (1 + 4 * _EPS))[:, None] + 16 * _EPS * (np.abs(P)
+                                                         + G.scale)
+    if witnesses:
+        pad += TIE_TOL
+        cap = cap + TIE_TOL
+    lo = np.clip(np.floor((P - pad - G.origin) / G.side) - 1, 0,
+                 G.top).astype(np.intp)
+    span = np.clip(np.floor((P + pad - G.origin) / G.side) + 2, 1,
+                   G.top + 1).astype(np.intp) - lo
+    size = span.prod(axis=1)
+    few = size <= len(G.lo)
+    rows = np.flatnonzero(few)
+    for a, b in _chunks(size[rows]):
+        # The positions of each row's box, numbered with axis 0 fastest.
+        n = size[rows[a:b]]
+        t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        row = np.repeat(rows[a:b], n)
+        key = np.zeros(t.size, dtype=np.intp)
+        for k in range(d):
+            w = span[row, k]
+            key += (lo[row, k] + t % w) * G.radix[k]
+            t //= w
+        c = np.searchsorted(G.keys, key)
+        hit = G.keys[c] == key
+        row, c = row[hit], c[hit]
+        low = _box_bounds(P[row], P[row], G.lo[c], G.hi[c], norm)[0]
+        keep = low <= cap[row]
+        yield row[keep], c[keep]
+    rows = np.flatnonzero(~few)
+    step = max(1, _BLOCK // len(G.lo))
+    for k in range(0, rows.size, step):
+        r = rows[k:k + step]
+        low, high = _box_bounds(P[r, None], P[r, None], G.lo, G.hi, norm)
+        top = high.min(axis=1)
+        if witnesses:
+            top += TIE_TOL
+        i, c = np.nonzero(low <= np.minimum(cap[r], top)[:, None])
+        yield r[i], c
+
+
+def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive ranges [a, b) of items of these sizes, each of total size
+    at most _BLOCK, or of one item."""
+    ends = np.cumsum(sizes)
+    out, a = [], 0
+    while a < ends.size:
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + _BLOCK, "right")))
+        out.append((a, b))
+        a = b
+    return out
+
+
+def _corner(G: _Grid, P: np.ndarray) -> np.ndarray:
+    """For each row p of P, the lowest grid position of the 2^d cells whose
+    centres bracket p, clipped to [-1, top]."""
+    return np.clip(np.floor((P - G.origin) / G.side - 0.5), -1,
+                   G.top).astype(np.intp)
+
+
+@cache
+def _offsets(radix: tuple) -> np.ndarray:
+    """The key steps from a grid position to the 2^d positions at or above
+    it by one on each axis, for a grid of these key weights."""
+    steps = itertools.product((0, 1), repeat=len(radix))
+    return np.array(list(steps), dtype=np.intp) @ np.array(radix)
+
+
+def _around(G: _Grid, idx: np.ndarray) -> np.ndarray:
+    """The cells at the 2^d positions at or above each of the positions
+    idx by one on each axis, as an (m, 2^d) array, with the empty cell C
+    where a position holds none."""
+    key = (idx @ G.radix)[:, None] + _offsets(tuple(G.radix.tolist()))
+    c = np.searchsorted(G.keys, key)
+    return np.where(G.keys[c] == key, c, len(G.lo))
+
+
+def _box_bounds(alo, ahi, blo, bhi, norm: str):
+    """Lower and upper bounds of the distances between the points of boxes
+    [alo, ahi] and [blo, bhi], broadcast over all but the last axis, which
+    holds the coordinates (a point is a box with alo = ahi).
+
+    The gaps and spans per coordinate and their sums are the kernel's
+    operations on the box corners.  Each is monotone in its operands, so
+    the bounds hold for the computed distances of `_dist_matrix`, bit for
+    bit, with no margin."""
+    low = high = None
+    for k in range(alo.shape[-1]):
+        a0, a1, b0, b1 = alo[..., k], ahi[..., k], blo[..., k], bhi[..., k]
+        gap = np.maximum(np.maximum(a0 - b1, b0 - a1), 0.0)
+        span = np.maximum(a1 - b0, b1 - a0)
+        if norm == "l2":
+            gap *= gap
+            span *= span
+        if low is None:
+            low, high = gap, span
+        elif norm == "linf":
+            np.maximum(low, gap, out=low)
+            np.maximum(high, span, out=high)
+        else:
+            low += gap
+            high += span
+    if norm == "l2":
+        return np.sqrt(low, out=low), np.sqrt(high, out=high)
+    return low, high
+
+
+def _refine(P: np.ndarray, G: _Grid, prow: np.ndarray, pcell: np.ndarray,
+            low: np.ndarray, high: np.ndarray, norm: str,
+            floor: float) -> float:
+    """max(floor, the largest distance from a row of the (row, cell) pairs
+    sorted by row to the set of G), where low and high are the pairs' box
+    bounds and a row's cells include every cell that can hold its nearest
+    point.  The largest of the rows' smallest lower bounds is a lower
+    bound of the result, which raises floor.  A row whose smallest upper
+    bound lies below floor is dropped; each other row first scans the cell
+    of that bound, which gives an exact upper bound u of its distance, and
+    if u reaches floor, then its cells whose lower bound lies within u."""
+    seg = np.flatnonzero(np.diff(prow, prepend=-1))
+    size = np.diff(seg, append=prow.size)
+    floor = max(floor, np.minimum.reduceat(low, seg).max())
+    near = np.minimum.reduceat(high, seg)
+    best = np.flatnonzero(high == np.repeat(near, size))
+    best = best[np.flatnonzero(np.diff(prow[best], prepend=-1))]
+    best = best[near >= floor]
+    top = np.full(seg.size, -np.inf)
+    top[near >= floor] = _scan(P, G, prow[best], pcell[best], norm, False)[1]
+    keep = low <= np.repeat(np.where(top >= floor, top, -np.inf), size)
+    got = _scan(P, G, prow[keep], pcell[keep], norm, False)[1]
+    return max(floor, got.max(initial=floor))
+
+
+def _scan(P: np.ndarray, G: _Grid, prow: np.ndarray, pcell: np.ndarray,
+          norm: str, witnesses: bool):
+    """The distances from rows of P to the points of cells of G, for the
+    (row, cell) pairs (prow[k], pcell[k]) sorted by row: the rows with a
+    pair, each one's smallest distance and, with witnesses, the witness
+    pairs (row, index in the set) within TIE_TOL of it.  In blocks of at
+    most _BLOCK distances, or one row's."""
+    if not prow.size:
+        none = np.empty(0, dtype=np.intp)
+        return none, np.empty(0), none, none
+    cnt = G.bounds[pcell + 1] - G.bounds[pcell]
+    start = np.flatnonzero(np.diff(prow, prepend=-1))
+    parts = []
+    for a, b in _chunks(np.add.reduceat(cnt, start)):
+        lo, hi = start[a], (start[b] if b < start.size else cnt.size)
+        n = cnt[lo:hi]
+        first = np.cumsum(n) - n
+        j = np.repeat(G.bounds[pcell[lo:hi]] - first, n) + np.arange(n.sum())
+        r = np.repeat(prow[lo:hi], n)
+        D = _dist_matrix(P[r], G.cols[:, j, None], norm)[:, 0]
+        seg = np.flatnonzero(np.diff(r, prepend=-1))
+        dist = np.minimum.reduceat(D, seg)
+        part = [r[seg], dist]
+        if witnesses:
+            w = np.flatnonzero(D <= np.repeat(dist + TIE_TOL,
+                                              np.diff(seg, append=r.size)))
+            part += [r[w], G.rows[j[w]]]
+        parts.append(part)
+    return [np.concatenate(x) for x in zip(*parts)]
 
 
 def min_dists(P: np.ndarray, Q: np.ndarray, norm: str = "l2") -> np.ndarray:
@@ -516,33 +803,102 @@ def _dist_matrix(P: np.ndarray, columns, norm: str) -> np.ndarray:
 
 
 def hausdorff(A: PointSet, B: PointSet, norm: str = "l2") -> float:
-    """Hausdorff distance: max of the two directed sup-min distances."""
-    return max(_sup_dist(A, B, norm), _sup_dist(B, A, norm))
+    """Hausdorff distance: max of the two directed sup-min distances, the
+    second measured only where it can exceed the first."""
+    return _sup_dist(B, A, norm, _sup_dist(A, B, norm))
 
 
-def _sup_dist(A: PointSet, B: PointSet, norm: str) -> float:
-    """max over the rows a of A of d(a, B).  Above KDTREE_MIN rows only the
-    rows that can reach it are queried: the representatives of A's cells
-    give a lower bound L, and a row a of a cell with representative r has
-    d(a, B) <= d(r, B) + |a - r|, so only the cells whose bound reaches L
-    are queried row by row.  Every distance comes from the `_nearest` call
-    of the full query, so the result is the same float."""
-    if len(A) <= KDTREE_MIN:
-        return float(_nearest(A.points, B, norm).max())
-    rows, bounds, dev = A.cells
-    first = bounds[:-1]
-    near = _nearest(A.points[rows[first]], B, norm)
-    low = near.max()
+def _sup_dist(A: PointSet, B: PointSet, norm: str,
+              floor: float = -np.inf) -> float:
+    """max(floor, max over the rows a of A of d(a, B)).  Above GRID_MIN
+    rows only the rows that can reach it are measured, by A's cells:
+    `_sup_cells` when B is large too, and otherwise a bound through each
+    cell's representative r: its exact distance gives a lower bound L, and
+    a row a of the cell has d(a, B) <= d(r, B) + |a - r|, so only the
+    cells whose bound reaches L are queried row by row.  Every distance is
+    computed as `_nearest` computes it, so the result is the same float as
+    a query of every row."""
+    if A.dim != B.dim:
+        raise DimensionMismatch(f"dimension {A.dim} vs {B.dim}")
+    if len(A) <= GRID_MIN:
+        return float(max(floor, _nearest(A.points, B, norm).max()))
+    if len(B) > GRID_MIN and B.dim <= _GRID_DIMS:
+        return _sup_cells(A.cells, B.cells, norm, floor)
+    G = A.cells
+    first = G.bounds[:-1]
+    reps = G.pts[first]
+    near = _nearest(reps, B, norm)
+    low = max(floor, near.max())
     # Each computed distance or norm is within (dim + 2) eps of the exact
     # one (relatively; the absolute term covers subnormal squares), so the
     # margin keeps the bound above the computed d(a, B) of every row.
     margin = 1 + 8 * (A.dim + 2) * _EPS
+    dev = np.maximum(G.hi - reps, reps - G.lo)
     bound = (near + row_norms(dev, norm)) * margin + 1e-150
-    live = np.repeat(bound >= low, np.diff(bounds))
+    live = np.repeat(bound >= low, np.diff(G.bounds))
     live[first] = False
     if live.any():
-        low = max(low, _nearest(A.points[rows[live]], B, norm).max())
+        low = max(low, _nearest(G.pts[live], B, norm).max())
     return float(low)
+
+
+def _sup_cells(GA: _Grid, GB: _Grid, norm: str, floor: float) -> float:
+    """max(floor, max over the points a of A of d(a, B)), from the grids of
+    two sets, pruning whole cells of both by their boxes before their rows
+    are scanned.
+
+    Every bound is a `_box_bounds` bound, so it holds for the computed
+    distances.  A cell of A is first bounded above by its farthest
+    distance to the two cells of B beside the key of its centre's grid
+    position (the neighbours along axis 0 in the same row of the grid,
+    where that row has cells).  The _PROBES cells with the largest bounds
+    are measured first, by `_sup_batch`, which gives a lower bound L of
+    the result; then every other cell whose bound reaches L."""
+    # The two cells of B on either side of the key of each cell's centre.
+    key = _corner(GB, GA.lo / 2 + GA.hi / 2) @ GB.radix
+    c = np.minimum(np.searchsorted(GB.keys, key), len(GB.lo) - 1)
+    bound = np.minimum(*(_box_bounds(GA.lo, GA.hi, GB.lo[k], GB.hi[k],
+                                     norm)[1]
+                         for k in (np.maximum(c - 1, 0), c)))
+    order = np.argsort(-bound, kind="stable")
+    low = floor
+    for batch in (order[:_PROBES], order[_PROBES:]):
+        low = _sup_batch(GA, GB, batch[bound[batch] >= low], norm, low)
+    return float(low)
+
+
+def _sup_batch(GA: _Grid, GB: _Grid, cells: np.ndarray, norm: str,
+               low: float) -> float:
+    """max(low, the largest d(a, B) over the rows a of these cells of A).
+    Each cell is bounded against every cell of B: it drops out if its
+    bound lies below low, and keeps only the cells of B within its bound.
+    Then its rows go to `_refine` with those cells and low as the floor,
+    which rises from one block of rows to the next."""
+    pa, pb = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    step = max(1, _BLOCK // len(GB.lo))
+    for k in range(0, cells.size, step):
+        a = cells[k:k + step]
+        lo, hi = _box_bounds(GA.lo[a, None], GA.hi[a, None], GB.lo, GB.hi,
+                             norm)
+        top = hi.min(axis=1)
+        i, b = np.nonzero((lo <= top[:, None]) & (top >= low)[:, None])
+        pa.append(a[i])
+        pb.append(b)
+    pa, pb = np.concatenate(pa), np.concatenate(pb)
+    # The rows of each cell with the cells of B it kept, in blocks of cells
+    # of at most _BLOCK (row, cell) pairs (or one cell).
+    cell, at, count = np.unique(pa, return_index=True, return_counts=True)
+    span = (GA.bounds[cell + 1] - GA.bounds[cell]) * count
+    for k, stop in _chunks(span):
+        c, a, n, w = cell[k:stop], at[k:stop], count[k:stop], span[k:stop]
+        q = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)
+        per = np.repeat(n, w)
+        row = np.repeat(GA.bounds[c], w) + q // per
+        other = pb[np.repeat(a, w) + q % per]
+        x = GA.pts[row]
+        lo, hi = _box_bounds(x, x, GB.lo[other], GB.hi[other], norm)
+        low = _refine(GA.pts, GB, row, other, lo, hi, norm, low)
+    return low
 
 
 def row_norms(P: np.ndarray, norm: str = "l2") -> np.ndarray:

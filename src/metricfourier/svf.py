@@ -260,7 +260,8 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     chains reach, by one call per wave that reaches new ones, into a
     sorted cache; no map of a large set is stored densely.
 
-    The seed values are projected by one `project_groups` call.  Then every
+    The seed values are projected by one `project_groups` call, each
+    distinct pair of a seed and the label of its node once.  Then every
     chain steps outward from its seed node, rightward and leftward, one
     wave of steps at a time, each wave a few integer gathers.  Once a wave
     on large maps fixed every index, the waves that repeat its maps (each
@@ -371,8 +372,13 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
             at = np.searchsorted(ks, keys)
         return vs[at]
 
-    # The seed step.  Output row offsets[j] + i holds job j's node i.
-    dist, idx0 = project_groups(seeds, lab[at], limg, norm)
+    # The seed step, one projection per distinct (label, seed) pair.
+    # Output row offsets[j] + i holds job j's node i.
+    pairs, inv = np.unique(np.column_stack([lab[at], seeds]), axis=0,
+                           return_inverse=True)
+    dist, idx0 = project_groups(pairs[:, 1:], pairs[:, 0].astype(np.intp),
+                                limg, norm)
+    idx0 = idx0[inv.ravel()]
     if dist.max() > SEED_TOL:
         raise GreedySeedError(
             f"seed value is {dist.max():.3g} away from F(x_hat)")
@@ -583,6 +589,14 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
     inserted (`Partition.dyadic_seeded`), shared by the seeds at it, and
     the depth-`depth` and depth-`depth - 1` chains of all seeds are built
     together by one `_greedy_chains` sweep."""
+    return _families(F, x_seeds, y_seeds, [depth], norm)[0]
+
+
+def _families(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
+              depths, norm: str = "l2") -> list[tuple]:
+    """`selection_family` of F at each of the depths, from one
+    `_greedy_chains` sweep over the chains of every depth and of the depth
+    one coarser, each (depth, seed) chain built once."""
     every = y_seeds == "all"
     if x_seeds < 1 or not every and y_seeds < 1:
         raise ValueError("seed counts must be positive")
@@ -601,17 +615,27 @@ def selection_family(F: SetValuedFunction, x_seeds: int, y_seeds: int | str,
                      np.linspace(0, m - 1, y_seeds).round().astype(int))
             picks[id(S)] = S.points[lex_ranks(S.points, ranks)]
         seeds += [(x_hat, y_hat) for y_hat in picks[id(S)]]
-    depths = [depth, depth - 1] if depth > 1 else [depth]
+    levels = {depth: [depth, depth - 1] if depth > 1 else [depth]
+              for depth in depths}
+    # Each depth's chains, then those one coarser; a depth shared with
+    # another family is built once.
     grids = {k: dict(zip(xs, Partition.dyadic_seeded(F.a, F.b, k, xs, jumps)))
-             for k in depths}
+             for k in dict.fromkeys(k for ks in levels.values() for k in ks)}
     chains = _greedy_chains(F, [(grids[k][seed[0]], seed)
-                                for k in depths for seed in seeds],
+                                for k in grids for seed in seeds],
                             norm, sets=sets)
-    # Keep-first dedup of the selections' signatures on the probe grid.
-    at = _at_nodes(chains, probe.nodes)
-    kept = _dedup(np.stack([v.ravel() for v in at[:len(seeds)]])[None],
-                  DEDUP_TOL)[0]
-    return tuple(_selections(F, seeds, depth, chains, at, norm, sets, kept))
+    first = {k: i * len(seeds) for i, k in enumerate(grids)}
+    out = []
+    for depth in depths:
+        mine = [c for k in levels[depth]
+                for c in chains[first[k]:first[k] + len(seeds)]]
+        # Keep-first dedup of the selections' signatures on the probe grid.
+        at = _at_nodes(mine, probe.nodes)
+        kept = _dedup(np.stack([v.ravel() for v in at[:len(seeds)]])[None],
+                      DEDUP_TOL)[0]
+        out.append(tuple(_selections(F, seeds, depth, mine, at, norm, sets,
+                                     kept)))
+    return out
 
 
 def exhaustive_chain_family(F: SetValuedFunction, chi: Partition,

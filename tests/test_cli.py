@@ -356,7 +356,7 @@ def test_library_key_error_is_not_a_config_error(tmp_path, monkeypatch,
     def broken(*args, **kwargs):
         raise KeyError("internal")
 
-    monkeypatch.setattr(cli, "selection_family", broken)
+    monkeypatch.setattr(cli, "_families", broken)
     cfg = write_cfg(tmp_path, "ok.json", SMALL)
     with pytest.raises(KeyError, match="internal"):
         main(["convergence", "--config", cfg])
@@ -387,20 +387,22 @@ def test_cli_does_not_import_the_test_oracle():
     assert out.strip() == "False"
 
 
-# The scipy subpackages that the package loads only on first use.  Under
-# pytest, pyproject.toml's IntegrationWarning filter imports scipy.integrate,
-# so only a fresh interpreter shows what a CLI call loads.
-LAZY_SCIPY = ("scipy.spatial", "scipy.sparse", "scipy.integrate")
+# The modules that the package loads only on first use, or never: the scipy
+# subpackages, and numpy.random (with hashlib and OpenSSL).  Under pytest,
+# pyproject.toml's IntegrationWarning filter imports scipy.integrate, so only
+# a fresh interpreter shows what a CLI call loads.
+LAZY = ("scipy.spatial", "scipy.sparse", "scipy.integrate", "numpy.random")
 
 
 def run_fresh(tmp_path, verb, config):
     """`verb` on the config in a fresh interpreter: its stdout and the
-    scipy modules it loaded."""
+    scipy and numpy subpackages it loaded."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     code = ("import json, sys; from metricfourier.cli import main; "
             "rc = main(sys.argv[1:]); "
             "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.'))), file=sys.stderr); sys.exit(rc)")
+            "if m.startswith(('scipy.', 'numpy.')))), file=sys.stderr); "
+            "sys.exit(rc)")
     cfg = write_cfg(tmp_path, f"{verb}.json", config)
     proc = subprocess.run([sys.executable, "-c", code, verb, "--config", cfg],
                           env=env, check=True, capture_output=True)
@@ -428,30 +430,31 @@ SMALL_CALLS = {
 @pytest.mark.parametrize("name", sorted(SMALL_CALLS))
 def test_cli_on_small_sets_loads_no_scipy_subpackage(tmp_path, name):
     """These calls query sets of a few points and integrate no weight
-    without an antiderivative: numpy alone serves them."""
+    without an antiderivative: numpy alone serves them, without
+    numpy.random."""
     verb, config = SMALL_CALLS[name]
     _, loaded = run_fresh(tmp_path, verb, config)
-    assert not loaded & set(LAZY_SCIPY)
+    assert not loaded & set(LAZY)
 
 
-# Balls convergence on nets of at most KDTREE_MIN points (eps 0.1) and on
+# Balls convergence on nets of at most GRID_MIN points (eps 0.1) and on
 # 8,201-point nets (eps 0.02), with the tables captured when the package
-# imported scipy.spatial up front.
-DISC_NETS = {"eps-0.1": (0.1, "convergence-balls.exact.csv", False),
-             "eps-0.02": (0.02, "convergence-balls-fine.exact.csv", True)}
+# queried large nets through a scipy.spatial KD-tree.
+DISC_NETS = {"eps-0.1": (0.1, "convergence-balls.exact.csv"),
+             "eps-0.02": (0.02, "convergence-balls-fine.exact.csv")}
 
 
 @pytest.mark.parametrize("name", sorted(DISC_NETS))
-def test_cli_on_disc_nets_loads_scipy_spatial_for_a_tree(tmp_path, name):
-    """Only a tree, for a set of more than KDTREE_MIN points, loads
-    scipy.spatial; brute force on smaller nets needs numpy alone.  Either
-    way the table is byte for byte the captured one."""
-    eps, capture, tree = DISC_NETS[name]
+def test_cli_on_disc_nets_loads_no_scipy_spatial(tmp_path, name):
+    """Brute force on small nets and the cell grid on large ones need numpy
+    alone: no net loads scipy.spatial, nor numpy.random.  Either way the
+    table is byte for byte the captured one."""
+    eps, capture = DISC_NETS[name]
     golden = Path(__file__).resolve().parent / "golden"
     out, loaded = run_fresh(tmp_path, "convergence", {
         "fixture": "balls", "orders": [4, 16], "x_grid": 3, "depth": 1,
         "eps": eps})
-    assert ("scipy.spatial" in loaded) == tree
+    assert not loaded & set(LAZY)
     assert out == (golden / capture).read_bytes()
 
 

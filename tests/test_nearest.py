@@ -1,9 +1,10 @@
 """Differential tests of the nearest-point paths of the geometry layer.
 
-Sets of more than `geometry.KDTREE_MIN` points are queried through a
-KD-tree, smaller ones by brute force.  Patching the constant forces either
-path on small sets; the brute-force references live in `oracle.py`.
+Sets of more than `geometry.GRID_MIN` points are queried on their cached
+cell grid, smaller ones by brute force.  Patching the constant forces
+either path on small sets; the brute-force references live in `oracle.py`.
 """
+import itertools
 import math
 import time
 import tracemalloc
@@ -25,8 +26,8 @@ from metricfourier.oracle import (_all_chains, _pairs, oracle_dedup,
 
 ATOL = 1e-12
 NORMS = ("l1", "l2", "linf")
-# KDTREE_MIN values that force the tree path and the brute-force path.
-FORCE = {"tree": 0, "brute": 10 ** 9}
+# GRID_MIN values that force the grid path and the brute-force path.
+FORCE = {"grid": 0, "brute": 10 ** 9}
 
 
 @st.composite
@@ -55,7 +56,7 @@ dims = st.integers(1, 3)
 def test_dist_point_set_matches_oracle(inst, norm, path):
     q, Q = inst
     ref_d, ref_idx = oracle_dist_point_set(q, Q, norm)
-    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+    with mock.patch.object(geometry, "GRID_MIN", FORCE[path]):
         d, w = dist_point_set(q, PointSet.of(Q, dedup_tol=0), norm)
     assert abs(d - ref_d) <= ATOL
     index = {tuple(r): i for i, r in enumerate(Q)}
@@ -70,7 +71,7 @@ def test_project_rows_matches_oracle(inst, norm, path):
     lexicographically smallest witness."""
     q, Q = inst
     P = np.vstack([q, Q[:3], q[::-1] if q.size > 1 else -q])
-    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+    with mock.patch.object(geometry, "GRID_MIN", FORCE[path]):
         dist, picks = project_groups(P, np.zeros(len(P), dtype=np.intp),
                                      [PointSet.of(Q, dedup_tol=0)], norm)
     for p, d, pick in zip(P, dist, Q[picks]):
@@ -85,7 +86,7 @@ def test_project_rows_matches_oracle(inst, norm, path):
        st.sampled_from(NORMS), st.sampled_from(sorted(FORCE)))
 def test_min_dists_matches_oracle(pair, norm, path):
     P, Q = pair[0][1], pair[1][1]
-    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+    with mock.patch.object(geometry, "GRID_MIN", FORCE[path]):
         got = min_dists(P, Q, norm)
     assert np.allclose(got, oracle_min_dists(P, Q, norm), rtol=0, atol=ATOL)
 
@@ -99,7 +100,7 @@ cloud2 = st.lists(st.tuples(coords, coords), min_size=1, max_size=30)
 def test_hausdorff_matches_scipy_directed_hausdorff(a, b, path):
     A, B = np.array(a), np.array(b)
     ref = max(directed_hausdorff(A, B)[0], directed_hausdorff(B, A)[0])
-    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+    with mock.patch.object(geometry, "GRID_MIN", FORCE[path]):
         got = hausdorff(PointSet.of(A, dedup_tol=0), PointSet.of(B, dedup_tol=0))
     assert abs(got - ref) <= ATOL
 
@@ -110,7 +111,7 @@ def test_paths_agree_at_the_cutoff():
     rng = np.random.default_rng(7)
     q = np.array([0.25, -0.5])
     ring = q + np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    for m in (geometry.KDTREE_MIN, geometry.KDTREE_MIN + 1):
+    for m in (geometry.GRID_MIN, geometry.GRID_MIN + 1):
         far = rng.uniform(-5.0, 5.0, (2 * m, 2))
         far = far[np.abs(far - q).max(axis=1) > 1.5][:m - len(ring)]
         Q = np.vstack([far[:m // 2], ring, far[m // 2:]])
@@ -138,7 +139,7 @@ def test_row_blocks_match_one_block(block):
     rng = np.random.default_rng(3)
     B = PointSet.of(rng.integers(-3, 4, (40, 2)) * 0.5, dedup_tol=0)
     P = rng.integers(-3, 4, (30, 2)) * 0.5
-    with mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
+    with mock.patch.object(geometry, "GRID_MIN", FORCE["brute"]):
         one = geometry._nearest(P, B, "l2", witnesses=True)
         with mock.patch.object(geometry, "_BLOCK", block):
             blocks = geometry._nearest(P, B, "l2", witnesses=True)
@@ -152,30 +153,30 @@ def test_witnesses_are_read_only():
     """Witness sets share no writeable buffer, on either path, tied or not."""
     Q = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [3.0, 3.0]])
     for path in sorted(FORCE):
-        with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+        with mock.patch.object(geometry, "GRID_MIN", FORCE[path]):
             for q in ([0.0, 0.0], [0.0, 5.0]):
                 _, w = dist_point_set(q, PointSet.of(Q, dedup_tol=0))
                 assert not w.points.flags.writeable
 
 
-def test_tree_is_built_once_per_set():
+def test_grid_is_built_once_per_set():
     B = PointSet.of(np.arange(12.0).reshape(6, 2))
-    assert B.tree is B.tree
+    assert B.cells is B.cells
 
 
-def test_hausdorff_reuses_the_cached_trees():
-    """`PointSet.of` builds no tree, so building two large sets and a first
-    `hausdorff` build one tree per set, for the query against it, and a
-    second `hausdorff` builds none."""
+def test_hausdorff_reuses_the_cached_grids():
+    """`PointSet.of` builds no grid, so building two large sets and a first
+    `hausdorff` build one grid per set, and a second `hausdorff` builds
+    none."""
     nets = [disc_net(c, 1.0, 0.02).points for c in ((0.0, 0.0), (0.5, 0.0))]
-    with mock.patch.object(geometry, "_kdtree",
-                           wraps=geometry._kdtree) as build:
+    with mock.patch.object(geometry, "_grid",
+                           wraps=geometry._grid) as build:
         A, B = (PointSet.of(P) for P in nets)
         first = hausdorff(A, B)
-    assert min(len(A), len(B)) > geometry.KDTREE_MIN
+    assert min(len(A), len(B)) > geometry.GRID_MIN
     assert build.call_count == 2
-    with mock.patch.object(geometry, "_kdtree",
-                           side_effect=AssertionError("tree rebuilt")):
+    with mock.patch.object(geometry, "_grid",
+                           side_effect=AssertionError("grid rebuilt")):
         assert hausdorff(A, B) == first
 
 
@@ -235,7 +236,7 @@ def test_grouped_query_matches_queries_per_group(inst, norm, group_max):
         [psets[owner[r]].points[c][None] for r, c in zip(rows, cols)]))
     assert np.all(np.diff(rows * 100 + cols) > 0)
     with mock.patch.object(geometry, "GROUP_MAX", 0), \
-            mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
+            mock.patch.object(geometry, "GRID_MIN", FORCE["brute"]):
         for g, B in enumerate(psets):
             mine = np.flatnonzero(owner == g)
             if not mine.size:
@@ -306,7 +307,7 @@ def test_nearest_blocks_match_oracle_bitwise(norm, dim, scale):
     the oracle's `cdist` rows, bit for bit, all through the kernel."""
     rng = np.random.default_rng(dim)
     most = geometry.GROUP_MAX
-    for n in (1, 7, most, most + 1, geometry.KDTREE_MIN):
+    for n in (1, 7, most, most + 1, geometry.GRID_MIN):
         Q = rng.integers(-4, 5, size=(n, dim)) * scale
         B = PointSet.of(Q, dedup_tol=0)
         sizes = (most // n, most // n + 1)
@@ -330,13 +331,13 @@ def test_nearest_blocks_match_oracle_bitwise(norm, dim, scale):
 
 @pytest.mark.parametrize("norm", NORMS)
 def test_nearest_of_no_rows_and_min_dists_of_non_finite_rows(norm):
-    """A query of no rows gives empty arrays, on the kernel and the tree.
+    """A query of no rows gives empty arrays, on the kernel and the grid.
     `min_dists` refuses a NaN or infinite coordinate, in the rows or in the
     set, with one answer on every path: ValueError in one block, in several
-    blocks and on the tree."""
+    blocks and on the grid."""
     small = PointSet.of([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
     large = disc_net((0.0, 0.0), 1.0, 0.02)
-    assert len(large) > geometry.KDTREE_MIN
+    assert len(large) > geometry.GRID_MIN
     for B in (small, large):
         d, i, j = geometry._nearest(np.empty((0, 2)), B, norm, witnesses=True)
         assert d.shape == i.shape == j.shape == (0,)
@@ -397,10 +398,10 @@ def hausdorff_case(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(hausdorff_case(), st.sampled_from(NORMS), st.sampled_from(sorted(FORCE)))
-@example(OFF_REP, "l2", "tree")
-@example(([[1e4, 1e4]], [[1e4 + 0.1, 1e4 - 0.3]]), "l1", "tree")
+@example(OFF_REP, "l2", "grid")
+@example(([[1e4, 1e4]], [[1e4 + 0.1, 1e4 - 0.3]]), "l1", "grid")
 @example(([[0.5, 1e4]] * 40, [[0.1 * k, 1e4] for k in range(40)]),
-         "linf", "tree")
+         "linf", "grid")
 def test_hausdorff_equals_the_brute_force_maximum(case, norm, path):
     """Bitwise the maximum over every row of the `cdist` distances, on one
     point, one cell, lines, identical sets and coordinates near 1e4, and
@@ -408,7 +409,7 @@ def test_hausdorff_equals_the_brute_force_maximum(case, norm, path):
     A, B = (np.array(X, dtype=float) for X in case)
     ref = max(oracle_min_dists(A, B, norm).max(),
               oracle_min_dists(B, A, norm).max())
-    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+    with mock.patch.object(geometry, "GRID_MIN", FORCE[path]):
         got = hausdorff(PointSet.of(A, dedup_tol=0),
                         PointSet.of(B, dedup_tol=0), norm)
     assert got == ref
@@ -419,7 +420,7 @@ def test_hausdorff_cases_reach_the_pruned_rows():
     of OFF_REP is at a row that is not a representative, and 40 equal rows
     form one cell."""
     A, B = (np.array(X) for X in OFF_REP)
-    rows, bounds, _ = PointSet.of(A).cells
+    rows, bounds = PointSet.of(A).cells[:2]
     assert np.argmax(oracle_min_dists(A, B)) not in rows[bounds[:-1]]
     same = PointSet.of([[0.5, 1e4]] * 40, dedup_tol=0)
     assert same.cells[1].tolist() == [0, 40]
@@ -436,27 +437,201 @@ def test_hausdorff_of_a_large_set_and_small_ones(norm):
               np.vstack([rim[::40], [[0.0, 0.0]]])):
         ref = max(oracle_min_dists(net, B, norm).max(),
                   oracle_min_dists(B, net, norm).max())
-        assert len(net) > geometry.KDTREE_MIN >= len(B)
+        assert len(net) > geometry.GRID_MIN >= len(B)
         assert hausdorff(PointSet.of(net), PointSet.of(B), norm) == ref
 
 
 def test_hausdorff_queries_few_rows_of_large_nets():
-    """On two 8,201-point disc nets 4 apart, each direction passes at most
-    1,000 rows to `_nearest`."""
+    """On two 8,201-point disc nets 4 apart, each direction computes exact
+    distances for at most 1,000 rows, counted once per `_scan`."""
     A = disc_net((-2.0, 2.0), 1.0, 0.02)
     B = disc_net((2.0, 2.0), 1.0, 0.02)
     assert len(A) == len(B) == 8201
-    real = geometry._nearest
+    real = geometry._scan
 
-    def counted(P, S, *args):
-        rows[id(S)] += len(P)
-        return real(P, S, *args)
+    def counted(P, G, prow, *args):
+        rows[id(G)] += np.unique(prow).size
+        return real(P, G, prow, *args)
 
     for norm in NORMS:
-        rows = {id(A): 0, id(B): 0}
-        with mock.patch.object(geometry, "_nearest", counted):
+        rows = {id(A.cells): 0, id(B.cells): 0}
+        with mock.patch.object(geometry, "_scan", counted):
             assert hausdorff(A, B, norm) == 4.0
         assert 0 < min(rows.values()) and max(rows.values()) <= 1000, norm
+
+
+def _work(A, B, norm):
+    """hausdorff(A, B) and the entries of every box bound and distance it
+    computed."""
+    real_box, real_kernel = geometry._box_bounds, geometry._dist_matrix
+    entries = [0]
+
+    def box(*args):
+        out = real_box(*args)
+        entries[0] += out[0].size
+        return out
+
+    def kernel(*args):
+        out = real_kernel(*args)
+        entries[0] += out.size
+        return out
+
+    with mock.patch.object(geometry, "_box_bounds", box), \
+            mock.patch.object(geometry, "_dist_matrix", kernel):
+        value = hausdorff(A, B, norm)
+    return value, entries[0]
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_hausdorff_of_far_nets_prunes_cell_pairs(norm):
+    """Two 8,201-point nets 4 apart: the cell pairs pruned by their boxes
+    leave under 150,000 box bounds and distances for both directions (the
+    cell pairs alone are about 200,000, the point pairs 67 million)."""
+    A = disc_net((-2.0, 2.0), 1.0, 0.02)
+    B = disc_net((2.0, 2.0), 1.0, 0.02)
+    value, entries = _work(A, B, norm)
+    assert value == 4.0
+    assert entries < 150_000
+
+
+# ---------------------------------------------------------------------------
+# The cell grid: exact nearest neighbours, bit for bit the oracle's `cdist`
+
+@st.composite
+def grid_instance(draw):
+    """A set of 40-300 lattice points in d = 1-3 (duplicates kept, one axis
+    constant in some, five times as many copies of one point in others),
+    at scales from 1e-3 to 1e4, and rows that test the
+    grid: members, half-lattice rows, rows 50 times outside the set, the
+    zero row, and a row with points at distances 1 and 1 + TIE_TOL (1 + s),
+    s within a few ulps of 0, so its tie is decided at the tolerance's
+    edge."""
+    dim = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1e-3, 0.37, 1.0, 1e4]))
+    n = draw(st.integers(40, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q = rng.integers(-6, 7, size=(n, dim)).astype(float)
+    if dim > 1 and draw(st.booleans()):
+        Q[:, draw(st.integers(0, dim - 1))] = 2.0
+    q = rng.integers(-6, 7, size=dim).astype(float)
+    s = draw(st.sampled_from([-1e-6, 0.0, 1e-6, 1e-3]))
+    e = np.eye(dim)[draw(st.integers(0, dim - 1))]
+    Q = np.vstack([Q, q + e, q - (1.0 + TIE * (1.0 + s)) * e])
+    if draw(st.booleans()):
+        # Copies of one point crowd one cell.
+        Q = np.vstack([Q, np.repeat(Q[:1], 5 * n, axis=0)])
+    P = np.vstack([Q[rng.integers(0, len(Q), 8)],
+                   rng.integers(-14, 15, size=(24, dim)) / 2,
+                   50 * Q[rng.integers(0, len(Q), 4)],
+                   np.zeros((1, dim)), q])
+    return P * scale, Q * scale
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid_instance(), st.sampled_from(NORMS))
+def test_grid_queries_match_oracle_bitwise(inst, norm):
+    """`_nearest` on the grid (GRID_MIN 0): each row's distance and its
+    witnesses, in index order, are the oracle's `cdist` ones, bit for bit,
+    with and without witnesses, and `project_groups` picks the same
+    points."""
+    P, Q = inst
+    B = PointSet.of(Q, dedup_tol=0)
+    with mock.patch.object(geometry, "GRID_MIN", 0):
+        dist = geometry._nearest(P, B, norm)
+        d, i, j = geometry._nearest(P, B, norm, witnesses=True)
+        picks = project_groups(P, np.zeros(len(P), dtype=np.intp), [B],
+                               norm)[1]
+    refs = [oracle_dist_point_set(p, Q, norm)[1] for p in P]
+    assert np.array_equal(dist, oracle_min_dists(P, Q, norm))
+    assert np.array_equal(d, dist)
+    assert np.array_equal(i, np.repeat(np.arange(len(P)),
+                                       [r.size for r in refs]))
+    assert np.array_equal(j, np.concatenate(refs))
+    for k, r in zip(picks, refs):
+        w = Q[r]
+        assert np.array_equal(Q[k], w[np.lexsort(w.T[::-1])[0]])
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_grid_on_a_disc_net_matches_oracle_bitwise(norm):
+    """An 8,201-point net on its real grid: members, rows near it, rows in
+    the empty corners of its box, far rows and the zero row, in one call
+    of more rows than one block holds, all bitwise the oracle's."""
+    net = disc_net((0.3, -0.2), 1.0, 0.02)
+    Q = net.points
+    rng = np.random.default_rng(11)
+    P = np.vstack([Q[rng.integers(0, len(Q), 250)],
+                   Q[rng.integers(0, len(Q), 250)]
+                   + rng.normal(scale=0.03, size=(250, 2)),
+                   rng.uniform(-1.0, 1.6, (250, 2)),
+                   50 * Q[rng.integers(0, len(Q), 20)], [[0.0, 0.0]]])
+    assert len(P) > geometry._BLOCK // (4 * net.cells.count.max())
+    d, i, j = geometry._nearest(P, net, norm, witnesses=True)
+    assert np.array_equal(d, oracle_min_dists(P, Q, norm))
+    refs = [oracle_dist_point_set(p, Q, norm)[1] for p in P]
+    assert np.array_equal(i, np.repeat(np.arange(len(P)),
+                                       [r.size for r in refs]))
+    assert np.array_equal(j, np.concatenate(refs))
+
+
+def test_grid_reach_covers_the_rounding_of_positions():
+    """A 1-d set from -1e4 to 0, whose cells are 416.67 wide: b lies
+    below the computed edge of the cells around p, yet rounds into the
+    cell beyond them, and w, inside them, is farther from p than b by less
+    than that rounding.  Without its rounding margin the reach of p's
+    cells would exceed d(p, w), and p would take d(p, w) as its
+    distance."""
+    b, w, p = -2399.999999999997, -2879.9999999999945, -2639.9999999999955
+    Q = np.array([-1e4] * 200 + [0.0] * 200 + [b, w])[:, None]
+    B = PointSet.of(Q, dedup_tol=0)
+    G = B.cells
+    corner = geometry._corner(G, np.array([[p]]))[0, 0]
+    pos = np.floor((np.array([b, w]) - G.origin[0]) / G.side)
+    assert pos.tolist() == [corner + 2, corner]
+    assert abs(p - b) < abs(p - w) < G.origin[0] + (corner + 2) * G.side - p
+    with mock.patch.object(geometry, "GRID_MIN", 0):
+        for norm in NORMS:
+            assert geometry._nearest(np.array([[p]]), B, norm) == abs(p - b)
+            d, i, j = geometry._nearest(np.array([[p]]), B, norm, True)
+            # w ties with b within TIE_TOL, so both are witnesses.
+            assert d[0] == abs(p - b) and j.tolist() == [400, 401]
+
+
+def test_hausdorff_of_sets_of_two_dimensions_raises():
+    """Sets in different dimensions raise DimensionMismatch at every size,
+    on the brute-force path, on one grid and on two."""
+    small = (PointSet.of([[0.0, 0.0], [1.0, 1.0]]), PointSet.of([0.0, 2.0]))
+    large = (disc_net((0.0, 0.0), 1.0, 0.035),
+             PointSet.of(np.linspace(0.0, 1.0, 3000)))
+    assert min(len(large[0]), len(large[1])) > geometry.GRID_MIN
+    for A, B in itertools.product(small + large, repeat=2):
+        if A.dim != B.dim:
+            with pytest.raises(geometry.DimensionMismatch):
+                hausdorff(A, B)
+
+
+def _nets():
+    """Pairs of nets of more than GRID_MIN points: 4 apart, nested (a small
+    disc inside a large one) and interleaved (one net moved by half its
+    spacing)."""
+    big = disc_net((0.0, 0.0), 1.0, 0.035)
+    return {"apart": (big, disc_net((4.0, 0.0), 1.0, 0.035)),
+            "nested": (big, disc_net((0.1, 0.2), 0.5, 0.0175)),
+            "interleaved": (big, disc_net((0.0175, 0.0175), 1.0, 0.035))}
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("case", ["apart", "nested", "interleaved"])
+def test_hausdorff_of_large_nets_equals_brute_force(case, norm):
+    """`hausdorff` of two sets on their grids, both ways round, equals the
+    brute-force value (GRID_MIN 10^9) bit for bit."""
+    A, B = _nets()[case]
+    assert min(len(A), len(B)) > geometry.GRID_MIN
+    got = (hausdorff(A, B, norm), hausdorff(B, A, norm))
+    A, B = (PointSet.of(S.points) for S in (A, B))
+    with mock.patch.object(geometry, "GRID_MIN", 10 ** 9):
+        ref = hausdorff(A, B, norm)
+    assert got == (ref, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +647,7 @@ def test_pairs_and_chains_match_oracle(insts, path):
     sets = [np.vstack([Q, q]) for (_, Q), (q, _) in zip(insts, insts[1:])]
     sets.append(insts[-1][1])
     psets = [PointSet.of(S, dedup_tol=0) for S in sets]
-    with mock.patch.object(geometry, "KDTREE_MIN", FORCE[path]):
+    with mock.patch.object(geometry, "GRID_MIN", FORCE[path]):
         for A, B, S, T in zip(psets, psets[1:], sets, sets[1:]):
             (i, j), = geometry._pair_indices([A, B], "l2")
             assert list(zip(i.tolist(), j.tolist())) == sorted(_pairs(S, T))
@@ -500,7 +675,7 @@ def test_batched_links_match_links_alone(insts, norm, group_max):
         links = geometry._pair_indices(psets, norm)
         chains = enumerate_metric_chains(psets, norm)
     with mock.patch.object(geometry, "GROUP_MAX", 0), \
-            mock.patch.object(geometry, "KDTREE_MIN", FORCE["brute"]):
+            mock.patch.object(geometry, "GRID_MIN", FORCE["brute"]):
         alone = [geometry._pair_indices([A, B], norm)[0]
                  for A, B in zip(psets, psets[1:])]
     assert len(links) == len(alone) == len(sets) - 1
@@ -539,7 +714,7 @@ def test_dedup_independent_of_set_size():
     assert len(PointSet.of([0.0, near_zero])) == 1
     big = PointSet.of(list(range(5000)) + [near_zero])
     assert len(big) == 5000
-    assert big.tree.n == 5000
+    assert big.cells.bounds[-1] == 5000
     assert np.array_equal(big.points[:, 0], np.arange(5000.0))
 
 
@@ -638,11 +813,11 @@ def test_lex_ranks_match_full_lexsort(rows, y_seeds, negate):
 
 def test_dedup_of_large_nets_builds_no_tree():
     """The dedup sorts projections: an 8,201-point net keeps every row
-    without building a tree, and a planted near copy of each row is
-    dropped."""
+    without building a grid (or any other search structure), and a planted
+    near copy of each row is dropped."""
     net = disc_net((0.3, -0.2), 1.0, 0.02).points
     near = net + geometry.DEDUP_TOL / 2
-    with mock.patch.object(geometry, "_kdtree",
-                           side_effect=AssertionError("tree built")):
+    with mock.patch.object(geometry, "_grid",
+                           side_effect=AssertionError("grid built")):
         assert np.array_equal(PointSet.of(net).points, net)
         assert np.array_equal(PointSet.of(np.vstack([net, near])).points, net)

@@ -100,7 +100,7 @@ def test_sample_checks_the_domain_as_F_does():
 
 
 def test_constant_pieces_give_their_prebuilt_set():
-    """The engine's labels, the Aumann hull cache and the cached trees key
+    """The engine's labels, the Aumann hull cache and the cached cell grids key
     on the set object, so a constant piece returns one object at every t,
     sampled alone or among other points."""
     xs = np.append(np.linspace(-PI, PI, 41), 0.5)

@@ -636,10 +636,10 @@ def assert_same_family(got, ref):
 @given(svf_instance(), st.sampled_from(["l1", "l2", "linf"]),
        st.sampled_from([0, 10 ** 9]), st.integers(1, 4), st.integers(1, 4),
        st.integers(1, 5))
-def test_selection_family_matches_per_seed_reference(F, norm, kdtree_min,
+def test_selection_family_matches_per_seed_reference(F, norm, grid_min,
                                                      x_seeds, y_seeds, depth):
     # x_seeds >= 2 seeds at a and at b; jumps are always seeded.
-    with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
+    with mock.patch.object(geometry, "GRID_MIN", grid_min):
         got = selection_family(F, x_seeds, y_seeds, depth, norm)
         ref = oracle_selection_family(F, x_seeds, y_seeds, depth, norm)
     assert_same_family(got, ref)
@@ -654,10 +654,10 @@ MIXED = parse_svf({"domain": [-PI, PI], "pieces": [
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
-@pytest.mark.parametrize("kdtree_min", [0, 10 ** 9])
-def test_mixed_wave_matches_per_seed_reference(norm, kdtree_min):
+@pytest.mark.parametrize("grid_min", [0, 10 ** 9])
+def test_mixed_wave_matches_per_seed_reference(norm, grid_min):
     assert [len(MIXED(x)) for x in (0.0, 1.0)] == [3, 81]
-    with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
+    with mock.patch.object(geometry, "GRID_MIN", grid_min):
         got = selection_family(MIXED, 5, 3, 5, norm)
         ref = oracle_selection_family(MIXED, 5, 3, 5, norm)
     assert_same_family(got, ref)
@@ -669,15 +669,15 @@ H = 2.0 ** -31
 DRIFT = constant_set_fixture([0.0, H, 2 * H, 3 * H, 5.0], -1.0, 1.0)
 
 
-@pytest.mark.parametrize("kdtree_min", [0, 10 ** 9])
-def test_batched_chains_match_chains_built_alone(kdtree_min):
+@pytest.mark.parametrize("grid_min", [0, 10 ** 9])
+def test_batched_chains_match_chains_built_alone(grid_min):
     for F in (lines_fixture(), DRIFT):
         jobs = []
         for depth in (1, 3, 4):
             for x_hat in (F.a, 0.5, F.b, 0.5):      # 0.5 twice: duplicates
                 chi = Partition.dyadic(F.a, F.b, depth, (x_hat, 0.5))
                 jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
-        with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min):
+        with mock.patch.object(geometry, "GRID_MIN", grid_min):
             chains = svf._greedy_chains(F, jobs, "l2")
             for (chi, seed), ch in zip(jobs, chains):
                 ref = oracle_greedy_chain(F, chi, seed, "l2")
@@ -706,13 +706,13 @@ def seeded_jobs(F):
 
 def test_lazy_maps_match_chains_built_alone():
     """The same jobs with every map filled lazily (GROUP_MAX 0), on the
-    tree and by brute force: a run of one set is skipped while its map fixes
+    grid and by brute force: a run of one set is skipped while its map fixes
     every index, and the drift through a tie cluster, where it does not,
     steps node by node."""
-    for kdtree_min in (0, 10 ** 9):
+    for grid_min in (0, 10 ** 9):
         for F in (lines_fixture(), DRIFT, DRIFT7):
             jobs = seeded_jobs(F)
-            with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min), \
+            with mock.patch.object(geometry, "GRID_MIN", grid_min), \
                     mock.patch.object(geometry, "GROUP_MAX", 0):
                 chains = svf._greedy_chains(F, jobs, "l2")
                 for (chi, seed), ch in zip(jobs, chains):
@@ -752,18 +752,18 @@ def moving_svf(draw):
        st.sampled_from([0, 10 ** 9]), st.sampled_from([0, 10 ** 9]),
        st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)),
                 min_size=1, max_size=4))
-def test_index_maps_match_the_reference_chains(F, norm, kdtree_min,
+def test_index_maps_match_the_reference_chains(F, norm, grid_min,
                                                group_max, specs):
     """Every chain of one `_greedy_chains` call equals `oracle_greedy_chain`
     bitwise, with all maps filled up front (GROUP_MAX large) or all filled
-    lazily through `_nearest` (GROUP_MAX 0), on the tree or by brute
+    lazily through `_nearest` (GROUP_MAX 0), on the grid or by brute
     force."""
     jobs = []
     for depth, k in specs:
         chi = Partition.dyadic(0.0, 1.0, depth)
         x_hat = chi.nodes[min(k, len(chi) - 1)]
         jobs += [(chi, (x_hat, y)) for y in F(x_hat).points]
-    with mock.patch.object(geometry, "KDTREE_MIN", kdtree_min), \
+    with mock.patch.object(geometry, "GRID_MIN", grid_min), \
             mock.patch.object(geometry, "GROUP_MAX", group_max):
         chains = svf._greedy_chains(F, jobs, norm)
         for (chi, seed), ch in zip(jobs, chains):
