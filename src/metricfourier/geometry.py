@@ -10,9 +10,9 @@ Every nearest-point query (`min_dists`, `hausdorff`, `dist_point_set`,
 Projections of many rows (`project_groups`) and the metric pairs of
 `_pair_indices` go through the grouped query `_nearest_groups`, whose rows
 each have their own set.  Its groups (the rows of one set) of at most
-GROUP_MAX distance entries are computed together in one padded call of the
-numpy kernel `_dist_matrix`, which removes the cost of a call per small set;
-a larger group is one `_nearest` call.  `small_sets` tells which
+GROUP_MAX distance entries are computed together by one `_scan`, their sets
+laid end to end as its cells, which removes the cost of a call per small
+set; a larger group is one `_nearest` call.  `small_sets` tells which
 sets pair within that size, for callers that fill whole maps between sets.
 `_nearest` is the one place that chooses the path: a set of more than
 GRID_MIN points is queried on its cell grid (`_grid_nearest`), which
@@ -68,13 +68,13 @@ CHAIN_LIMIT = 10 ** 6
 # their cells.
 GRID_MIN = 2048
 # A group (the rows queried against one set) of at most this many distance
-# entries is computed with all such groups in one padded numpy kernel, a
-# larger one by `_nearest`.  Measured cost per group, many groups a call (2
-# shared cores, numpy 2.4, d = 1 and 2, fastest of 15 runs): the kernel
-# 2-7 us at 64 entries, 7-13 us at 256 and 14-25 us at 512; `_nearest`
-# 10-17 us at 64, 18-19 us at 256 and 12-25 us at 512.  They meet near 512.
-# `small_sets` reads it too: sets of at most sqrt(GROUP_MAX) points are
-# small, their distance matrices at most one kernel group's size.
+# entries is computed with all such groups in one `_scan`, a larger one by
+# `_nearest`.  Measured cost per group, 64 groups a call (2 shared cores,
+# numpy 2.4, fastest of 100 runs), `_scan` against `_nearest`: 3.5 against
+# 17-19 us at 64 entries, 4-6 against 17-22 us at 256, 12-20 against 19-29
+# us at 512, and at 1024 21-24 against 22-25 us in d = 1, 35-37 against
+# 29-32 us in d = 2.  They meet between 512 and 1024.  `small_sets` reads
+# it too: sets of at most sqrt(GROUP_MAX) points are small.
 GROUP_MAX = 512
 # Entries (rows x width) of one `_dist_matrix` call, grouped or not: its
 # two buffers of 512 KiB stay in cache.  Measured cost of a brute-force
@@ -450,7 +450,8 @@ def _grid_nearest(P: np.ndarray, G: _Grid, norm: str, witnesses: bool):
     rest = np.flatnonzero(~done)
     if rest.size:
         for i, c in _wide(P[rest], G, dist[rest], norm, witnesses):
-            got = _scan(P, G, rest[i], c, norm, witnesses)
+            got = _scan(P, G.bounds, G.cols, G.rows, rest[i], c, norm,
+                        witnesses)
             dist[got[0]] = got[1]
             if witnesses:
                 parts.append(got[2:])
@@ -602,39 +603,45 @@ def _refine(P: np.ndarray, G: _Grid, prow: np.ndarray, pcell: np.ndarray,
     best = best[np.flatnonzero(np.diff(prow[best], prepend=-1))]
     best = best[near >= floor]
     top = np.full(seg.size, -np.inf)
-    top[near >= floor] = _scan(P, G, prow[best], pcell[best], norm, False)[1]
+    top[near >= floor] = _scan(P, G.bounds, G.cols, G.rows, prow[best],
+                               pcell[best], norm, False)[1]
     keep = low <= np.repeat(np.where(top >= floor, top, -np.inf), size)
-    got = _scan(P, G, prow[keep], pcell[keep], norm, False)[1]
+    got = _scan(P, G.bounds, G.cols, G.rows, prow[keep], pcell[keep],
+                norm, False)[1]
     return max(floor, got.max(initial=floor))
 
 
-def _scan(P: np.ndarray, G: _Grid, prow: np.ndarray, pcell: np.ndarray,
-          norm: str, witnesses: bool):
-    """The distances from rows of P to the points of cells of G, for the
-    (row, cell) pairs (prow[k], pcell[k]) sorted by row: the rows with a
-    pair, each one's smallest distance and, with witnesses, the witness
-    pairs (row, index in the set) within TIE_TOL of it.  In blocks of at
-    most _BLOCK distances, or one row's."""
+def _scan(P: np.ndarray, bounds: np.ndarray, cols: np.ndarray,
+          rows: np.ndarray, prow: np.ndarray, pcell: np.ndarray, norm: str,
+          witnesses: bool):
+    """The distances from rows of P to the points of cells, as in a
+    `_Grid` (cell c holds the points cols[:, bounds[c]:bounds[c + 1]]),
+    for the (row, cell) pairs (prow[k], pcell[k]) sorted by row: the rows
+    with a pair, each one's smallest distance and, with witnesses, the
+    pairs (row, rows[j]) of the points j within TIE_TOL of it.  In blocks
+    of at most _BLOCK distances, or one row's."""
     if not prow.size:
         none = np.empty(0, dtype=np.intp)
         return none, np.empty(0), none, none
-    cnt = G.bounds[pcell + 1] - G.bounds[pcell]
+    cnt = bounds[pcell + 1] - bounds[pcell]
     start = np.flatnonzero(np.diff(prow, prepend=-1))
     parts = []
     for a, b in _chunks(np.add.reduceat(cnt, start)):
         lo, hi = start[a], (start[b] if b < start.size else cnt.size)
         n = cnt[lo:hi]
         first = np.cumsum(n) - n
-        j = np.repeat(G.bounds[pcell[lo:hi]] - first, n) + np.arange(n.sum())
+        j = np.repeat(bounds[pcell[lo:hi]] - first, n) + np.arange(n.sum())
         r = np.repeat(prow[lo:hi], n)
-        D = _dist_matrix(P[r], G.cols[:, j, None], norm)[:, 0]
-        seg = np.flatnonzero(np.diff(r, prepend=-1))
+        # `take` gathers rows many times faster than fancy indexing.
+        D = _dist_matrix(P.take(r, axis=0), cols.take(j, axis=1)[..., None],
+                         norm)[:, 0]
+        seg = first[start[a:b] - lo]
         dist = np.minimum.reduceat(D, seg)
-        part = [r[seg], dist]
+        part = [prow[start[a:b]], dist]
         if witnesses:
             w = np.flatnonzero(D <= np.repeat(dist + TIE_TOL,
                                               np.diff(seg, append=r.size)))
-            part += [r[w], G.rows[j[w]]]
+            part += [r[w], rows[j[w]]]
         parts.append(part)
     return [np.concatenate(x) for x in zip(*parts)]
 
@@ -701,7 +708,7 @@ def lex_ranks(P: np.ndarray, ranks) -> np.ndarray:
 
 def small_sets(sizes) -> np.ndarray:
     """Whether each of these set sizes is small: the distance matrix
-    between two small sets has at most GROUP_MAX entries, a kernel group's
+    between two small sets has at most GROUP_MAX entries, a small group's
     size, so a map between them is cheap to fill for every point."""
     return np.asarray(sizes) ** 2 <= GROUP_MAX
 
@@ -713,9 +720,9 @@ def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str):
     cols indexing the row's own set, and the witnesses' coordinates.
 
     A group, the rows of one set, is small when its distance matrix has at
-    most GROUP_MAX entries.  All small groups are computed together by
-    `_padded_nearest`, one call for the sets of each power-of-two width;
-    larger groups take `_nearest`, which picks the tree or brute force."""
+    most GROUP_MAX entries.  All small groups are computed by one `_scan`,
+    whose cells are their sets laid end to end; each larger group takes
+    one `_nearest` call."""
     m, d = P.shape
     if not m:
         none = np.empty(0, dtype=np.intp)
@@ -729,19 +736,14 @@ def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str):
     dist = np.empty(m)
     parts = []
     if small.any():
-        pts = np.concatenate([sets[g].points for g in groups[small]])
-        start = np.zeros(groups.size, dtype=np.intp)
-        start[small] = np.cumsum(size[small]) - size[small]
-        width = 1 << np.ceil(np.log2(size)).astype(int)
-        mine = np.flatnonzero(small[inv])
-        for w in np.unique(width[small]):
-            rows = mine[width[inv[mine]] == w]
-            step = max(1, _BLOCK // int(w))
-            for k in range(0, rows.size, step):
-                r = rows[k:k + step]
-                dist[r], i, j, wit = _padded_nearest(
-                    P[r], pts, start[inv[r]], size[inv[r]], norm)
-                parts.append((r[i], j, wit))
+        # Cell k is the k-th small set, its points numbered within it.
+        bounds = np.append(0, np.cumsum(size[small]))
+        cols = np.hstack([sets[g].points.T for g in groups[small]])
+        own = np.arange(bounds[-1]) - np.repeat(bounds[:-1], size[small])
+        cell = (np.cumsum(small) - 1)[inv]
+        r = np.flatnonzero(small[inv])
+        _, dist[r], i, j = _scan(P, bounds, cols, own, r, cell[r], norm, True)
+        parts.append((i, j, cols[:, bounds[cell[i]] + j].T))
     for g in np.flatnonzero(~small):
         r = np.flatnonzero(inv == g)
         B = sets[groups[g]]
@@ -753,23 +755,6 @@ def _nearest_groups(P: np.ndarray, owner: np.ndarray, sets, norm: str):
         order = np.argsort(rows, kind="stable")
         rows, cols, wit = rows[order], cols[order], wit[order]
     return dist, rows, cols, wit
-
-
-def _padded_nearest(P: np.ndarray, pts: np.ndarray, start: np.ndarray,
-                    size: np.ndarray, norm: str):
-    """The distance from each row i of P to the set pts[start[i]:start[i] +
-    size[i]], and its witnesses as in `_nearest`, with their coordinates.
-
-    One `_dist_matrix` over a padded (m, w) index matrix.  Each set is
-    padded with copies of its last point, which a mask leaves out of the
-    witnesses (they cannot lower the minimum)."""
-    slot = np.arange(int(size.max()))
-    idx = start[:, None] + np.minimum(slot, size[:, None] - 1)
-    D = _dist_matrix(P, (pts[idx, c] for c in range(P.shape[1])), norm)
-    dist = D.min(axis=1)
-    rows, cols = np.nonzero((D <= dist[:, None] + TIE_TOL)
-                            & (slot < size[:, None]))
-    return dist, rows, cols, pts[idx[rows, cols]]
 
 
 def _dist_matrix(P: np.ndarray, columns, norm: str) -> np.ndarray:
@@ -814,8 +799,9 @@ def _sup_dist(A: PointSet, B: PointSet, norm: str,
     rows only the rows that can reach it are measured, by A's cells:
     `_sup_cells` when B is large too, and otherwise a bound through each
     cell's representative r: its exact distance gives a lower bound L, and
-    a row a of the cell has d(a, B) <= d(r, B) + |a - r|, so only the
-    cells whose bound reaches L are queried row by row.  Every distance is
+    a row a of the cell has d(a, B) <= |a - b| for the first witness b of
+    r, at most the `_box_bounds` bound of the cell's box and b, so only the
+    cells whose bound exceeds L are queried row by row.  Every distance is
     computed as `_nearest` computes it, so the result is the same float as
     a query of every row."""
     if A.dim != B.dim:
@@ -826,16 +812,11 @@ def _sup_dist(A: PointSet, B: PointSet, norm: str,
         return _sup_cells(A.cells, B.cells, norm, floor)
     G = A.cells
     first = G.bounds[:-1]
-    reps = G.pts[first]
-    near = _nearest(reps, B, norm)
+    near, i, j = _nearest(G.pts[first], B, norm, witnesses=True)
     low = max(floor, near.max())
-    # Each computed distance or norm is within (dim + 2) eps of the exact
-    # one (relatively; the absolute term covers subnormal squares), so the
-    # margin keeps the bound above the computed d(a, B) of every row.
-    margin = 1 + 8 * (A.dim + 2) * _EPS
-    dev = np.maximum(G.hi - reps, reps - G.lo)
-    bound = (near + row_norms(dev, norm)) * margin + 1e-150
-    live = np.repeat(bound >= low, np.diff(G.bounds))
+    b = B.points[j[np.flatnonzero(np.diff(i, prepend=-1))]]
+    bound = _box_bounds(G.lo, G.hi, b, b, norm)[1]
+    live = np.repeat(bound > low, np.diff(G.bounds))
     live[first] = False
     if live.any():
         low = max(low, _nearest(G.pts[live], B, norm).max())

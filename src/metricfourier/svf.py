@@ -188,7 +188,8 @@ class MetricChain:
     their piecewise-constant extension: values[i] on [x_i, x_{i+1}).
 
     `values` is one read-only (N, d) array, row i the value at node i;
-    sequences of points (or of scalars, for d = 1) are copied into it.
+    sequences of points (or of scalars, for d = 1) and writable arrays are
+    copied into it, and a read-only float array is kept as it is.
     Equality and hashing are by identity, as for `Partition`.
     """
 
@@ -196,7 +197,11 @@ class MetricChain:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype == float
+                and not vals.flags.writeable):
+            vals = np.array(vals, dtype=float)
+            vals.setflags(write=False)
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.ndim != 2 or vals.shape[1] == 0:
@@ -204,7 +209,6 @@ class MetricChain:
         if vals.shape[0] != len(self.partition):
             raise ValueError(f"{vals.shape[0]} values for "
                              f"{len(self.partition)} partition nodes")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -251,14 +255,12 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
     the same object or have bitwise equal points, and a map is keyed by
     its pair of labels, so a run of one set reuses one map (which may move
     a point within a cluster spaced below TIE_TOL: the chain drifts one
-    step a node, as when built alone).  Labels rise by at most one from a
-    union node to the next, so the label pair of a step is numbered from
-    its two labels directly; only a step that skips a label of the union
-    goes through `np.unique`.  Maps between sets that `geometry.small_sets`
-    calls small are filled for every point, all by one `project_groups`
-    call.  A map touching a larger set is filled only at the indices
-    chains reach, by one call per wave that reaches new ones, into a
-    sorted cache; no map of a large set is stored densely.
+    step a node, as when built alone).  The label pairs of all steps are
+    numbered by one `np.unique`.  Maps between sets that
+    `geometry.small_sets` calls small are filled for every point, all by
+    one `project_groups` call.  A map touching a larger set is filled only
+    at the indices chains reach, by one call per wave that reaches new
+    ones, into a sorted cache; no map of a large set is stored densely.
 
     The seed values are projected by one `project_groups` call, each
     distinct pair of a seed and the label of its node once.  Then every
@@ -310,32 +312,18 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
         raise ValueError("seed abscissa must be a partition node")
     # Step f of `flat` goes from node f to f + 1 (rightward, pid[f]) or
     # from f + 1 to f (leftward, pid[len(flat) - 1 + f]); a step across two
-    # partitions is never taken.  A label pair (s, t) with |s - t| <= 1 is
-    # numbered 3 min(s, t) + (0, 1, 2 for t = s, s + 1, s - 1), the others
-    # 3 nlab on; then the numbers in use are ranked into pair ids.
+    # partitions is never taken.  The label pairs (s, t) in use, keyed
+    # s * nlab + t, are numbered in key order, by a stable sort
+    # (return_index) that merges each partition's rising runs of keys.
     ok = np.ones(len(flat) - 1, dtype=bool)
     ok[start[1:] - 1] = False
     ok = np.concatenate([ok, ok])
     src = np.concatenate([lab[:-1], lab[1:]])[ok]
     dst = np.concatenate([lab[1:], lab[:-1]])[ok]
-    gap = dst - src
-    code = np.where(gap == 0, 3 * src,
-                    np.where(gap == 1, 3 * src + 1, 3 * dst + 2))
-    far = np.abs(gap) > 1
-    far_keys, code[far] = np.unique(src[far] * nlab + dst[far],
-                                    return_inverse=True)
-    code[far] += 3 * nlab
-    used = np.zeros(3 * nlab + far_keys.size, dtype=bool)
-    used[code] = True
-    pairs = np.flatnonzero(used)
     pid = np.zeros(ok.size, dtype=np.intp)
-    pid[ok] = (np.cumsum(used) - 1)[code]
-    near = pairs < 3 * nlab
-    src_lab, dst_lab = np.empty((2, pairs.size), dtype=np.intp)
-    third, kind = np.divmod(pairs[near], 3)
-    src_lab[near], dst_lab[near] = third + (kind == 2), third + (kind == 1)
-    src_lab[~near], dst_lab[~near] = np.divmod(
-        far_keys[pairs[~near] - 3 * nlab], nlab)
+    pairs, _, pid[ok] = np.unique(src * nlab + dst, return_index=True,
+                                  return_inverse=True)
+    src_lab, dst_lab = np.divmod(pairs, nlab)
     # The maps between small sets, from one query of their points, then a
     # sink of zeros, where every other map reads.
     dense = small[src_lab] & small[dst_lab]
@@ -475,6 +463,7 @@ def _greedy_chains(F: SetValuedFunction, jobs, norm: str = "l2",
         for l, b in zip(lab[lo[r[new]]].tolist(),
                         np.split(rows, first[new[1:]])):
             vals[b] = limg[l].points[idx[b]]
+    # Each chain copies its writable slice, so the block can be freed.
     return [MetricChain(chi, vals[o:o + n])
             for (chi, _), o, n in zip(jobs, offsets, sizes)]
 

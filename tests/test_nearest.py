@@ -181,7 +181,7 @@ def test_hausdorff_reuses_the_cached_grids():
 
 
 # ---------------------------------------------------------------------------
-# The grouped query: small groups in one padded kernel, bitwise as `cdist`
+# The grouped query: small groups in one `_scan`, bitwise as `cdist`
 
 TIE = geometry.TIE_TOL
 
@@ -209,20 +209,20 @@ def grouped_instance(draw):
     return np.array(rows), np.array(owner), sets
 
 
-# A 3-point and a 4-point set share the kernel's width, so the first is
-# padded, and the first row's witness is its last point.
-PADDED = (np.array([[2.25], [0.0]]), np.array([0, 1]),
-          [np.array([[0.0], [1.0], [2.0]]),
-           np.array([[0.0], [1.0], [2.0], [3.0]])])
+# A 3-point and a 4-point set laid end to end as two cells: the first row's
+# witness is the last point of its set, beside the first of the next.
+END_TO_END = (np.array([[2.25], [0.0]]), np.array([0, 1]),
+              [np.array([[0.0], [1.0], [2.0]]),
+               np.array([[0.0], [1.0], [2.0], [3.0]])])
 
 
 @settings(max_examples=150, deadline=None)
 @given(grouped_instance(), st.sampled_from(NORMS),
        st.sampled_from([0, 8, 10 ** 9]))
-@example(PADDED, "l2", 10 ** 9)
+@example(END_TO_END, "l2", 10 ** 9)
 def test_grouped_query_matches_queries_per_group(inst, norm, group_max):
-    """`_nearest_groups` and `project_groups`, with groups sent to the
-    padded kernel or to `_nearest` by the patched GROUP_MAX, against
+    """`_nearest_groups` and `project_groups`, with groups sent to
+    `_scan` or to `_nearest` by the patched GROUP_MAX, against
     `_nearest` and `project_groups` on each group alone by brute force:
     the same distances, witnesses and picks, bit for bit."""
     P, owner, sets = inst
@@ -357,10 +357,11 @@ def test_nearest_of_no_rows_and_min_dists_of_non_finite_rows(norm):
 # ---------------------------------------------------------------------------
 # Hausdorff by cell bounds: only the rows that can reach the maximum
 
-# d(a, B) for a = (2.72, 2.72) exceeds the computed bound d(r, B) + |a - r|
+# d(a, B) for a = (2.72, 2.72) exceeds the computed d(r, B) + |a - r|
 # through r = (0.366, 0.366) by two ulps, and the row (0, -100), in a cell
-# of its own, sits at the float between them.  A bound without its rounding
-# margin prunes the maximum, which is at a row that is not a representative.
+# of its own, sits at the float between them.  A bound of that form without
+# a rounding margin prunes the maximum, which is at a row that is not a
+# representative.
 _GAP = float(np.nextafter(3.8466608896548182, np.inf))
 OFF_REP = ([[0.366, 0.366], [2.72, 2.72], [0.0, -100.0]],
            [[0.0, 0.0], [-_GAP, -100.0]])
@@ -397,19 +398,24 @@ def hausdorff_case(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(hausdorff_case(), st.sampled_from(NORMS), st.sampled_from(sorted(FORCE)))
+@given(hausdorff_case(), st.sampled_from(NORMS),
+       st.sampled_from(sorted(FORCE) + ["split"]))
 @example(OFF_REP, "l2", "grid")
+@example(OFF_REP, "l2", "split")
 @example(([[1e4, 1e4]], [[1e4 + 0.1, 1e4 - 0.3]]), "l1", "grid")
 @example(([[0.5, 1e4]] * 40, [[0.1 * k, 1e4] for k in range(40)]),
          "linf", "grid")
 def test_hausdorff_equals_the_brute_force_maximum(case, norm, path):
     """Bitwise the maximum over every row of the `cdist` distances, on one
     point, one cell, lines, identical sets and coordinates near 1e4, and
-    with the maximum at a row that is not a representative."""
+    with the maximum at a row that is not a representative.  The "split"
+    path sets GRID_MIN to the smaller size, so the larger set is bounded
+    through its representatives against the smaller one."""
     A, B = (np.array(X, dtype=float) for X in case)
     ref = max(oracle_min_dists(A, B, norm).max(),
               oracle_min_dists(B, A, norm).max())
-    with mock.patch.object(geometry, "GRID_MIN", FORCE[path]):
+    grid_min = FORCE.get(path, min(len(A), len(B)))
+    with mock.patch.object(geometry, "GRID_MIN", grid_min):
         got = hausdorff(PointSet.of(A, dedup_tol=0),
                         PointSet.of(B, dedup_tol=0), norm)
     assert got == ref
@@ -441,6 +447,23 @@ def test_hausdorff_of_a_large_set_and_small_ones(norm):
         assert hausdorff(PointSet.of(net), PointSet.of(B), norm) == ref
 
 
+@pytest.mark.parametrize("norm", NORMS)
+def test_representative_bound_is_tight(norm):
+    """A cell whose far end lies exactly at its bound, and whose
+    representative lies one ulp nearer to B than that end: the cell is
+    scanned because its bound exceeds the lower bound, by one ulp.  The
+    representative's first witness, -5e-10, is within TIE_TOL of its
+    distance but is not its nearest point, and still bounds the cell."""
+    top = np.nextafter(1.0, 0.0)
+    A = PointSet.of(np.r_[top, np.linspace(0.0, 0.5, 40), 1.0][:, None],
+                    dedup_tol=0)
+    rows, bounds = A.cells[:2]
+    assert rows[bounds[-2]] == 0 and rows[-1] == 41
+    for B in ([[0.0]], [[-5e-10], [0.0]]):
+        with mock.patch.object(geometry, "GRID_MIN", 16):
+            assert geometry._sup_dist(A, PointSet.of(B), norm) == 1.0
+
+
 def test_hausdorff_queries_few_rows_of_large_nets():
     """On two 8,201-point disc nets 4 apart, each direction computes exact
     distances for at most 1,000 rows, counted once per `_scan`."""
@@ -449,12 +472,12 @@ def test_hausdorff_queries_few_rows_of_large_nets():
     assert len(A) == len(B) == 8201
     real = geometry._scan
 
-    def counted(P, G, prow, *args):
-        rows[id(G)] += np.unique(prow).size
-        return real(P, G, prow, *args)
+    def counted(P, bounds, cols, cells, prow, *args):
+        rows[id(bounds)] += np.unique(prow).size
+        return real(P, bounds, cols, cells, prow, *args)
 
     for norm in NORMS:
-        rows = {id(A.cells): 0, id(B.cells): 0}
+        rows = {id(A.cells.bounds): 0, id(B.cells.bounds): 0}
         with mock.patch.object(geometry, "_scan", counted):
             assert hausdorff(A, B, norm) == 4.0
         assert 0 < min(rows.values()) and max(rows.values()) <= 1000, norm
@@ -664,7 +687,7 @@ def test_pairs_and_chains_match_oracle(insts, path):
        st.sampled_from(NORMS), st.sampled_from([0, 8, 10 ** 9]))
 def test_batched_links_match_links_alone(insts, norm, group_max):
     """The links of a list of sets, from one grouped query (its groups sent
-    to the padded kernel or to `_nearest` by the patched GROUP_MAX), equal
+    to `_scan` or to `_nearest` by the patched GROUP_MAX), equal
     `_pair_indices` of each two consecutive sets alone on the `cdist`
     path; in l2 they are the oracle's pairs, and the chains are the
     oracle's chains in its order."""

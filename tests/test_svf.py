@@ -782,10 +782,10 @@ def test_chain_queries_stay_flat_with_depth():
         for depth in (6, 9):
             with mock.patch.object(geometry, "_nearest",
                                    wraps=geometry._nearest) as near, \
-                    mock.patch.object(geometry, "_padded_nearest",
-                                      wraps=geometry._padded_nearest) as pad:
+                    mock.patch.object(geometry, "_scan",
+                                      wraps=geometry._scan) as scan:
                 selection_family(F, 7, 4, depth)
-            counts.append((near.call_count, pad.call_count))
+            counts.append((near.call_count, scan.call_count))
         assert counts[0] == counts[1]
 
 
